@@ -15,13 +15,11 @@ corollas, and Outer admits every horn.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .complexes import Cell, Complex, Subcomplex, closure_cells
-from .trees import (ROOT_FACE, HornSpec, Tree, TreeError, Vertex, classify_horn,
-                    face, faces, horn)
+from .complexes import Cell, Complex, Subcomplex
+from .trees import Tree, TreeError, classify_horn, face, horn
 
 
 class AnodyneClass(enum.IntEnum):
@@ -142,134 +140,163 @@ class VerificationReport:
                 + ("" if self.valid else f", {len(self.violations)} violations"))
 
 
-def _map_tree(tree: Tree, m: dict[str, str]) -> Tree | None:
-    """The image of a tree under an edge map, collapsing unary vertices
-    whose input and output coincide; None if the images do not form a tree."""
-    vs = []
+def _carries(tree: Tree, m: dict[str, str], image: Tree) -> bool:
+    """Whether the edge map carries the tree onto `image`, collapsing unary
+    vertices whose input and output coincide: each remaining vertex maps to
+    the vertex of `image` with its output, with the same inputs, one to one."""
+    if m[tree.root] != image.root:
+        return False
+    outs = set()
     for v in tree.vertices:
-        ins = tuple(m[e] for e in v.inputs)
+        ins = [m[e] for e in v.inputs]
         out = m[v.output]
-        if ins == (out,):
+        if ins == [out]:
             continue
-        vs.append(Vertex(ins, out))
-    try:
-        return Tree(tuple(vs), m[tree.root])
-    except TreeError:
-        return None
+        w = image.vertex_above(out)
+        if w is None or out in outs or len(w.inputs) != len(ins) \
+                or set(w.inputs) != set(ins):
+            return False
+        outs.add(out)
+    return len(outs) == len(image.vertices)
 
 
 def verify_certificate(cert: Certificate, path: tuple[int, ...] = ()) -> VerificationReport:
     """Replay and check every step; all failures are reported, pinpointed by
     their step path."""
+    return _verify(cert, path, {})
+
+
+def _ambient(cert: Certificate, ambients: dict) -> Complex:
+    """The certificate's ambient, built once per generator tuple within one
+    top-level verification."""
+    amb = ambients.get(cert.ambient_generators)
+    if amb is None:
+        amb = ambients[cert.ambient_generators] = cert.ambient()
+    return amb
+
+
+def _verify(cert: Certificate, path: tuple[int, ...], ambients: dict) -> VerificationReport:
     rep = VerificationReport(valid=True, classes_used=[], step_count=0)
     try:
-        amb = cert.ambient()
-        start = amb.closure_subcomplex(cert.start)
-        target = amb.closure_subcomplex(cert.target)
+        amb = _ambient(cert, ambients)
+        start = amb.closure_mask(cert.start)
+        target = amb.closure_mask(cert.target)
     except (ValueError, KeyError, TreeError) as exc:
         return VerificationReport(False, [], 0, [Violation(path, f"malformed certificate: {exc}")])
     if cert.kind == "retract":
-        _verify_retract(cert, amb, start, target, rep, path)
+        _verify_retract(cert, amb, start, target, rep, path, ambients)
         return rep
     if cert.kind != "filtration":
         return VerificationReport(False, [], 0, [Violation(path, f"unknown kind {cert.kind!r}")])
-    current = set(start.cells)
+    current = start
     for i, step in enumerate(cert.steps):
         here = path + (i,)
         rep.step_count += 1
         if isinstance(step, HornStep):
-            _verify_horn_step(step, amb, current, rep, here)
+            current = _verify_horn_step(step, amb, current, rep, here)
         elif isinstance(step, NestedStep):
-            _verify_nested_step(step, amb, current, rep, here)
+            current = _verify_nested_step(step, amb, current, rep, here, ambients)
         else:
             rep.valid = False
             rep.violations.append(Violation(here, f"unknown step type {type(step).__name__}"))
-    if set(target.cells) != current:
+    if target != current:
         rep.valid = False
-        missing = sorted(target.cells - current, key=sorted)[:3]
-        extra = sorted(current - target.cells, key=sorted)[:3]
+        missing = _first_cells(amb, target & ~current)
+        extra = _first_cells(amb, current & ~target)
         rep.violations.append(Violation(
             path, f"final subcomplex differs from target "
                   f"(missing {missing}, extra {extra})"))
     return rep
 
 
-def _verify_horn_step(step: HornStep, amb: Complex, current: set, rep, here) -> None:
-    try:
-        tree = amb.tree_of(step.cell)
-    except KeyError:
+def _first_cells(amb: Complex, mask: int) -> list[Cell]:
+    """The first three cells of a mask by sorted edge names, for messages."""
+    return sorted(amb.cells_of(mask), key=sorted)[:3]
+
+
+def _cell_index(step, amb: Complex, rep, here) -> int | None:
+    """The index of the step's cell, or None after reporting that it is not
+    an ambient cell."""
+    i = amb.index.get(frozenset(step.cell))
+    if i is None:
         rep.valid = False
         rep.violations.append(Violation(here, f"not an ambient cell: {sorted(step.cell)}"))
-        return
-    if step.cell in current:
+    return i
+
+
+def _verify_horn_step(step: HornStep, amb: Complex, current: int, rep, here) -> int:
+    """Check one horn step; returns the subcomplex after it."""
+    i = _cell_index(step, amb, rep, here)
+    if i is None:
+        return current
+    if current >> i & 1:
         rep.valid = False
         rep.violations.append(Violation(here, f"cell already present: {sorted(step.cell)}"))
-        return
+        return current
     try:
-        hc = amb.horn_subcomplex(step.cell, step.omitted)
+        horn_cells = amb.horn_mask(i, step.omitted)
     except TreeError as exc:
         rep.valid = False
         rep.violations.append(Violation(here, str(exc)))
-        return
-    met = amb.closure(step.cell) & current
-    if met != hc.cells:
+        return current
+    met = amb.masks[i] & current
+    if met != horn_cells:
         rep.valid = False
-        missing = sorted(hc.cells - met, key=sorted)[:3]
-        extra = sorted(met - hc.cells, key=sorted)[:3]
+        missing = _first_cells(amb, horn_cells & ~met)
+        extra = _first_cells(amb, met & ~horn_cells)
         rep.violations.append(Violation(
             here, f"attachment of {sorted(step.cell)} along {step.omitted} is not a "
                   f"horn pushout (horn cells missing: {missing}; excess: {extra})"))
-        return
-    rep.classes_used.append(generator_class(tree, step.omitted))
-    current.update(amb.closure(step.cell))
+        return current
+    rep.classes_used.append(generator_class(amb.cell_trees[i], step.omitted))
+    return current | amb.masks[i]
 
 
-def _verify_nested_step(step: NestedStep, amb: Complex, current: set, rep, here) -> None:
-    try:
-        tree = amb.tree_of(step.cell)
-    except KeyError:
-        rep.valid = False
-        rep.violations.append(Violation(here, f"not an ambient cell: {sorted(step.cell)}"))
-        return
+def _verify_nested_step(step: NestedStep, amb: Complex, current: int, rep, here,
+                        ambients: dict) -> int:
+    """Check one nested step; returns the subcomplex after it."""
+    i = _cell_index(step, amb, rep, here)
+    if i is None:
+        return current
     sub = step.certificate
-    sub_rep = verify_certificate(sub, here)
+    sub_rep = _verify(sub, here, ambients)
     rep.step_count += sub_rep.step_count
     rep.classes_used.extend(sub_rep.classes_used)
     if not sub_rep.valid:
         rep.valid = False
         rep.violations.extend(sub_rep.violations)
-        return
-    sub_amb = sub.ambient()
-    if set(sub_amb.cells) != closure_cells(tree).keys():
+        return current
+    sub_amb = _ambient(sub, ambients)
+    closure = amb.cells_of(amb.masks[i])
+    if sub_amb.cells.keys() != closure:
         rep.valid = False
         rep.violations.append(Violation(
             here, f"nested ambient is not the closure of {sorted(step.cell)}"))
-        return
-    sub_start = sub_amb.closure_subcomplex(sub.start)
-    met = amb.closure(step.cell) & current
-    if met != sub_start.cells:
+        return current
+    sub_start = sub_amb.closure_mask(sub.start)
+    met = amb.masks[i] & current
+    if amb.cells_of(met) != sub_amb.cells_of(sub_start):
         rep.valid = False
         rep.violations.append(Violation(
             here, f"nested attachment of {sorted(step.cell)}: current meets its "
-                  f"closure in {len(met)} cells but the sub-certificate starts "
-                  f"from {len(sub_start.cells)}"))
-        return
-    sub_target = sub_amb.closure_subcomplex(sub.target)
-    if set(sub_target.cells) != set(sub_amb.cells):
+                  f"closure in {met.bit_count()} cells but the sub-certificate starts "
+                  f"from {sub_start.bit_count()}"))
+        return current
+    if sub_amb.closure_mask(sub.target) != sub_amb.full_mask:
         rep.valid = False
         rep.violations.append(Violation(here, "nested certificate does not reach the full cell"))
-        return
-    current.update(amb.closure(step.cell))
+        return current
+    return current | amb.masks[i]
 
 
-def _verify_retract(cert: Certificate, amb: Complex, start: Subcomplex,
-                    target: Subcomplex, rep, path) -> None:
+def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
+                    rep, path, ambients: dict) -> None:
     sub = cert.sub
     if sub is None:
         rep.valid = False
         rep.violations.append(Violation(path, "retract certificate without sub-certificate"))
         return
-    sub_rep = verify_certificate(sub, path + (0,))
+    sub_rep = _verify(sub, path + (0,), ambients)
     rep.step_count += sub_rep.step_count
     rep.classes_used.extend(sub_rep.classes_used)
     if not sub_rep.valid:
@@ -278,7 +305,7 @@ def _verify_retract(cert: Certificate, amb: Complex, start: Subcomplex,
         return
     s = dict(cert.section)
     r = dict(cert.retraction)
-    sub_amb = sub.ambient()
+    sub_amb = _ambient(sub, ambients)
     my_edges = set().union(*[g.edges for g in cert.ambient_generators])
     sub_edges = set().union(*[g.edges for g in sub.ambient_generators])
     if set(s) != my_edges or not set(s.values()) <= sub_edges:
@@ -295,30 +322,42 @@ def _verify_retract(cert: Certificate, amb: Complex, start: Subcomplex,
         rep.violations.append(Violation(
             path, f"retraction after section is not the identity at {sorted(bad_rs)}"))
         return
-    sub_start = sub_amb.closure_subcomplex(sub.start)
-    sub_target = sub_amb.closure_subcomplex(sub.target)
-    # the section carries (start, target) into (sub start, sub target)
-    for cells, image, label in ((target.cells, sub_target, "target"),
-                                (start.cells, sub_start, "start")):
-        for c in cells:
-            ic = frozenset(s[e] for e in c)
-            it = _map_tree(amb.cells[c], s)
-            if ic not in image.cells or it is None or it != sub_amb.cells[ic]:
-                rep.valid = False
-                rep.violations.append(Violation(
-                    path, f"section does not carry {label} cell {sorted(c)} "
-                          f"into the sub-{label}"))
-    # the retraction carries (sub start, sub target) back into (start, target)
-    for cells, image, label in ((sub_target.cells, target, "target"),
-                                (sub_start.cells, start, "start")):
-        for c in cells:
-            ic = frozenset(r[e] for e in c)
-            it = _map_tree(sub_amb.cells[c], r)
-            if ic not in image.cells or it is None or it != amb.cells[ic]:
-                rep.valid = False
-                rep.violations.append(Violation(
-                    path, f"retraction does not carry sub-{label} cell {sorted(c)} "
-                          f"into the {label}"))
+    sub_start = sub_amb.closure_mask(sub.start)
+    sub_target = sub_amb.closure_mask(sub.target)
+    for label, c in _uncarried(amb, sub_amb, s, ((target, sub_target),
+                                                 (start, sub_start))):
+        rep.valid = False
+        rep.violations.append(Violation(
+            path, f"section does not carry {label} cell {sorted(c)} "
+                  f"into the sub-{label}"))
+    for label, c in _uncarried(sub_amb, amb, r, ((sub_target, target),
+                                                 (sub_start, start))):
+        rep.valid = False
+        rep.violations.append(Violation(
+            path, f"retraction does not carry sub-{label} cell {sorted(c)} "
+                  f"into the {label}"))
+
+
+def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
+               pairs) -> list[tuple[str, Cell]]:
+    """(label, cell) for each cell of a source target, then start, in cell
+    order, that the edge map does not carry onto a cell of the matching
+    image with the mapped tree; `pairs` holds the (source, image) masks of
+    the targets and of the starts."""
+    images: dict[int, int | None] = {}      # cell -> its image cell, if carried
+    out = []
+    for label, (mask, image) in zip(("target", "start"), pairs):
+        for i in src.indices(mask):
+            if i not in images:
+                j = dst.index.get(frozenset(edge_map[e] for e in src.order[i]))
+                if j is not None and not _carries(src.cell_trees[i], edge_map,
+                                                  dst.cell_trees[j]):
+                    j = None
+                images[i] = j
+            j = images[i]
+            if j is None or not image >> j & 1:
+                out.append((label, src.order[i]))
+    return out
 
 
 def certificate_class(cert: Certificate) -> AnodyneClass | None:
@@ -357,32 +396,29 @@ def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
     instead of a horn.  Raises BuildError when a step is not a horn pushout.
     """
     nested = nested or {}
-    start = amb.closure_subcomplex(start_cells)
-    current = set(start.cells)
+    current = amb.closure_mask(start_cells)
     steps: list = []
     for raw in cell_order:
         cell = frozenset(raw)
-        tree = amb.tree_of(cell)
-        if cell in current:
+        i = amb.index_of(cell)
+        if current >> i & 1:
             raise BuildError(f"cell already present: {sorted(cell)}")
         if cell in nested:
             steps.append(NestedStep(cell, nested[cell]))
-            current.update(amb.closure(cell))
+            current |= amb.masks[i]
             continue
-        missing = [f for f in faces(tree) if f.subtree.edges not in current]
+        missing, is_horn = amb.attachment(i, current)
         if len(missing) != 1:
             raise BuildError(
                 f"cell {sorted(cell)} has {len(missing)} missing faces "
-                f"({[f.key for f in missing]}); not a horn attachment")
-        om = missing[0]
-        met = amb.closure(cell) & current
-        if met != amb.horn_subcomplex(cell, om.key).cells:
+                f"({missing}); not a horn attachment")
+        if not is_horn:
             raise BuildError(f"cell {sorted(cell)} does not meet the current "
-                             f"subcomplex in the horn at {om.key}")
-        steps.append(HornStep(cell, om.key))
-        current.update(amb.closure(cell))
+                             f"subcomplex in the horn at {missing[0]}")
+        steps.append(HornStep(cell, missing[0]))
+        current |= amb.masks[i]
     if target_cells is None:
-        target = tuple(sorted(current, key=sorted))
+        target = tuple(sorted(amb.cells_of(current), key=sorted))
     else:
         target = tuple(frozenset(c) for c in target_cells)
     return Certificate(ambient_generators=amb.generators,
@@ -408,57 +444,46 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
     attachments of class <= allowed.  Deterministic: candidate cells are
     tried in (size, name) order.  `budget` bounds candidate evaluations.
     """
-    goal = set(target.cells)
-    todo_all = sorted(goal - start.cells, key=lambda c: (len(c), sorted(c)))
+    goal = amb.cell_mask(target.cells)
+    start_mask = amb.cell_mask(start.cells)
+    todo_all = amb.indices(goal & ~start_mask)       # in (size, name) order
     examined = 0
     out_of_budget = False
 
-    def moves(current: set):
+    def moves(current: int) -> list[HornStep]:
         nonlocal examined, out_of_budget
         found = []
-        for cell in todo_all:
-            if cell in current:
+        for i in todo_all:
+            if current >> i & 1:
                 continue
             if examined >= budget:
                 out_of_budget = True
                 break
             examined += 1
-            tree = amb.cells[cell]
-            if not tree.vertices:
-                continue
-            missing = [f for f in faces(tree) if f.subtree.edges not in current]
-            if len(missing) != 1:
-                continue
-            om = missing[0]
-            if generator_class(tree, om.key) > allowed:
-                continue
-            if amb.closure(cell) & current != amb.horn_subcomplex(cell, om.key).cells:
-                continue
-            found.append(HornStep(cell, om.key))
+            missing, is_horn = amb.attachment(i, current)
+            if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed:
+                found.append(HornStep(amb.order[i], missing[0]))
         return found
 
-    def dfs(current: set, steps: list) -> bool:
-        if current >= goal:
+    def dfs(current: int, steps: list) -> bool:
+        if current & goal == goal:
             return True
         for step in moves(current):
-            added = amb.closure(step.cell) - current
-            current |= added
             steps.append(step)
-            if dfs(current, steps):
+            if dfs(current | amb.masks[amb.index[step.cell]], steps):
                 return True
             steps.pop()
-            current -= added
             if out_of_budget:
                 break
         return False
 
     steps: list = []
-    ok = dfs(set(start.cells), steps)
+    ok = dfs(start_mask, steps)
     if not ok:
         return SearchResult(None, examined, out_of_budget)
     cert = Certificate(
         ambient_generators=amb.generators,
         start=tuple(sorted(start.cells, key=sorted)),
-        target=tuple(sorted(goal, key=sorted)),
+        target=tuple(sorted(target.cells, key=sorted)),
         kind="filtration", steps=tuple(steps))
     return SearchResult(cert, examined, out_of_budget)

@@ -50,6 +50,26 @@ def _add_format(p: argparse.ArgumentParser, default: str, choices) -> None:
     p.add_argument("--format", default=default, choices=choices)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one line on stderr (no usage block), exit code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -223,7 +243,7 @@ def _cmd_lemma(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dendro",
         description="Trees, nerves of finite operads, shuffles and "
                     "anodyne-extension certificates.")
@@ -251,15 +271,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(dx, "text", ["json", "text"])
     ss = nerve_sub.add_parser("sset")
     ss.add_argument("--operad", required=True)
-    ss.add_argument("--dim", type=int, required=True)
+    ss.add_argument("--dim", type=_int_at_least(0), required=True)
     _add_format(ss, "text", ["json", "text"])
 
     kan_p = sub.add_parser("kan", help="Kan-condition reports")
     kan_sub = kan_p.add_subparsers(dest="action", required=True)
     check = kan_sub.add_parser("check")
     check.add_argument("--operad", required=True)
-    check.add_argument("--bound", type=int, required=True)
-    check.add_argument("--max-arity", type=int, default=3)
+    check.add_argument("--bound", type=_int_at_least(1), required=True)
+    check.add_argument("--max-arity", type=_int_at_least(1), default=3)
     check.add_argument("--strict", action="store_true")
     _add_format(check, "json", ["json", "text"])
 
@@ -267,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sh_sub = sh_p.add_subparsers(dest="action", required=True)
     ls = sh_sub.add_parser("list")
     ls.add_argument("--tree", required=True)
-    ls.add_argument("--n", type=int, required=True)
+    ls.add_argument("--n", type=_int_at_least(0), required=True)
     _add_format(ls, "text", ["json", "dot", "text"])
 
     an_p = sub.add_parser("anodyne", help="certificate verification and search")

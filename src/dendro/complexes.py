@@ -2,16 +2,23 @@
 
 A complex is generated by finitely many trees sharing an ambient edge
 alphabet; its cells are all iterated faces of the generators.  In the
-regimes handled here a cell is determined by its edge set, so subcomplexes
-are plain sets of frozensets with boolean algebra and face-closure checks.
+regimes handled here a cell is determined by its edge set.
+
+A `Complex` numbers its cells once, in (size, sorted edges) order, so that
+every face of a cell comes before it.  Bottom-up it stores each cell's face
+indices and its closure as an int bitmask, `bit(c) | OR(closure(f))` over
+the faces f of c.  Inside the certificate code a subcomplex is such a mask:
+meeting a closure is `&`, attaching a cell is `|=`.  The public surface
+(`cells`, `closure`, `Subcomplex`) still speaks in frozensets of edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator
 
-from .trees import Tree, TreeError, faces, subtree_from_edges
+from .trees import FaceDescriptor, Tree, TreeError, faces
 
 Cell = frozenset
 
@@ -31,41 +38,120 @@ def closure_cells(tree: Tree) -> dict[Cell, Tree]:
     return out
 
 
+def _cell_key(cell: Cell):
+    return (len(cell), sorted(cell))
+
+
 class Complex:
-    """The union of the closures of a finite family of generator trees."""
+    """The union of the closures of a finite family of generator trees.
+
+    `order[i]` is the cell with index i and `cell_trees[i]` its tree;
+    `face_lists[i]` holds its faces (`faces()` of the tree, empty for eta)
+    and `face_ids[i]` their cell indices; `masks[i]` is the bitmask of its
+    closure.
+    """
 
     def __init__(self, generators: Iterable[Tree]):
         self.generators = tuple(generators)
         if not self.generators:
             raise ValueError("a complex needs at least one generator")
-        self.cells: dict[Cell, Tree] = {}
+        found: dict[Cell, Tree] = {}
         for g in self.generators:
             for es, t in closure_cells(g).items():
-                prev = self.cells.get(es)
+                prev = found.get(es)
                 if prev is not None and prev != t:
                     raise ValueError(f"generators disagree on cell {sorted(es)}")
-            self.cells.update(closure_cells(g))
+                found[es] = t
+        self.order: tuple[Cell, ...] = tuple(sorted(found, key=_cell_key))
+        self.cells: dict[Cell, Tree] = {c: found[c] for c in self.order}
+        self.index: dict[Cell, int] = {c: i for i, c in enumerate(self.order)}
+        self.cell_trees: tuple[Tree, ...] = tuple(self.cells.values())
+        self.face_lists: list[list[FaceDescriptor]] = []
+        self.face_ids: list[list[int]] = []
+        self.masks: list[int] = []
+        index, masks = self.index, self.masks
+        for i, t in enumerate(self.cell_trees):
+            fs = faces(t) if t.vertices else []
+            ids = [index[f.subtree.edges] for f in fs]
+            mask = 1 << i
+            for j in ids:
+                mask |= masks[j]
+            self.face_lists.append(fs)
+            self.face_ids.append(ids)
+            masks.append(mask)
+        self.full_mask = (1 << len(self.order)) - 1
 
-    def tree_of(self, cell: Cell) -> Tree:
+    # -- cells and masks ----------------------------------------------------
+
+    def index_of(self, cell: Iterable[str]) -> int:
         try:
-            return self.cells[frozenset(cell)]
+            return self.index[frozenset(cell)]
         except KeyError:
             raise KeyError(f"not a cell of the complex: {sorted(cell)}") from None
 
+    def tree_of(self, cell: Cell) -> Tree:
+        return self.cell_trees[self.index_of(cell)]
+
     def has_cell(self, cell: Iterable[str]) -> bool:
-        return frozenset(cell) in self.cells
+        return frozenset(cell) in self.index
+
+    def cell_mask(self, cells: Iterable[Iterable[str]]) -> int:
+        """The mask of exactly the given cells."""
+        mask = 0
+        for c in cells:
+            mask |= 1 << self.index_of(c)
+        return mask
+
+    def closure_mask(self, cells: Iterable[Iterable[str]]) -> int:
+        """The mask of the closure of the given cells."""
+        mask = 0
+        for c in cells:
+            mask |= self.masks[self.index_of(c)]
+        return mask
+
+    def indices(self, mask: int) -> list[int]:
+        """The indices of the cells in a mask, ascending."""
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+    def cells_of(self, mask: int) -> frozenset[Cell]:
+        return frozenset(compress(self.order, map("1".__eq__, bin(mask)[:1:-1])))
+
+    def horn_mask(self, i: int, omitted_key: tuple[str, str]) -> int:
+        """The closure of every face of cell i but the omitted one."""
+        keys = [f.key for f in faces(self.cell_trees[i])]
+        if omitted_key not in keys:
+            raise TreeError(f"no face {omitted_key} on cell {sorted(self.order[i])}")
+        return self._kept_closure(i, keys.index(omitted_key))
+
+    def _kept_closure(self, i: int, omitted: int) -> int:
+        """The closure of the faces of cell i but its face number `omitted`."""
+        mask = 0
+        for k, j in enumerate(self.face_ids[i]):
+            if k != omitted:
+                mask |= self.masks[j]
+        return mask
+
+    def attachment(self, i: int, current: int) -> tuple[list[tuple[str, str]], bool]:
+        """(the keys of the faces of cell i missing from `current`, whether
+        attaching i to `current` is a horn pushout): exactly one face is
+        missing and the closure of i meets `current` in the closure of the
+        other faces."""
+        missing = [k for k, j in enumerate(self.face_ids[i]) if not current >> j & 1]
+        keys = [self.face_lists[i][k].key for k in missing]
+        if len(missing) != 1:
+            return keys, False
+        return keys, self.masks[i] & current == self._kept_closure(i, missing[0])
+
+    # -- subcomplexes ------------------------------------------------------
 
     def closure(self, cell: Iterable[str]) -> frozenset[Cell]:
-        return frozenset(closure_cells(self.tree_of(frozenset(cell))))
+        return self.cells_of(self.masks[self.index_of(cell)])
 
     def subcomplex(self, cells: Iterable[Iterable[str]]) -> "Subcomplex":
         return Subcomplex(self, frozenset(frozenset(c) for c in cells))
 
     def closure_subcomplex(self, cells: Iterable[Iterable[str]]) -> "Subcomplex":
-        out: set[Cell] = set()
-        for c in cells:
-            out |= self.closure(c)
-        return Subcomplex(self, frozenset(out))
+        return Subcomplex(self, self.cells_of(self.closure_mask(cells)))
 
     def full(self) -> "Subcomplex":
         return Subcomplex(self, frozenset(self.cells))
@@ -75,11 +161,8 @@ class Complex:
         return self.closure_subcomplex([f.subtree.edges for f in faces(t)])
 
     def horn_subcomplex(self, cell: Iterable[str], omitted_key: tuple[str, str]) -> "Subcomplex":
-        t = self.tree_of(frozenset(cell))
-        kept = [f.subtree.edges for f in faces(t) if f.key != omitted_key]
-        if len(kept) != len(faces(t)) - 1:
-            raise TreeError(f"no face {omitted_key} on cell {sorted(t.edges)}")
-        return self.closure_subcomplex(kept)
+        return Subcomplex(self, self.cells_of(self.horn_mask(self.index_of(cell),
+                                                             omitted_key)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +179,7 @@ class Subcomplex:
         return frozenset(cell) in self.cells
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(sorted(self.cells, key=lambda c: (len(c), sorted(c))))
+        return iter(sorted(self.cells, key=_cell_key))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -130,27 +213,23 @@ class Subcomplex:
 
     def face_closure_violations(self) -> list[tuple[Cell, Cell]]:
         """Pairs (cell, missing face cell) witnessing failure of closure."""
+        amb = self.ambient
         bad = []
         for c in self.cells:
-            t = self.ambient.cells[c]
-            if not t.vertices:
-                continue
-            for f in faces(t):
-                if f.subtree.edges not in self.cells:
-                    bad.append((c, f.subtree.edges))
+            for j in amb.face_ids[amb.index[c]]:
+                if amb.order[j] not in self.cells:
+                    bad.append((c, amb.order[j]))
         return sorted(bad, key=lambda p: (sorted(p[0]), sorted(p[1])))
 
     def is_proper(self) -> bool:
         return self.cells < frozenset(self.ambient.cells)
 
     def maximal_cells(self) -> list[Cell]:
+        amb = self.ambient
         covered: set[Cell] = set()
         for c in self.cells:
-            t = self.ambient.cells[c]
-            if t.vertices:
-                covered.update(f.subtree.edges for f in faces(t))
-        return sorted((c for c in self.cells if c not in covered),
-                      key=lambda c: (len(c), sorted(c)))
+            covered.update(amb.order[j] for j in amb.face_ids[amb.index[c]])
+        return sorted((c for c in self.cells if c not in covered), key=_cell_key)
 
 
 def representable(tree: Tree) -> Complex:

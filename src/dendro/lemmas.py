@@ -21,8 +21,8 @@ from typing import Iterable
 
 from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
                       generator_class)
-from .complexes import Cell, Complex, representable
-from .shuffles import c2_shuffle, c2_tensor_complex, filtration_base
+from .complexes import Cell, Complex, closure_cells, representable
+from .shuffles import filtration_base
 from .trees import (ROOT_FACE, Tree, TreeError, Vertex, faces, has_root_horn,
                     initial_segments, stem_edges, subtree_from_edges)
 
@@ -53,34 +53,20 @@ def _root_face_cell(tree: Tree) -> frozenset:
 # "6.4": the binary tensor filtration
 # ---------------------------------------------------------------------------
 
-def _attachable(amb: Complex, present: set, cell: Cell):
-    """The omitted-face key if attaching `cell` is a horn pushout against
-    `present` (assumed face-closed), else None."""
-    tree = amb.tree_of(cell)
-    if not tree.vertices:
-        return None
-    missing = [f for f in faces(tree) if f.subtree.edges not in present]
-    if len(missing) != 1:
-        return None
-    return missing[0].key
-
-
-def _saturate(amb: Complex, present: set, order: list,
-              ceiling: AnodyneClass) -> None:
-    """Greedily attach absent cells (smallest first) along horns of class at
-    most `ceiling` until no further cell is attachable."""
-    progress = True
-    while progress:
-        progress = False
-        for cell in _sorted_cells(set(amb.cells) - present):
-            key = _attachable(amb, present, cell)
-            if key is None:
-                continue
-            if generator_class(amb.tree_of(cell), key) > ceiling:
-                continue
-            order.append(cell)
-            present.update(amb.closure(cell))
-            progress = True
+def _attach_pass(amb: Complex, present: int, order: list,
+                 ceiling: AnodyneClass, first_only: bool = False) -> int:
+    """One pass over the absent cells, smallest first, attaching each that
+    is a horn pushout of class at most `ceiling` against the growing
+    subcomplex (only the first such with `first_only`); returns the grown
+    subcomplex."""
+    for i in amb.indices(amb.full_mask & ~present):
+        missing, is_horn = amb.attachment(i, present)
+        if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= ceiling:
+            order.append(amb.order[i])
+            present |= amb.masks[i]
+            if first_only:
+                break
+    return present
 
 
 def binary_tensor_certificate(n: int) -> Certificate:
@@ -89,26 +75,22 @@ def binary_tensor_certificate(n: int) -> Certificate:
     Exactly one step is a root-horn (binary extended left) attachment."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    amb = c2_tensor_complex(n)
     base = filtration_base(n)
-    present = set(base.cells)
+    amb = base.ambient
+    present = amb.cell_mask(base.cells)
     order: list[Cell] = []
-    while len(present) < len(amb.cells):
-        _saturate(amb, present, order, AnodyneClass.LEFT)
-        if len(present) == len(amb.cells):
+    while present != amb.full_mask:
+        # saturate along left horns, then take one binary extended left step
+        while (grown := _attach_pass(amb, present, order, AnodyneClass.LEFT)) != present:
+            present = grown
+        if present == amb.full_mask:
             break
-        for cell in _sorted_cells(set(amb.cells) - present):
-            key = _attachable(amb, present, cell)
-            if key is None:
-                continue
-            if generator_class(amb.tree_of(cell), key) \
-                    <= AnodyneClass.BINARY_EXTENDED_LEFT:
-                order.append(cell)
-                present.update(amb.closure(cell))
-                break
-        else:
+        grown = _attach_pass(amb, present, order,
+                             AnodyneClass.BINARY_EXTENDED_LEFT, first_only=True)
+        if grown == present:
             raise BuildError("no horn-attachable cell of class at most "
                              "binary extended left; filtration is stuck")
+        present = grown
     return build_filtration(amb, _sorted_cells(base.cells), order,
                             target_cells=sorted(amb.cells, key=sorted))
 
@@ -181,7 +163,7 @@ def codim_base_cells(tree: Tree, v_output: str) -> list[frozenset]:
     cells = [seg_edges]
     if len(kept) >= 2:
         seg = subtree_from_edges(tree, seg_edges)
-        for e in seg.inner_edges:
+        for e in sorted(seg.inner_edges):
             cells.append(tree.edges - {e})
         for f in faces(tree):
             if f.kind in ("top", "root") and f.label != v_output \
@@ -206,8 +188,9 @@ def _initial_subtree_codim(tree: Tree, cell_tree: Tree) -> int | None:
     segment_edges: set[str] = set()
     for f in leaves:
         segment_edges.update(tree.path_to_root(f))
-    seg = subtree_from_edges(tree, segment_edges)
-    return len(seg.vertices) - len(cell_tree.vertices)
+    # the cell's leaves are pairwise incomparable, so the segment has a
+    # vertex above each of its edges but them
+    return len(segment_edges) - len(leaves) - len(cell_tree.vertices)
 
 
 def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
@@ -230,10 +213,9 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
     # base segment (the distinguished vertex may be merged upward by
     # contracting its input edges)
     by_nk: dict[tuple[int, int], list[frozenset]] = {}
-    for es in amb.closure(cell):
-        ct = amb.tree_of(es)
-        vs = set(ct.vertices)
-        if any(w not in vs for w in kept_others):
+    for i in amb.indices(amb.masks[amb.index_of(cell)]):    # in cell order
+        es, ct = amb.order[i], amb.cell_trees[i]
+        if any(ct.vertex_above(w.output) != w for w in kept_others):
             continue
         if ct.vertex_above(v_output) is None:
             continue
@@ -260,9 +242,8 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
     order: list[frozenset] = []
     for nn in range(2, big_n + 1):
         for kk in range(0, big_n - nn + 1):
-            stage = [s for s in by_nk.get((nn, kk), [])
-                     if s not in chosen[(nn, kk)]]
-            order.extend(_sorted_cells(stage))
+            order.extend(s for s in by_nk.get((nn, kk), [])
+                         if s not in chosen[(nn, kk)])
     return order
 
 
@@ -270,12 +251,13 @@ def codim_certificate(tree: Tree, v_output: str) -> Certificate:
     amb = representable(tree)
     base = codim_base_cells(tree, v_output)
     order = codim_additions(amb, tree.edges, v_output)
-    present = set(amb.closure_subcomplex(base).cells)
+    present = amb.closure_mask(base)
     final = []
     for cl in order:
-        if cl not in present:
+        i = amb.index[cl]
+        if not present >> i & 1:
             final.append(cl)
-            present.update(amb.closure(cl))
+            present |= amb.masks[i]
     return build_filtration(amb, base, final,
                             target_cells=sorted(amb.cells, key=sorted))
 
@@ -308,25 +290,22 @@ def root_horn_certificate(tree: Tree,
     horn inclusion is certified as a retract through the tree with one
     extra stem edge.
     """
-    amb = representable(tree)
     if len(tree.vertices) == 1:
         if omitted is None or omitted[0] != "colour" or omitted[1] == tree.root:
             raise TreeError("a corolla root horn omits a leaf colour")
         start = [f.subtree.edges for f in faces(tree) if f.key != omitted]
-        return build_filtration(amb, start, [tree.edges],
-                                target_cells=sorted(amb.cells, key=sorted))
+        return build_filtration(representable(tree), start, [tree.edges])
     if not has_root_horn(tree):
         raise TreeError("tree has no root horn")
     start = _dedup(f.subtree.edges for f in faces(tree) if f.kind != ROOT_FACE)
     if _is_extended_corolla_shape(tree):
-        return build_filtration(amb, start, [tree.edges],
-                                target_cells=sorted(amb.cells, key=sorted))
+        return build_filtration(representable(tree), start, [tree.edges])
     w_cert, a_prime, a0 = _root_horn_through_split(tree, start)
     section = tuple((e, e) for e in sorted(tree.edges))
     retraction = tuple(sorted([(a_prime, a0)] + [(e, e) for e in tree.edges]))
     return Certificate(ambient_generators=(tree,),
                        start=tuple(start),
-                       target=tuple(sorted(amb.cells, key=sorted)),
+                       target=tuple(sorted(closure_cells(tree), key=sorted)),
                        kind="retract", sub=w_cert,
                        section=section, retraction=retraction)
 
@@ -368,14 +347,16 @@ def _root_horn_through_split(tree: Tree, start_cells):
 
     order: list[frozenset] = []
     nested: dict[frozenset, Certificate] = {}
-    present = set(amb.closure_subcomplex(start_cells).cells)
+    present = amb.closure_mask(start_cells)
 
     def plan(cl, sub_cert: Certificate | None = None):
-        if cl not in present:
+        nonlocal present
+        i = amb.index_of(cl)
+        if not present >> i & 1:
             order.append(cl)
             if sub_cert is not None:
                 nested[cl] = sub_cert
-            present.update(amb.closure(cl))
+            present |= amb.masks[i]
 
     # Step 1: grow the faces missing stem edges in four families per size
     # of the kept stem subset (strict subsets only)
@@ -409,9 +390,8 @@ def _root_horn_through_split(tree: Tree, start_cells):
             batch = [frozenset(seg.edges - set(E))
                      for E in itertools.combinations(pool, esize)]
             for cl in _sorted_cells(batch):
-                if cl in present:
-                    continue
-                plan(cl, sub_cert=root_horn_certificate(amb.tree_of(cl)))
+                if not present >> amb.index_of(cl) & 1:
+                    plan(cl, sub_cert=root_horn_certificate(amb.tree_of(cl)))
     # Step 4: the root face of W at the inner horn of a', then W itself
     plan(frozenset(w.edges - ({c} | set(b_edges))))
     plan(frozenset(w.edges))

@@ -525,81 +525,3 @@ def initial_subtrees(tree: Tree, codim: int) -> list[Tree]:
                 nxt.setdefault(ft.edges, ft)
         current = nxt
     return sorted(current.values(), key=lambda t: (len(t.edges), sorted(t.edges)))
-
-
-# -- the grafted trees of the root-horn reduction ---------------------------
-
-@dataclass(frozen=True)
-class RootHornScaffold:
-    """The auxiliary trees used to reduce a root horn to generator horns.
-
-    U grafts the tree onto a (q+1)-corolla; W does the same after inserting
-    the extra stem edge a_prime below the tree top.
-    """
-    tree: Tree
-    q: int
-    U: Tree
-    W: Tree
-    a_prime: str
-    b_edges: tuple[str, ...]
-    root_c: str
-    stem: tuple[str, ...]       # a_0 ... a_l of the original tree, top first
-    d_edges: tuple[str, ...]    # inputs of the tree-top root vertex
-
-    def U0(self, J: Iterable[int]) -> Tree:
-        es = set(self.d_edges) | {self.a_prime, self.root_c} | set(self.b_edges)
-        es |= {self.stem[j] for j in self._check(J)}
-        return subtree_from_edges(self.W, es)
-
-    def Uprime(self, J: Iterable[int]) -> Tree:
-        J = self._check(J)
-        drop = {self.stem[j] for j in range(len(self.stem)) if j not in J}
-        return subtree_from_edges(self.W, self.W.edges - drop)
-
-    def T0(self, J: Iterable[int]) -> Tree:
-        return face(self.U0(J), ROOT_FACE, self.root_c).subtree
-
-    def Tprime(self, J: Iterable[int]) -> Tree:
-        return face(self.Uprime(J), ROOT_FACE, self.root_c).subtree
-
-    def _check(self, J: Iterable[int]) -> set[int]:
-        J = set(J)
-        if not J <= set(range(len(self.stem))):
-            raise TreeError(f"J out of range: {sorted(J)}")
-        return J
-
-
-def _fresh(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
-
-
-def build_root_horn_scaffold(tree: Tree, q: int) -> RootHornScaffold:
-    """Build U, W and friends for a non-linear tree grafted over a corolla."""
-    if not tree.vertices:
-        raise TreeError("tree must have at least one vertex")
-    if tree.is_linear():
-        raise TreeError("scaffold is only defined for non-linear trees")
-    if q < 0:
-        raise TreeError("q must be >= 0")
-    st = stem_edges(tree)
-    a0 = st[0]
-    top_vertex = tree.vertex_above(a0)
-    a_prime = _fresh("a'", tree.edges)
-    b_edges = tuple(_fresh(f"b_{i}", tree.edges) for i in range(1, q + 1))
-    root_c = _fresh("c", tree.edges)
-    base = corolla(q + 1, leaves=(tree.root,) + b_edges, root=root_c)
-    U = graft(base, tree.root, tree)
-    # insert a' between the tree-top root vertex and a_0
-    vs = []
-    for v in tree.vertices:
-        vs.append(Vertex(v.inputs, a_prime) if v == top_vertex else v)
-    vs.append(Vertex((a_prime,), a0))
-    t_prime = Tree(tuple(vs), tree.root)
-    W = graft(corolla(q + 1, leaves=(tree.root,) + b_edges, root=root_c),
-              tree.root, t_prime)
-    return RootHornScaffold(tree=tree, q=q, U=U, W=W, a_prime=a_prime,
-                            b_edges=b_edges, root_c=root_c, stem=tuple(st),
-                            d_edges=top_vertex.inputs)

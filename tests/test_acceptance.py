@@ -209,6 +209,11 @@ def test_acceptance_11a_certificate_corruptions_detected():
         assert all(v.step_index is not None for v in rep.violations), (kind, i)
 
 
+def test_acceptance_11a_violation_texts_pinned(check_pinned):
+    for n, (kind, i, bad) in enumerate(_certificate_corruptions()):
+        check_pinned(f"11a-{n:02d}-{kind}-{i}", verify_certificate(bad))
+
+
 def test_acceptance_11b_operad_corruptions_detected(bz2):
     rng = random.Random(8)
     table = table_operad_from(bz2, max_arity=4)

@@ -181,6 +181,68 @@ def test_retract_without_sub_invalid(retract_tree):
     assert not rep.valid
 
 
+# -- pinned violation texts -------------------------------------------------
+
+def _injected_faults(retract_tree):
+    """name -> a certificate with one injected fault."""
+    good = build_filtration(representable(c2()), [{"a"}, {"c"}], [c2().edges])
+    cell = c2().edges
+    split = extended_corolla_split_certificate(1, 1)
+    retract = root_horn_certificate(retract_tree)
+    unary = build_filtration(representable(corolla(1, leaves=("x",), root="y")),
+                             [{"x"}], [{"x", "y"}])
+    c2_horn = root_horn_certificate(c2(), ("colour", "b"))
+    r = dict(retract.retraction)
+    a_prime = next(e for e in r if e not in retract_tree.edges)
+    r[a_prime] = retract_tree.root
+    s = dict(retract.section)
+    del s[retract_tree.root]
+    return {
+        "wrong-omitted-key": dataclasses.replace(
+            good, steps=(HornStep(cell, ("colour", "a")),)),
+        "missing-step": dataclasses.replace(split, steps=split.steps[:-1]),
+        "foreign-cell": dataclasses.replace(
+            good, steps=(HornStep(frozenset({"zz"}), ("colour", "b")),)),
+        "present-cell": dataclasses.replace(good, steps=good.steps * 2),
+        "unknown-face": dataclasses.replace(
+            good, steps=(HornStep(cell, ("inner", "zz")),)),
+        "eta-step": dataclasses.replace(
+            good, start=(frozenset({"c"}),),
+            steps=(HornStep(frozenset({"a"}), ("colour", "a")),)),
+        "unknown-step-type": dataclasses.replace(good, steps=("bogus",)),
+        "unknown-kind": dataclasses.replace(good, kind="magic"),
+        "malformed-start": Certificate(ambient_generators=(c2(),),
+                                       start=(frozenset({"zz"}),),
+                                       target=(cell,)),
+        "bad-nested-ambient": Certificate(
+            ambient_generators=(c2(),), start=(frozenset({"a"}), frozenset({"c"})),
+            target=(cell,), steps=(NestedStep(cell, unary),)),
+        "nested-wrong-start": Certificate(
+            ambient_generators=(c2(),),
+            start=(frozenset({"a"}), frozenset({"b"}), frozenset({"c"})),
+            target=(cell,), steps=(NestedStep(cell, c2_horn),)),
+        "nested-not-full": Certificate(
+            ambient_generators=(c2(),), start=(frozenset({"a"}), frozenset({"c"})),
+            target=(cell,),
+            steps=(NestedStep(cell, dataclasses.replace(
+                c2_horn, steps=(), target=c2_horn.start)),)),
+        "retract-corrupted-retraction": dataclasses.replace(
+            retract, retraction=tuple(sorted(r.items()))),
+        "retract-corrupted-section": dataclasses.replace(
+            retract, section=tuple(sorted(s.items()))),
+        "retract-without-sub": dataclasses.replace(retract, sub=None),
+    }
+
+
+def test_violation_texts_pinned(retract_tree, check_pinned):
+    faults = _injected_faults(retract_tree)
+    assert len(faults) == 15
+    for name, bad in faults.items():
+        rep = verify_certificate(bad)
+        assert not rep.valid, name
+        check_pinned(name, rep)
+
+
 # -- order robustness -------------------------------------------------------
 
 def permuted_replay(cert: Certificate, seed: int):

@@ -1,9 +1,14 @@
 """The command-line surface, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dendro
 from dendro.cli import main
 from dendro.jsonio import certificate_to_json, dumps, tree_to_json
 from dendro.lemmas import binary_tensor_certificate
@@ -216,3 +221,60 @@ def test_lemma_verify_root_horn(capsys, c2_file):
 def test_lemma_verify_missing_params(capsys):
     assert main(["lemma", "verify", "--id", "7.2", "--n", "1"]) == 2
     assert "requires" in capsys.readouterr().err
+
+
+# -- out-of-range parameters --------------------------------------------------
+
+@pytest.mark.parametrize("argv,message", [
+    (["kan", "check", "--bound", "0"],
+     "dendro kan check: error: argument --bound: must be >= 1, got 0"),
+    (["kan", "check", "--bound", "-1"],
+     "dendro kan check: error: argument --bound: must be >= 1, got -1"),
+    (["kan", "check", "--bound", "2", "--max-arity", "0"],
+     "dendro kan check: error: argument --max-arity: must be >= 1, got 0"),
+    (["nerve", "sset", "--dim", "-3"],
+     "dendro nerve sset: error: argument --dim: must be >= 0, got -3"),
+    (["shuffle", "list", "--n", "-1"],
+     "dendro shuffle list: error: argument --n: must be >= 0, got -1"),
+], ids=["bound-0", "bound-negative", "max-arity-0", "dim-negative", "n-negative"])
+def test_out_of_range_parameters_rejected(capsys, tmp_path, c2_file, argv, message):
+    files = {"kan": ["--operad", operad_file(tmp_path, "z2")],
+             "nerve": ["--operad", operad_file(tmp_path, "z2")],
+             "shuffle": ["--tree", c2_file]}
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:2] + files[argv[0]] + argv[2:])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_smallest_in_range_parameters_accepted(capsys, tmp_path, c2_file):
+    op = operad_file(tmp_path, "z2")
+    assert main(["kan", "check", "--operad", op, "--bound", "1",
+                 "--max-arity", "1"]) == 0
+    assert main(["nerve", "sset", "--operad", op, "--dim", "0"]) == 0
+    assert main(["shuffle", "list", "--tree", c2_file, "--n", "0"]) == 0
+
+
+# -- byte-determinism across processes ----------------------------------------
+
+def test_codim_certificate_json_independent_of_hash_seed(tmp_path):
+    """`lemma verify --id 8.3` prints the same bytes whatever the string
+    hash seed of the process, for every vertex of the tree."""
+    t5 = Tree((Vertex(("u", "v"), "p"), Vertex(("p",), "q"),
+               Vertex(("q",), "r"), Vertex(("w",), "x"),
+               Vertex(("r", "x"), "c")), "c")
+    path = tmp_path / "t5.json"
+    path.write_text(dumps(tree_to_json(t5)))
+    src = str(Path(dendro.__file__).resolve().parent.parent)
+    for v in sorted(w.output for w in t5.vertices):
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "dendro.cli", "lemma", "verify",
+                 "--id", "8.3", "--tree", str(path), "--v", v, "--format", "json"],
+                capture_output=True, text=True, env=env, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, v

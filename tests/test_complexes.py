@@ -1,8 +1,10 @@
 """Cell complexes and subcomplex algebra."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dendro.complexes import Complex, closure_cells, representable
+from dendro.kan import tree_shapes
 from dendro.shuffles import c2_tensor_complex
 from dendro.trees import Tree, TreeError, Vertex, c2, eta, faces
 
@@ -124,3 +126,57 @@ def test_maximal_cells_of_boundary(two_level):
     amb = representable(two_level)
     bd = amb.boundary(two_level.edges)
     assert set(bd.maximal_cells()) == {f.subtree.edges for f in faces(two_level)}
+
+
+# -- cell indexing against the reference closure ------------------------------
+
+def _differential_complexes():
+    for tree in tree_shapes(5):
+        yield representable(tree)
+    for n in (1, 2, 3):
+        yield c2_tensor_complex(n)
+
+
+def test_closure_masks_match_reference():
+    for amb in _differential_complexes():
+        assert list(amb.cells) == sorted(amb.cells, key=lambda c: (len(c), sorted(c)))
+        for cell, tree in amb.cells.items():
+            assert amb.closure(cell) == frozenset(closure_cells(tree)), sorted(cell)
+
+
+def _brute_force_attachment(amb, current: frozenset, cell):
+    """(missing face keys, horn pushout?) straight from the definition:
+    exactly one face is missing, and the closure of the cell meets the
+    current subcomplex in the closure of the kept faces."""
+    tree = amb.tree_of(cell)
+    fs = faces(tree) if tree.vertices else []
+    missing = [f.key for f in fs if f.subtree.edges not in current]
+    if len(missing) != 1:
+        return missing, False
+    kept = set()
+    for f in fs:
+        if f.key != missing[0]:
+            kept |= closure_cells(f.subtree).keys()
+    return missing, closure_cells(tree).keys() & current == kept
+
+
+_ATTACH_AMBIENTS = [representable(t) for t in tree_shapes(4)] + \
+    [c2_tensor_complex(1), c2_tensor_complex(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_attachment_matches_brute_force(data):
+    """On face-closed subcomplexes, and on arbitrary cell sets, where a
+    single missing face need not make a horn pushout."""
+    amb = data.draw(st.sampled_from(_ATTACH_AMBIENTS))
+    cells = sorted(amb.cells, key=sorted)
+    if data.draw(st.booleans()):
+        chosen = data.draw(st.lists(st.sampled_from(cells), max_size=4))
+        current = amb.closure_subcomplex(chosen).cells
+    else:
+        current = frozenset(data.draw(st.lists(st.sampled_from(cells))))
+    mask = amb.cell_mask(current)
+    for cell in cells:
+        assert amb.attachment(amb.index_of(cell), mask) == \
+            _brute_force_attachment(amb, current, cell), sorted(cell)
