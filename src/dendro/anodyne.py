@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .complexes import Cell, Complex, Subcomplex
-from .trees import Tree, TreeError, classify_horn, face, horn
+from .trees import Tree, TreeError, classify_horn, face, horn, is_extended_corolla
 
 
 class AnodyneClass(enum.IntEnum):
@@ -55,14 +55,12 @@ def generator_class(tree: Tree, omitted_key: tuple[str, str]) -> AnodyneClass:
         return AnodyneClass.INNER
     if cls == "leaf":
         return AnodyneClass.LEFT
-    # root horn: a generator iff the tree is an extended corolla, i.e. every
-    # vertex except possibly the root vertex is unary
-    root_vertex = tree.vertex_above(tree.root)
-    if all(v.arity == 1 for v in tree.vertices if v is not root_vertex):
-        if root_vertex.arity == 2:
-            return AnodyneClass.BINARY_EXTENDED_LEFT
-        return AnodyneClass.EXTENDED_LEFT
-    return AnodyneClass.OUTER
+    # root horn: a generator iff the tree is an extended corolla
+    if not is_extended_corolla(tree):
+        return AnodyneClass.OUTER
+    if tree.vertex_above(tree.root).arity == 2:
+        return AnodyneClass.BINARY_EXTENDED_LEFT
+    return AnodyneClass.EXTENDED_LEFT
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +137,21 @@ class VerificationReport:
         return (f"{status}: {self.step_count} steps, class {cls}"
                 + ("" if self.valid else f", {len(self.violations)} violations"))
 
+    def fail(self, path: tuple[int, ...], message: str) -> None:
+        self.valid = False
+        self.violations.append(Violation(path, message))
+
+
+def _merge(rep: VerificationReport, sub_rep: VerificationReport) -> bool:
+    """Add a sub-certificate's steps, classes and violations to `rep`;
+    returns whether the sub-certificate is valid."""
+    rep.step_count += sub_rep.step_count
+    rep.classes_used.extend(sub_rep.classes_used)
+    if not sub_rep.valid:
+        rep.valid = False
+        rep.violations.extend(sub_rep.violations)
+    return sub_rep.valid
+
 
 def _carries(tree: Tree, m: dict[str, str], image: Tree) -> bool:
     """Whether the edge map carries the tree onto `image`, collapsing unary
@@ -182,12 +195,14 @@ def _verify(cert: Certificate, path: tuple[int, ...], ambients: dict) -> Verific
         start = amb.closure_mask(cert.start)
         target = amb.closure_mask(cert.target)
     except (ValueError, KeyError, TreeError) as exc:
-        return VerificationReport(False, [], 0, [Violation(path, f"malformed certificate: {exc}")])
+        rep.fail(path, f"malformed certificate: {exc}")
+        return rep
     if cert.kind == "retract":
         _verify_retract(cert, amb, start, target, rep, path, ambients)
         return rep
     if cert.kind != "filtration":
-        return VerificationReport(False, [], 0, [Violation(path, f"unknown kind {cert.kind!r}")])
+        rep.fail(path, f"unknown kind {cert.kind!r}")
+        return rep
     current = start
     for i, step in enumerate(cert.steps):
         here = path + (i,)
@@ -197,15 +212,12 @@ def _verify(cert: Certificate, path: tuple[int, ...], ambients: dict) -> Verific
         elif isinstance(step, NestedStep):
             current = _verify_nested_step(step, amb, current, rep, here, ambients)
         else:
-            rep.valid = False
-            rep.violations.append(Violation(here, f"unknown step type {type(step).__name__}"))
+            rep.fail(here, f"unknown step type {type(step).__name__}")
     if target != current:
-        rep.valid = False
         missing = _first_cells(amb, target & ~current)
         extra = _first_cells(amb, current & ~target)
-        rep.violations.append(Violation(
-            path, f"final subcomplex differs from target "
-                  f"(missing {missing}, extra {extra})"))
+        rep.fail(path, f"final subcomplex differs from target "
+                       f"(missing {missing}, extra {extra})")
     return rep
 
 
@@ -219,8 +231,7 @@ def _cell_index(step, amb: Complex, rep, here) -> int | None:
     an ambient cell."""
     i = amb.index.get(frozenset(step.cell))
     if i is None:
-        rep.valid = False
-        rep.violations.append(Violation(here, f"not an ambient cell: {sorted(step.cell)}"))
+        rep.fail(here, f"not an ambient cell: {sorted(step.cell)}")
     return i
 
 
@@ -230,23 +241,19 @@ def _verify_horn_step(step: HornStep, amb: Complex, current: int, rep, here) -> 
     if i is None:
         return current
     if current >> i & 1:
-        rep.valid = False
-        rep.violations.append(Violation(here, f"cell already present: {sorted(step.cell)}"))
+        rep.fail(here, f"cell already present: {sorted(step.cell)}")
         return current
     try:
         horn_cells = amb.horn_mask(i, step.omitted)
     except TreeError as exc:
-        rep.valid = False
-        rep.violations.append(Violation(here, str(exc)))
+        rep.fail(here, str(exc))
         return current
     met = amb.masks[i] & current
     if met != horn_cells:
-        rep.valid = False
         missing = _first_cells(amb, horn_cells & ~met)
         extra = _first_cells(amb, met & ~horn_cells)
-        rep.violations.append(Violation(
-            here, f"attachment of {sorted(step.cell)} along {step.omitted} is not a "
-                  f"horn pushout (horn cells missing: {missing}; excess: {extra})"))
+        rep.fail(here, f"attachment of {sorted(step.cell)} along {step.omitted} is not a "
+                       f"horn pushout (horn cells missing: {missing}; excess: {extra})")
         return current
     rep.classes_used.append(generator_class(amb.cell_trees[i], step.omitted))
     return current | amb.masks[i]
@@ -259,32 +266,21 @@ def _verify_nested_step(step: NestedStep, amb: Complex, current: int, rep, here,
     if i is None:
         return current
     sub = step.certificate
-    sub_rep = _verify(sub, here, ambients)
-    rep.step_count += sub_rep.step_count
-    rep.classes_used.extend(sub_rep.classes_used)
-    if not sub_rep.valid:
-        rep.valid = False
-        rep.violations.extend(sub_rep.violations)
+    if not _merge(rep, _verify(sub, here, ambients)):
         return current
     sub_amb = _ambient(sub, ambients)
-    closure = amb.cells_of(amb.masks[i])
-    if sub_amb.cells.keys() != closure:
-        rep.valid = False
-        rep.violations.append(Violation(
-            here, f"nested ambient is not the closure of {sorted(step.cell)}"))
+    if sub_amb.cells.keys() != amb.cells_of(amb.masks[i]):
+        rep.fail(here, f"nested ambient is not the closure of {sorted(step.cell)}")
         return current
     sub_start = sub_amb.closure_mask(sub.start)
     met = amb.masks[i] & current
     if amb.cells_of(met) != sub_amb.cells_of(sub_start):
-        rep.valid = False
-        rep.violations.append(Violation(
-            here, f"nested attachment of {sorted(step.cell)}: current meets its "
-                  f"closure in {met.bit_count()} cells but the sub-certificate starts "
-                  f"from {sub_start.bit_count()}"))
+        rep.fail(here, f"nested attachment of {sorted(step.cell)}: current meets its "
+                       f"closure in {met.bit_count()} cells but the sub-certificate "
+                       f"starts from {sub_start.bit_count()}")
         return current
     if sub_amb.closure_mask(sub.target) != sub_amb.full_mask:
-        rep.valid = False
-        rep.violations.append(Violation(here, "nested certificate does not reach the full cell"))
+        rep.fail(here, "nested certificate does not reach the full cell")
         return current
     return current | amb.masks[i]
 
@@ -293,15 +289,9 @@ def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
                     rep, path, ambients: dict) -> None:
     sub = cert.sub
     if sub is None:
-        rep.valid = False
-        rep.violations.append(Violation(path, "retract certificate without sub-certificate"))
+        rep.fail(path, "retract certificate without sub-certificate")
         return
-    sub_rep = _verify(sub, path + (0,), ambients)
-    rep.step_count += sub_rep.step_count
-    rep.classes_used.extend(sub_rep.classes_used)
-    if not sub_rep.valid:
-        rep.valid = False
-        rep.violations.extend(sub_rep.violations)
+    if not _merge(rep, _verify(sub, path + (0,), ambients)):
         return
     s = dict(cert.section)
     r = dict(cert.retraction)
@@ -309,33 +299,25 @@ def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
     my_edges = set().union(*[g.edges for g in cert.ambient_generators])
     sub_edges = set().union(*[g.edges for g in sub.ambient_generators])
     if set(s) != my_edges or not set(s.values()) <= sub_edges:
-        rep.valid = False
-        rep.violations.append(Violation(path, "section is not an edge map into the sub-ambient"))
+        rep.fail(path, "section is not an edge map into the sub-ambient")
         return
     if set(r) != sub_edges or not set(r.values()) <= my_edges:
-        rep.valid = False
-        rep.violations.append(Violation(path, "retraction is not an edge map into the ambient"))
+        rep.fail(path, "retraction is not an edge map into the ambient")
         return
     bad_rs = [e for e in my_edges if r[s[e]] != e]
     if bad_rs:
-        rep.valid = False
-        rep.violations.append(Violation(
-            path, f"retraction after section is not the identity at {sorted(bad_rs)}"))
+        rep.fail(path, f"retraction after section is not the identity at {sorted(bad_rs)}")
         return
     sub_start = sub_amb.closure_mask(sub.start)
     sub_target = sub_amb.closure_mask(sub.target)
     for label, c in _uncarried(amb, sub_amb, s, ((target, sub_target),
                                                  (start, sub_start))):
-        rep.valid = False
-        rep.violations.append(Violation(
-            path, f"section does not carry {label} cell {sorted(c)} "
-                  f"into the sub-{label}"))
+        rep.fail(path, f"section does not carry {label} cell {sorted(c)} "
+                       f"into the sub-{label}")
     for label, c in _uncarried(sub_amb, amb, r, ((sub_target, target),
                                                  (sub_start, start))):
-        rep.valid = False
-        rep.violations.append(Violation(
-            path, f"retraction does not carry sub-{label} cell {sorted(c)} "
-                  f"into the {label}"))
+        rep.fail(path, f"retraction does not carry sub-{label} cell {sorted(c)} "
+                       f"into the {label}")
 
 
 def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
@@ -444,8 +426,7 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
     attachments of class <= allowed.  Deterministic: candidate cells are
     tried in (size, name) order.  `budget` bounds candidate evaluations.
     """
-    goal = amb.cell_mask(target.cells)
-    start_mask = amb.cell_mask(start.cells)
+    goal, start_mask = target.mask, start.mask
     todo_all = amb.indices(goal & ~start_mask)       # in (size, name) order
     examined = 0
     out_of_budget = False

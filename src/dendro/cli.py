@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .anodyne import (AnodyneClass, BuildError, class_phrase, parse_class,
-                      search_certificate, verify_certificate)
+from .anodyne import (BuildError, class_phrase, parse_class, search_certificate,
+                      verify_certificate)
 from .complexes import representable
 from .dot import tree_to_dot
 from .jsonio import (SchemaError, certificate_from_json, certificate_to_json,
@@ -23,7 +23,7 @@ from .kan import kan_report
 from .lemmas import LEMMA_IDS, build_lemma_certificate
 from .nerves import dendrices, underlying_sset
 from .shuffles import shuffles
-from .trees import TreeError, build_standard, classify_edges, faces
+from .trees import FACE_KINDS, TreeError, build_standard, classify_edges, faces
 
 
 def _load_json(path: str):
@@ -40,9 +40,9 @@ def _emit(text: str) -> None:
 
 def _parse_face_key(text: str) -> tuple[str, str]:
     kind, sep, label = text.partition(":")
-    if not sep or kind not in ("inner", "top", "root", "colour"):
+    if not sep or kind not in FACE_KINDS:
         raise ValueError(f"expected KIND:LABEL with kind in "
-                         f"inner/top/root/colour, got {text!r}")
+                         f"{'/'.join(FACE_KINDS)}, got {text!r}")
     return (kind, label)
 
 
@@ -153,13 +153,17 @@ def _cmd_shuffle(args) -> int:
     return 0
 
 
+def _report_json(rep) -> dict:
+    return {"valid": rep.valid,
+            "steps": rep.step_count,
+            "class": class_phrase(rep.overall_class)
+            if rep.overall_class is not None else None,
+            "violations": [str(v) for v in rep.violations]}
+
+
 def _report_output(rep, fmt: str) -> None:
     if fmt == "json":
-        _emit(dumps({"valid": rep.valid,
-                     "steps": rep.step_count,
-                     "class": class_phrase(rep.overall_class)
-                     if rep.overall_class is not None else None,
-                     "violations": [str(v) for v in rep.violations]}))
+        _emit(dumps(_report_json(rep)))
     else:
         _emit(rep.summary())
         for v in rep.violations:
@@ -222,19 +226,12 @@ def _cmd_lemma(args) -> int:
     cert = build_lemma_certificate(args.id, **params)
     rep = verify_certificate(cert)
     if args.format == "json":
-        out = {"valid": rep.valid, "steps": rep.step_count,
-               "class": class_phrase(rep.overall_class)
-               if rep.overall_class is not None else None,
-               "violations": [str(v) for v in rep.violations],
-               "certificate": certificate_to_json(cert)}
-        _emit(dumps(out))
+        _emit(dumps({**_report_json(rep), "certificate": certificate_to_json(cert)}))
     elif rep.valid:
         _emit(f"valid ({class_phrase(rep.overall_class)})"
               if rep.overall_class is not None else "valid (no steps)")
     else:
-        _emit(rep.summary())
-        for v in rep.violations:
-            _emit("  " + str(v))
+        _report_output(rep, "text")
     return 0 if rep.valid else 1
 
 
@@ -328,7 +325,7 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (SchemaError, TreeError, BuildError, ValueError, OSError,
-            KeyError) as exc:
+            KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

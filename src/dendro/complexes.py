@@ -7,14 +7,15 @@ regimes handled here a cell is determined by its edge set.
 A `Complex` numbers its cells once, in (size, sorted edges) order, so that
 every face of a cell comes before it.  Bottom-up it stores each cell's face
 indices and its closure as an int bitmask, `bit(c) | OR(closure(f))` over
-the faces f of c.  Inside the certificate code a subcomplex is such a mask:
-meeting a closure is `&`, attaching a cell is `|=`.  The public surface
-(`cells`, `closure`, `Subcomplex`) still speaks in frozensets of edges.
+the faces f of c.  A subcomplex is such a mask, a `Subcomplex` or a bare
+int inside the certificate code: meeting a closure is `&`, attaching a cell
+is `|=`.  `Complex.cells`, `closure` and `Subcomplex.cells` still speak in
+frozensets of edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -99,7 +100,10 @@ class Complex:
         """The mask of exactly the given cells."""
         mask = 0
         for c in cells:
-            mask |= 1 << self.index_of(c)
+            i = self.index.get(frozenset(c))
+            if i is None:
+                raise ValueError(f"not an ambient cell: {sorted(c)}")
+            mask |= 1 << i
         return mask
 
     def closure_mask(self, cells: Iterable[Iterable[str]]) -> int:
@@ -148,41 +152,42 @@ class Complex:
         return self.cells_of(self.masks[self.index_of(cell)])
 
     def subcomplex(self, cells: Iterable[Iterable[str]]) -> "Subcomplex":
-        return Subcomplex(self, frozenset(frozenset(c) for c in cells))
+        return Subcomplex(self, self.cell_mask(cells))
 
     def closure_subcomplex(self, cells: Iterable[Iterable[str]]) -> "Subcomplex":
-        return Subcomplex(self, self.cells_of(self.closure_mask(cells)))
+        return Subcomplex(self, self.closure_mask(cells))
 
     def full(self) -> "Subcomplex":
-        return Subcomplex(self, frozenset(self.cells))
+        return Subcomplex(self, self.full_mask)
 
     def boundary(self, cell: Iterable[str]) -> "Subcomplex":
         t = self.tree_of(frozenset(cell))
         return self.closure_subcomplex([f.subtree.edges for f in faces(t)])
 
     def horn_subcomplex(self, cell: Iterable[str], omitted_key: tuple[str, str]) -> "Subcomplex":
-        return Subcomplex(self, self.cells_of(self.horn_mask(self.index_of(cell),
-                                                             omitted_key)))
+        return Subcomplex(self, self.horn_mask(self.index_of(cell), omitted_key))
 
 
 @dataclass(frozen=True)
 class Subcomplex:
+    """A set of cells of the ambient complex, as the mask of their indices."""
     ambient: Complex
-    cells: frozenset[Cell] = field(default_factory=frozenset)
+    mask: int = 0
 
-    def __post_init__(self):
-        for c in self.cells:
-            if c not in self.ambient.cells:
-                raise ValueError(f"not an ambient cell: {sorted(c)}")
+    @property
+    def cells(self) -> frozenset[Cell]:
+        return self.ambient.cells_of(self.mask)
 
     def __contains__(self, cell: Iterable[str]) -> bool:
-        return frozenset(cell) in self.cells
+        i = self.ambient.index.get(frozenset(cell))
+        return i is not None and bool(self.mask >> i & 1)
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(sorted(self.cells, key=_cell_key))
+        order = self.ambient.order
+        return iter([order[i] for i in self.ambient.indices(self.mask)])
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.mask.bit_count()
 
     def _same_ambient(self, other: "Subcomplex") -> None:
         if self.ambient is not other.ambient:
@@ -190,23 +195,22 @@ class Subcomplex:
 
     def union(self, other: "Subcomplex") -> "Subcomplex":
         self._same_ambient(other)
-        return Subcomplex(self.ambient, self.cells | other.cells)
+        return Subcomplex(self.ambient, self.mask | other.mask)
 
     def intersection(self, other: "Subcomplex") -> "Subcomplex":
         self._same_ambient(other)
-        return Subcomplex(self.ambient, self.cells & other.cells)
+        return Subcomplex(self.ambient, self.mask & other.mask)
 
     def difference(self, other: "Subcomplex") -> "Subcomplex":
         self._same_ambient(other)
-        return Subcomplex(self.ambient, self.cells - other.cells)
+        return Subcomplex(self.ambient, self.mask & ~other.mask)
 
     def __le__(self, other: "Subcomplex") -> bool:
         self._same_ambient(other)
-        return self.cells <= other.cells
+        return not self.mask & ~other.mask
 
     def with_cells(self, cells: Iterable[Iterable[str]]) -> "Subcomplex":
-        extra = self.ambient.closure_subcomplex(cells)
-        return self.union(extra)
+        return Subcomplex(self.ambient, self.mask | self.ambient.closure_mask(cells))
 
     def is_face_closed(self) -> bool:
         return not self.face_closure_violations()
@@ -214,22 +218,20 @@ class Subcomplex:
     def face_closure_violations(self) -> list[tuple[Cell, Cell]]:
         """Pairs (cell, missing face cell) witnessing failure of closure."""
         amb = self.ambient
-        bad = []
-        for c in self.cells:
-            for j in amb.face_ids[amb.index[c]]:
-                if amb.order[j] not in self.cells:
-                    bad.append((c, amb.order[j]))
+        bad = [(amb.order[i], amb.order[j]) for i in amb.indices(self.mask)
+               for j in amb.face_ids[i] if not self.mask >> j & 1]
         return sorted(bad, key=lambda p: (sorted(p[0]), sorted(p[1])))
 
     def is_proper(self) -> bool:
-        return self.cells < frozenset(self.ambient.cells)
+        return self.mask != self.ambient.full_mask
 
     def maximal_cells(self) -> list[Cell]:
         amb = self.ambient
-        covered: set[Cell] = set()
-        for c in self.cells:
-            covered.update(amb.order[j] for j in amb.face_ids[amb.index[c]])
-        return sorted((c for c in self.cells if c not in covered), key=_cell_key)
+        covered = 0
+        for i in amb.indices(self.mask):
+            for j in amb.face_ids[i]:
+                covered |= 1 << j
+        return [amb.order[i] for i in amb.indices(self.mask & ~covered)]
 
 
 def representable(tree: Tree) -> Complex:

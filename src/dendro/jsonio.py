@@ -9,14 +9,14 @@ keys, fixed element order), so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any
 
-from .anodyne import (AnodyneClass, Certificate, HornStep, NestedStep,
-                      certificate_class, class_phrase, parse_class)
+from .anodyne import (Certificate, HornStep, NestedStep, certificate_class,
+                      class_phrase, parse_class)
 from .kan import KanReport
 from .operads import (CORPUS, FiniteOperad, FiniteSMC, SMCOperad, TableOperad,
                       table_operad_from)
-from .trees import Tree, TreeError, Vertex
+from .trees import FACE_KINDS, Tree, TreeError, Vertex
 
 
 class SchemaError(ValueError):
@@ -219,36 +219,24 @@ def smc_from_json(data, path: str = "$") -> FiniteSMC:
             raise SchemaError(p, f"unknown object {o!r}")
         return o
 
+    def table(name, k1, k2, key, result):
+        """Rows {k1, k2, "result"} as a dict (k1, k2) -> result; each row's
+        result is checked before its keys."""
+        out = {}
+        for i, row in enumerate(_field(data, name, list, path)):
+            rp = f"{path}.{name}[{i}]"
+            _as(row, dict, rp)
+            out[(key(_field(row, k1, str, rp), f"{rp}.{k1}"),
+                 key(_field(row, k2, str, rp), f"{rp}.{k2}"))] = \
+                result(_field(row, "result", str, rp), f"{rp}.result")
+        return out
+
     identities = {obj(o, f"{path}.identities.{o}"): mor(_as(m, str, f"{path}.identities.{o}"), f"{path}.identities.{o}")
                   for o, m in sorted(_field(data, "identities", dict, path).items())}
-    compose = {}
-    for i, row in enumerate(_field(data, "compose", list, path)):
-        rp = f"{path}.compose[{i}]"
-        _as(row, dict, rp)
-        compose[(mor(_field(row, "g", str, rp), f"{rp}.g"),
-                 mor(_field(row, "f", str, rp), f"{rp}.f"))] = \
-            mor(_field(row, "result", str, rp), f"{rp}.result")
-    t_obj = {}
-    for i, row in enumerate(_field(data, "tensor_objects", list, path)):
-        rp = f"{path}.tensor_objects[{i}]"
-        _as(row, dict, rp)
-        t_obj[(obj(_field(row, "a", str, rp), f"{rp}.a"),
-               obj(_field(row, "b", str, rp), f"{rp}.b"))] = \
-            obj(_field(row, "result", str, rp), f"{rp}.result")
-    t_mor = {}
-    for i, row in enumerate(_field(data, "tensor_morphisms", list, path)):
-        rp = f"{path}.tensor_morphisms[{i}]"
-        _as(row, dict, rp)
-        t_mor[(mor(_field(row, "f", str, rp), f"{rp}.f"),
-               mor(_field(row, "g", str, rp), f"{rp}.g"))] = \
-            mor(_field(row, "result", str, rp), f"{rp}.result")
-    braid = {}
-    for i, row in enumerate(_field(data, "braiding", list, path)):
-        rp = f"{path}.braiding[{i}]"
-        _as(row, dict, rp)
-        braid[(obj(_field(row, "a", str, rp), f"{rp}.a"),
-               obj(_field(row, "b", str, rp), f"{rp}.b"))] = \
-            mor(_field(row, "result", str, rp), f"{rp}.result")
+    compose = table("compose", "g", "f", mor, mor)
+    t_obj = table("tensor_objects", "a", "b", obj, obj)
+    t_mor = table("tensor_morphisms", "f", "g", mor, mor)
+    braid = table("braiding", "a", "b", obj, mor)
     if unit not in objects:
         raise SchemaError(f"{path}.unit", f"unknown object {unit!r}")
     return FiniteSMC(objects=tuple(objects), unit=unit, profile=profile,
@@ -312,7 +300,7 @@ def _omit_from_json(value, path: str) -> tuple[str, str]:
     parts = _string_list(value, path)
     if len(parts) != 2:
         raise SchemaError(path, "expected a [kind, label] pair")
-    if parts[0] not in ("inner", "top", "root", "colour"):
+    if parts[0] not in FACE_KINDS:
         raise SchemaError(f"{path}[0]", f"unknown face kind {parts[0]!r}")
     return (parts[0], parts[1])
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
-from .nerves import Dendrex, dendrex_closure, dendrices, face_of
+from .nerves import (Dendrex, dendrex_closure, dendrices, dendrices_with_colours,
+                     face_of)
 from .operads import FiniteOperad
-from .trees import (FaceDescriptor, HornSpec, Tree, Vertex, classify_horn,
-                    faces, horn)
+from .trees import HornSpec, Tree, Vertex, classify_horn, faces, horn
 
 
 @dataclass(frozen=True)
@@ -98,33 +97,6 @@ def enumerate_horn_maps(p: FiniteOperad, h: HornSpec,
                 del merged[k]
 
     extend(0, [])
-    return out
-
-
-def dendrices_with_colours(p: FiniteOperad, shape: Tree, fixed: dict[str, str]) -> list[Dendrex]:
-    """Dendrices whose colouring extends the given partial one."""
-    if not shape.vertices:
-        e = shape.root
-        colours = [fixed[e]] if e in fixed else list(p.colours)
-        return [Dendrex(shape, {e: c}, {}) for c in colours]
-    out: list[Dendrex] = []
-    order = sorted(shape.vertices, key=lambda v: v.output)
-
-    def extend(i: int, colours: dict[str, str], ops: dict):
-        if i == len(order):
-            out.append(Dendrex._unchecked(shape, dict(colours), dict(ops)))
-            return
-        v = order[i]
-        free = [e for e in v.inputs + (v.output,) if e not in colours]
-        for combo in itertools.product(p.colours, repeat=len(free)):
-            trial = dict(colours)
-            trial.update(zip(free, combo))
-            for op in p.operations(tuple(trial[e] for e in v.inputs), trial[v.output]):
-                ops[v.output] = op
-                extend(i + 1, trial, ops)
-            ops.pop(v.output, None)
-
-    extend(0, dict(fixed), {})
     return out
 
 

@@ -24,7 +24,8 @@ from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
 from .complexes import Cell, Complex, closure_cells, representable
 from .shuffles import filtration_base
 from .trees import (ROOT_FACE, Tree, TreeError, Vertex, faces, has_root_horn,
-                    initial_segments, stem_edges, subtree_from_edges)
+                    initial_segments, is_extended_corolla, stem_edges,
+                    subtree_from_edges)
 
 
 def _dedup(cells: Iterable[Iterable[str]]) -> list[frozenset]:
@@ -77,7 +78,7 @@ def binary_tensor_certificate(n: int) -> Certificate:
         raise ValueError("n must be >= 1")
     base = filtration_base(n)
     amb = base.ambient
-    present = amb.cell_mask(base.cells)
+    present = base.mask
     order: list[Cell] = []
     while present != amb.full_mask:
         # saturate along left horns, then take one binary extended left step
@@ -91,7 +92,7 @@ def binary_tensor_certificate(n: int) -> Certificate:
             raise BuildError("no horn-attachable cell of class at most "
                              "binary extended left; filtration is stuck")
         present = grown
-    return build_filtration(amb, _sorted_cells(base.cells), order,
+    return build_filtration(amb, list(base), order,
                             target_cells=sorted(amb.cells, key=sorted))
 
 
@@ -276,11 +277,6 @@ def _root_decomposition(tree: Tree):
     return inner[0], rest
 
 
-def _is_extended_corolla_shape(tree: Tree) -> bool:
-    root_vertex = tree.vertex_above(tree.root)
-    return all(v.arity == 1 for v in tree.vertices if v is not root_vertex)
-
-
 def root_horn_certificate(tree: Tree,
                           omitted: tuple[str, str] | None = None) -> Certificate:
     """A certificate of extended-left class for a root horn of the tree.
@@ -298,7 +294,7 @@ def root_horn_certificate(tree: Tree,
     if not has_root_horn(tree):
         raise TreeError("tree has no root horn")
     start = _dedup(f.subtree.edges for f in faces(tree) if f.kind != ROOT_FACE)
-    if _is_extended_corolla_shape(tree):
+    if is_extended_corolla(tree):
         return build_filtration(representable(tree), start, [tree.edges])
     w_cert, a_prime, a0 = _root_horn_through_split(tree, start)
     section = tuple((e, e) for e in sorted(tree.edges))

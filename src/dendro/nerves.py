@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .operads import FiniteOperad
 from .trees import (COROLLA_FACE, INNER_FACE, ROOT_FACE, TOP_FACE,
-                    FaceDescriptor, Tree, TreeError, Vertex, faces, linear)
+                    FaceDescriptor, Tree, TreeError, faces, insert_unary, linear)
 
 
 class Dendrex:
@@ -72,33 +71,40 @@ def check_dendrex(p: FiniteOperad, d: Dendrex) -> None:
                              f"{p.op_profile(op)}, expected {want}")
 
 
-def dendrices(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
-    """All dendrices of the given shape, by backtracking over the vertices."""
-    order = sorted(shape.vertices, key=lambda v: v.output)
+def dendrices_with_colours(p: FiniteOperad, shape: Tree,
+                           fixed: dict[str, str]) -> list[Dendrex]:
+    """Dendrices whose colouring extends the given partial one, by
+    backtracking over the vertices in order of their output edges."""
+    if not shape.vertices:
+        e = shape.root
+        colours = [fixed[e]] if e in fixed else list(p.colours)
+        return [Dendrex._unchecked(shape, {e: c}, {}) for c in colours]
     out: list[Dendrex] = []
+    order = sorted(shape.vertices, key=lambda v: v.output)
 
     def extend(i: int, colours: dict[str, str], ops: dict):
         if i == len(order):
-            if not shape.vertices:   # eta: colour the single edge
-                for c in p.colours:
-                    out.append(Dendrex(shape, {shape.root: c}, {}))
-                return
-            out.append(Dendrex(shape, dict(colours), dict(ops)))
+            out.append(Dendrex._unchecked(shape, dict(colours), dict(ops)))
             return
         v = order[i]
-        attached = v.inputs + (v.output,)
-        free = [e for e in attached if e not in colours]
+        free = [e for e in v.inputs + (v.output,) if e not in colours]
         for combo in itertools.product(p.colours, repeat=len(free)):
             trial = dict(colours)
             trial.update(zip(free, combo))
-            prof_in = tuple(trial[e] for e in v.inputs)
-            for op in p.operations(prof_in, trial[v.output]):
+            for op in p.operations(tuple(trial[e] for e in v.inputs), trial[v.output]):
                 ops[v.output] = op
                 extend(i + 1, trial, ops)
             ops.pop(v.output, None)
 
-    extend(0, {}, {})
-    return sorted(out, key=lambda d: sorted(d.edge_colours.items()) + [str(sorted(map(str, d.vertex_ops.items())))])
+    extend(0, dict(fixed), {})
+    return out
+
+
+def dendrices(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
+    """All dendrices of the given shape, sorted by colouring and operations."""
+    return sorted(dendrices_with_colours(p, shape, {}),
+                  key=lambda d: sorted(d.edge_colours.items())
+                  + [str(sorted(map(str, d.vertex_ops.items())))])
 
 
 def face_of(p: FiniteOperad, d: Dendrex, f: FaceDescriptor) -> Dendrex:
@@ -151,18 +157,8 @@ def dendrex_closure(p: FiniteOperad, d: Dendrex) -> dict[frozenset, Dendrex]:
 def degeneracy_of(p: FiniteOperad, d: Dendrex, edge: str, fresh: str) -> Dendrex:
     """Duplicate `edge` by inserting an identity-labelled unary vertex below
     it; the new lower copy is named `fresh`."""
-    if fresh in d.shape.edges:
-        raise TreeError(f"edge name {fresh!r} already used")
     colour = d.edge_colours[edge]
-    vs = []
-    for v in d.shape.vertices:
-        if edge in v.inputs:
-            vs.append(Vertex(tuple(fresh if e == edge else e for e in v.inputs), v.output))
-        else:
-            vs.append(v)
-    vs.append(Vertex((edge,), fresh))
-    root = fresh if edge == d.shape.root else d.shape.root
-    shape = Tree(tuple(vs), root)
+    shape = insert_unary(d.shape, edge, fresh)
     cols = dict(d.edge_colours)
     cols[fresh] = colour
     ops = dict(d.vertex_ops)

@@ -9,10 +9,8 @@ down past level vertices.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .complexes import Complex, Subcomplex
-from .trees import Tree, TreeError, Vertex, c2, linear, subtree_from_edges
+from .trees import Tree, TreeError, Vertex, c2, insert_unary
 
 
 def pair(edge: str, level: int) -> str:
@@ -122,18 +120,7 @@ def named_cell(ambient: Complex, kind: str, n: int, i: int = 0, j: int = 0) -> T
         tj = c2_shuffle(n, j)
         es = set(tj.edges) - ({a[i], b[i]} if i < j else {c[i]})
     elif kind == "sigma_alpha":
-        alpha = named_cell(ambient, "alpha", n)
-        vs = []
-        doubled = a[j]
-        fresh = doubled + "*"
-        for v in alpha.vertices:
-            if doubled in v.inputs:
-                vs.append(Vertex(tuple(fresh if e == doubled else e for e in v.inputs), v.output))
-            else:
-                vs.append(v)
-        vs.append(Vertex((doubled,), fresh))
-        root = fresh if doubled == alpha.root else alpha.root
-        return Tree(tuple(vs), root)
+        return insert_unary(named_cell(ambient, "alpha", n), a[j], a[j] + "*")
     else:
         raise TreeError(f"unknown named cell kind {kind!r}")
     return ambient.tree_of(frozenset(es))

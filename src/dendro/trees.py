@@ -229,6 +229,7 @@ INNER_FACE = "inner"
 TOP_FACE = "top"
 ROOT_FACE = "root"
 COROLLA_FACE = "colour"
+FACE_KINDS = (INNER_FACE, TOP_FACE, ROOT_FACE, COROLLA_FACE)
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,7 @@ def _root_face(tree: Tree, v: Vertex) -> Tree:
     return Tree(tuple(w for w in tree.vertices if w != v), new_root)
 
 
+# Module-wide, not a Tree slot: equal trees rebuilt in one process share faces.
 _FACES_CACHE: dict[Tree, list[FaceDescriptor]] = {}
 
 
@@ -341,6 +343,12 @@ def has_root_horn(tree: Tree) -> bool:
     return len(inner) == 1
 
 
+def is_extended_corolla(tree: Tree) -> bool:
+    """True iff every vertex except possibly the root vertex is unary."""
+    root_vertex = tree.vertex_above(tree.root)
+    return all(v.arity == 1 for v in tree.vertices if v is not root_vertex)
+
+
 # -- grafting ---------------------------------------------------------------
 
 def graft(lower: Tree, leaf: str, upper: Tree) -> Tree:
@@ -356,6 +364,17 @@ def graft(lower: Tree, leaf: str, upper: Tree) -> Tree:
         vs.append(Vertex(tuple(renamed.get(e, e) for e in v.inputs),
                          renamed.get(v.output, v.output)))
     return Tree(tuple(vs), lower.root)
+
+
+def insert_unary(tree: Tree, edge: str, fresh: str) -> Tree:
+    """Duplicate `edge` by a unary vertex below it; the new lower copy is
+    named `fresh`."""
+    if fresh in tree.edges:
+        raise TreeError(f"edge name {fresh!r} already used")
+    vs = [Vertex(tuple(fresh if e == edge else e for e in v.inputs), v.output)
+          if edge in v.inputs else v for v in tree.vertices]
+    vs.append(Vertex((edge,), fresh))
+    return Tree(tuple(vs), fresh if edge == tree.root else tree.root)
 
 
 # -- isomorphism and automorphisms -----------------------------------------

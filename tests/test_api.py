@@ -1,0 +1,39 @@
+"""The public surface: the names `dendro/__init__.py` exports.
+
+A change that removes, renames or adds one of them must update this list on
+purpose; refactors that keep the API are checked against it.
+"""
+
+import types
+
+import dendro
+
+PUBLIC_NAMES = {
+    "AnodyneClass", "BuildError", "CORPUS", "Cell", "Certificate", "Complex",
+    "Dendrex", "FaceDescriptor", "FiniteOperad", "FiniteSMC", "HornMap",
+    "HornSpec", "HornStep", "HornWitness", "KanReport", "LEMMA_IDS",
+    "NestedStep", "SMCOperad", "SearchResult", "Subcomplex", "TableOperad",
+    "Tree", "TreeError", "VerificationReport", "Vertex", "Violation",
+    "binary_tensor_certificate", "build_filtration", "build_lemma_certificate",
+    "build_standard", "c2", "c2_shuffle", "c2_tensor_complex",
+    "certificate_class", "check_dendrex", "class_phrase", "classify_edges",
+    "classify_horn", "closure_cells", "codim_certificate", "corolla",
+    "degeneracy_of", "dendrex_closure", "dendrices", "enumerate_horn_maps",
+    "eta", "extended_corolla", "extended_corolla_split_certificate", "face",
+    "face_of", "faces", "fillers", "filtration_base", "generator_class",
+    "graft", "has_root_horn", "horn", "is_degenerate", "isomorphic",
+    "isomorphisms", "kan_report", "linear", "named_cell", "parse_class",
+    "picard_check", "representable", "root_horn_certificate",
+    "search_certificate", "shuffles", "split_vertex_tree",
+    "subtree_from_edges", "table_operad_from", "tensor_complex",
+    "tree_shapes", "tree_to_dot", "underlying_sset", "validate_operad",
+    "validate_smc", "verify_certificate",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {name for name, value in vars(dendro).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
+

@@ -12,7 +12,7 @@ import dendro
 from dendro.cli import main
 from dendro.jsonio import certificate_to_json, dumps, tree_to_json
 from dendro.lemmas import binary_tensor_certificate
-from dendro.trees import Tree, Vertex, c2
+from dendro.trees import Tree, Vertex, c2, linear
 
 
 @pytest.fixture
@@ -255,6 +255,21 @@ def test_smallest_in_range_parameters_accepted(capsys, tmp_path, c2_file):
                  "--max-arity", "1"]) == 0
     assert main(["nerve", "sset", "--operad", op, "--dim", "0"]) == 0
     assert main(["shuffle", "list", "--tree", c2_file, "--n", "0"]) == 0
+
+
+# -- inputs too deep for the recursive algorithms ------------------------------
+
+def test_deep_tree_is_input_error_not_traceback(capsys, tmp_path):
+    """The dendrex backtracker recurses once per vertex; on a 3000-vertex
+    linear tree the RecursionError ends as exit 2 with one stderr line."""
+    path = tmp_path / "linear3000.json"
+    path.write_text(dumps(tree_to_json(linear(3000))))
+    assert main(["nerve", "dendrices", "--operad", operad_file(tmp_path, "z2"),
+                 "--tree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
 
 
 # -- byte-determinism across processes ----------------------------------------

@@ -1,11 +1,14 @@
 """Dendrices of nerves: enumeration, faces, degeneracies, underlying sset."""
 
+import itertools
+
 import pytest
 
 from dendro.kan import tree_shapes
 from dendro.nerves import (Dendrex, check_dendrex, degeneracy_of,
-                           dendrex_closure, dendrices, face_of, is_degenerate,
-                           underlying_sset)
+                           dendrex_closure, dendrices, dendrices_with_colours,
+                           face_of, is_degenerate, underlying_sset)
+from dendro.operads import CORPUS
 from dendro.trees import (COROLLA_FACE, INNER_FACE, Tree, Vertex, c2, eta,
                           face, faces, linear)
 
@@ -151,3 +154,54 @@ def test_dendrex_repr_and_hash(z2):
     assert a != b
     assert hash(a) == hash(Dendrex(a.shape, a.edge_colours, a.vertex_ops))
     assert "Dendrex(" in repr(a)
+
+
+# -- the one enumerator against a brute-force reference ----------------------
+
+_SHAPES = tree_shapes(3) + [eta()]
+
+
+def _reference_dendrices(p, shape):
+    """Every colouring of the edges, then every choice of operations."""
+    edges = sorted(shape.edges)
+    out = []
+    for combo in itertools.product(p.colours, repeat=len(edges)):
+        cols = dict(zip(edges, combo))
+        choices = [[(v.output, op) for op in
+                    p.operations(tuple(cols[e] for e in v.inputs), cols[v.output])]
+                   for v in shape.vertices]
+        out.extend(Dendrex(shape, cols, dict(ops)) for ops in itertools.product(*choices))
+    return out
+
+
+def _sort_key(d):
+    return sorted(d.edge_colours.items()) + [str(sorted(map(str, d.vertex_ops.items())))]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_dendrices_match_brute_force(name):
+    """The sorted enumerator lists exactly the reference dendrices; the
+    brute force over all colourings is affordable on every shape for up to
+    three colours, and on shapes with at most two vertices for four."""
+    p = CORPUS[name]()
+    for shape in _SHAPES:
+        if len(p.colours) > 3 and len(shape.vertices) > 2:
+            continue
+        assert dendrices(p, shape) == sorted(_reference_dendrices(p, shape),
+                                             key=_sort_key), shape
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_fixed_colouring_filters_the_enumeration(name):
+    """Fixing one edge's colour yields the unconstrained enumeration, which
+    `dendrices` sorts, filtered by that colour in the same relative order.
+    Every output is a valid dendrex: the enumerator builds them unchecked."""
+    p = CORPUS[name]()
+    for shape in _SHAPES:
+        every = dendrices_with_colours(p, shape, {})
+        for d in every:
+            check_dendrex(p, d)
+        for e in sorted(shape.edges):
+            for c in p.colours:
+                got = dendrices_with_colours(p, shape, {e: c})
+                assert got == [d for d in every if d.edge_colours[e] == c], (shape, e, c)
