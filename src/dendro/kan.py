@@ -4,18 +4,28 @@ A horn map is a compatible family of dendrices on all faces of a tree but
 one; a filler is a dendrex of the whole tree restricting to the family.
 `kan_report` runs the exhaustive check over all tree shapes up to a vertex
 bound (and an arity cap, without which the shape family is infinite).
+
+Each tree shape is compiled once per report (`nerves.CompiledShape`): its
+dendrices and those of its iterated faces become ints, with memoised
+restrictions and closures.  One enumerator, `_horn_maps`, backtracks over
+those ints; `kan_report` counts fillers by tuples of ids and builds
+`HornMap` objects only for witnesses, and `enumerate_horn_maps` builds one
+for every map.  `fillers`, `face_of`, `dendrex_closure` and `Dendrex` are
+the reference oracle the tests compare the compiled path against.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .nerves import (Dendrex, dendrex_closure, dendrices, dendrices_with_colours,
-                     face_of)
+from .nerves import PENDING, CompiledShape, Dendrex, dendrices, face_of, tuple_getter
+from .nerves import dendrices_with_colours  # noqa: F401  (perfbench traces this binding)
 from .operads import FiniteOperad
-from .trees import HornSpec, Tree, Vertex, classify_horn, faces, horn
+from .trees import (FaceDescriptor, HornSpec, Tree, Vertex, classify_horn, faces,
+                    horn)
 
 
 @dataclass(frozen=True)
@@ -28,75 +38,84 @@ class HornMap:
         return dict(self.assignment)[key]
 
 
-def enumerate_horn_maps(p: FiniteOperad, h: HornSpec,
-                        closure_cache: dict | None = None,
-                        candidate_cache: dict | None = None) -> list[HornMap]:
-    """All horn maps into the nerve, by backtracking over the faces.
+def _kept_faces(tree: Tree, omitted: FaceDescriptor):
+    """The faces of the tree but the omitted one, in `faces` order, and the
+    order in which horn maps choose them: largest first, then by key."""
+    kept = [f for f in faces(tree) if f != omitted]
+    order = sorted(range(len(kept)),
+                   key=lambda i: (-len(kept[i].subtree.edges), kept[i].key))
+    return kept, order
 
-    A partial family is kept only if the closures of its members merge
-    consistently, which decides compatibility on all shared subtrees.
-    The optional caches memoize dendrex closures and per-face candidate
-    lists across calls (safe to share between horns of the same tree).
+
+def _horn_maps(shape: CompiledShape, omitted: FaceDescriptor, visit) -> None:
+    """The horn-map enumerator: backtracking over the kept faces, largest
+    first, it calls `visit(chosen)` once per horn map, where `chosen[i]` is
+    the id of the dendrex on kept face i (`faces` order).  `chosen` is
+    reused between calls.
+
+    A candidate joins the partial family when its closure exists and agrees
+    with the closures already chosen on every shared slot, which decides
+    compatibility on all shared subtrees.  Which slots are shared at each
+    depth does not depend on the choices, so `merged` holds each slot at a
+    position fixed for the horn, the slots a depth adds being contiguous;
+    a depth reads the colours of its fixed edges and its shared slots from
+    it and writes its new slots into it, with nothing to undo.
     """
-    kept = [f for f in faces(h.tree) if f != h.omitted]
-    kept.sort(key=lambda f: (-len(f.subtree.edges), f.key))
+    kept, order = _kept_faces(shape.top.shape, omitted)
+    at: dict[int, int] = {}      # slot -> position in merged
+    steps = []
+    for i in order:
+        node = shape.node(kept[i].subtree)
+        fixed = tuple(e for e in node.edges if shape.slots.get(frozenset([e])) in at)
+        shared = [k for k, s in enumerate(node.slots) if s in at]
+        new = [k for k, s in enumerate(node.slots) if s not in at]
+        start = len(at)
+        steps.append((i, node, fixed,
+                      tuple_getter([at[shape.slots[frozenset([e])]] for e in fixed]),
+                      tuple_getter(shared), tuple_getter([at[node.slots[k]] for k in shared]),
+                      tuple_getter(new), start, start + len(new)))
+        at.update((node.slots[k], start + n) for n, k in enumerate(new))
+    groups: list[dict | None] = [None] * len(steps)
+    merged: list = [None] * len(at)
+    chosen: list = [None] * len(kept)
+    values, closures, closure = shape.values, shape.closures, shape.closure
+    last = len(steps) - 1
+
+    def extend(depth: int):
+        i, node, fixed, fixed_at, shared, shared_at, new, start, stop = steps[depth]
+        found = groups[depth]
+        if found is None:
+            found = groups[depth] = shape.candidates(node, fixed)
+        want = shared_at(merged)
+        for d in found.get(tuple([values[m][0][0] for m in fixed_at(merged)]), ()):
+            clo = closures[d]
+            if clo is PENDING:
+                clo = closure(d)
+            if clo is not None and shared(clo) == want:
+                chosen[i] = d
+                if depth == last:
+                    visit(chosen)
+                else:
+                    merged[start:stop] = new(clo)
+                    extend(depth + 1)
+
+    if steps:
+        extend(0)
+    else:
+        visit(chosen)
+
+
+def _horn_map(shape: CompiledShape, h: HornSpec, chosen) -> HornMap:
+    kept, order = _kept_faces(h.tree, h.omitted)
+    return HornMap(h, tuple((kept[i].key, shape.dendrex(chosen[i])) for i in order))
+
+
+def enumerate_horn_maps(p: FiniteOperad, h: HornSpec) -> list[HornMap]:
+    """All horn maps into the nerve, in the order of the enumerator that
+    `kan_report` runs, each built as a `HornMap`."""
+    shape = CompiledShape(p, h.tree)
     out: list[HornMap] = []
-    cache = closure_cache if closure_cache is not None else {}
-    cands = candidate_cache if candidate_cache is not None else {}
-
-    def candidates(subtree: Tree, fixed: dict[str, str]) -> list[Dendrex]:
-        key = (subtree, tuple(sorted(fixed.items())))
-        got = cands.get(key)
-        if got is None:
-            got = dendrices_with_colours(p, subtree, fixed)
-            cands[key] = got
-        return got
-
-    def closure_of(d: Dendrex):
-        clo = cache.get(d)
-        if clo is None:
-            try:
-                clo = dendrex_closure(p, d)
-            except ValueError:
-                clo = ValueError
-            cache[d] = clo
-        return clo
-
-    singles = {e: frozenset([e]) for e in h.tree.edges}
-    merged: dict = {}
-
-    def extend(i: int, chosen: list):
-        if i == len(kept):
-            out.append(HornMap(h, tuple((f.key, d) for f, d in chosen)))
-            return
-        f = kept[i]
-        fixed = {}
-        for e in f.subtree.edges:
-            got = merged.get(singles[e])
-            if got is not None:
-                fixed[e] = got.edge_colours[e]
-        for d in candidates(f.subtree, fixed):
-            clo = closure_of(d)
-            if clo is ValueError:
-                continue
-            added = []
-            ok = True
-            for k, v in clo.items():
-                prev = merged.get(k)
-                if prev is None:
-                    merged[k] = v
-                    added.append(k)
-                elif prev != v:
-                    ok = False
-                    break
-            if ok:
-                chosen.append((f, d))
-                extend(i + 1, chosen)
-                chosen.pop()
-            for k in added:
-                del merged[k]
-
-    extend(0, [])
+    _horn_maps(shape, h.omitted, lambda chosen: out.append(_horn_map(shape, h, chosen)))
     return out
 
 
@@ -201,33 +220,38 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                     inner_kan=True, dendroidal_kan=True, fully_kan=True,
                     strict=True, fully_unique=True)
     for tree in tree_shapes(max_vertices, max_arity):
-        all_dx = dendrices(p, tree)
+        shape = CompiledShape(p, tree)
         all_faces = faces(tree)
-        full_sigs = [tuple(face_of(p, d, g) for g in all_faces) for d in all_dx]
-        closure_cache: dict = {}
-        candidate_cache: dict = {}
+        try:
+            sigs = [shape.restrictions(i) for i in shape.dendrices(shape.top)]
+        except Exception:
+            # raise what the reference raises first, over the sorted dendrices
+            for d in dendrices(p, tree):
+                for g in all_faces:
+                    face_of(p, d, g)
+            raise
         for j, f in enumerate(all_faces):
             h = horn(tree, f)
             cls = classify_horn(h)
-            kept = all_faces[:j] + all_faces[j + 1:]
-            buckets: dict[tuple, int] = {}
-            for sig in full_sigs:
-                key = sig[:j] + sig[j + 1:]
-                buckets[key] = buckets.get(key, 0) + 1
-            for m in enumerate_horn_maps(p, h, closure_cache, candidate_cache):
+            buckets = Counter(sig[:j] + sig[j + 1:] for sig in sigs)
+
+            def visit(chosen):
                 rep.horns_checked += 1
-                assigned = dict(m.assignment)
-                n = buckets.get(tuple(assigned[g.key] for g in kept), 0)
+                n = buckets.get(tuple(chosen), 0)
                 if n == 0:
                     rep.fully_kan = False
                     if cls != "root":
                         rep.dendroidal_kan = False
                     if cls == "inner":
                         rep.inner_kan = False
-                    rep.witnesses.append(HornWitness(tree, f.key, cls, "unfillable", m, 0))
+                    rep.witnesses.append(HornWitness(tree, f.key, cls, "unfillable",
+                                                     _horn_map(shape, h, chosen), 0))
                 elif n > 1:
                     rep.fully_unique = False
                     if len(tree.vertices) > 1:
                         rep.strict = False
-                    rep.witnesses.append(HornWitness(tree, f.key, cls, "non_unique", m, n))
+                    rep.witnesses.append(HornWitness(tree, f.key, cls, "non_unique",
+                                                     _horn_map(shape, h, chosen), n))
+
+            _horn_maps(shape, f, visit)
     return rep

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .operads import FiniteOperad
 from .trees import (COROLLA_FACE, INNER_FACE, ROOT_FACE, TOP_FACE,
@@ -81,22 +82,25 @@ def dendrices_with_colours(p: FiniteOperad, shape: Tree,
         return [Dendrex._unchecked(shape, {e: c}, {}) for c in colours]
     out: list[Dendrex] = []
     order = sorted(shape.vertices, key=lambda v: v.output)
+    colours = dict(fixed)
+    ops: dict = {}
 
-    def extend(i: int, colours: dict[str, str], ops: dict):
+    def extend(i: int):
         if i == len(order):
             out.append(Dendrex._unchecked(shape, dict(colours), dict(ops)))
             return
         v = order[i]
         free = [e for e in v.inputs + (v.output,) if e not in colours]
         for combo in itertools.product(p.colours, repeat=len(free)):
-            trial = dict(colours)
-            trial.update(zip(free, combo))
-            for op in p.operations(tuple(trial[e] for e in v.inputs), trial[v.output]):
+            colours.update(zip(free, combo))
+            for op in p.operations(tuple([colours[e] for e in v.inputs]), colours[v.output]):
                 ops[v.output] = op
-                extend(i + 1, trial, ops)
-            ops.pop(v.output, None)
+                extend(i + 1)
+        for e in free:
+            colours.pop(e, None)
+        ops.pop(v.output, None)
 
-    extend(0, dict(fixed), {})
+    extend(0)
     return out
 
 
@@ -152,6 +156,212 @@ def dendrex_closure(p: FiniteOperad, d: Dendrex) -> dict[frozenset, Dendrex]:
             elif prev != sub:
                 raise ValueError(f"inconsistent restrictions at {sorted(sub.shape.edges)}")
     return out
+
+
+def tuple_getter(positions):
+    """The function taking a sequence or mapping to the tuple of its items at
+    `positions` (`itemgetter` returns a bare item for a single position)."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda s: (s[i],)
+    return itemgetter(*positions) if positions else (lambda s: ())
+
+
+class _Subface:
+    """One node of a compiled shape's subface DAG: an iterated face of the
+    tree, with its restriction plans and its interned dendrices."""
+
+    __slots__ = ("shape", "edges", "outs", "slot", "plans", "slots", "slots_of",
+                 "ids", "found", "groups")
+
+    def __init__(self, shape: Tree, slot: int):
+        self.shape = shape
+        self.edges = tuple(sorted(shape.edges))
+        self.outs = tuple(sorted(shape._vertex_outs))
+        self.slot = slot
+        self.plans: list[tuple] = []   # per face: (child, colours, operations, site)
+        self.ids: dict[tuple, int] = {}       # (colours, operations) -> id
+        self.found: list[int] | None = None
+        self.groups: dict[tuple, dict] = {}
+
+
+class CompiledShape:
+    """A tree shape compiled for one operad: every dendrex of the tree and of
+    its iterated faces is an int.
+
+    The subface DAG numbers the iterated faces of the tree once (equal trees
+    are one node) and gives each edge set a slot.  A node keeps, per
+    codimension-one face, a restriction plan: index maps for colours and
+    operations plus, for an inner face, the one `compose` site (position in
+    the face's operations, lower operation, input index, upper operation).
+    A dendrex of a node is the tuple (colours by sorted edge, operations by
+    sorted vertex output), interned to an id unique across the compiled
+    shape, so two ids are equal exactly when the `Dendrex` objects are.
+
+    `restrictions` is `face_of` on ids and `closure` is `dendrex_closure`
+    on ids, both memoised; `face_of`, `dendrex_closure` and `Dendrex` stay
+    the reference they are tested against.  Every cache lives here, for as
+    long as the caller keeps the compiled shape.
+    """
+
+    def __init__(self, p: FiniteOperad, tree: Tree):
+        self.p = p
+        self._nodes: dict[Tree, _Subface] = {}
+        self.slots: dict[frozenset, int] = {}   # edge set -> slot
+        self.values: list[tuple] = []       # id -> (colours, operations)
+        self.node_of: list[_Subface] = []   # id -> its node
+        self._kids: list[tuple | None] = []  # id -> restriction ids per face
+        self.closures: list = []            # id -> closure, None or PENDING
+        self.top = self.node(tree)
+
+    def node(self, tree: Tree) -> _Subface:
+        """The node of an iterated face of the tree, compiled on first use
+        together with all of its own iterated faces."""
+        node = self._nodes.get(tree)
+        if node is not None:
+            return node
+        slot = self.slots.setdefault(tree.edges, len(self.slots))
+        node = self._nodes[tree] = _Subface(tree, slot)
+        for f in faces(tree) if tree.vertices else ():
+            child = self.node(f.subtree)
+            site = None
+            if f.kind == INNER_FACE:
+                upper, lower = tree.vertex_above(f.label), tree.vertex_below(f.label)
+                site = (child.outs.index(lower.output), node.outs.index(lower.output),
+                        lower.inputs.index(f.label), node.outs.index(upper.output))
+            node.plans.append((child,
+                               tuple_getter([node.edges.index(e) for e in child.edges]),
+                               tuple_getter([node.outs.index(o) for o in child.outs]), site))
+        # the slots of a closure, in the order `dendrex_closure` meets them
+        seen = {node.slot: None}
+        frontier = [node]
+        while frontier:
+            for child, *_ in frontier.pop().plans:
+                if child.slot not in seen:
+                    seen[child.slot] = None
+                    frontier.append(child)
+        node.slots = tuple(seen)
+        node.slots_of = tuple_getter(node.slots)
+        return node
+
+    def _new_id(self, node: _Subface, key: tuple) -> int:
+        got = node.ids[key] = len(self.values)
+        self.values.append(key)
+        self.node_of.append(node)
+        self._kids.append(None)
+        self.closures.append(PENDING)
+        return got
+
+    def dendrex(self, i: int) -> Dendrex:
+        """The `Dendrex` with id i."""
+        node = self.node_of[i]
+        cols, ops = self.values[i]
+        return Dendrex._unchecked(node.shape, dict(zip(node.edges, cols)),
+                                  dict(zip(node.outs, ops)))
+
+    def dendrices(self, node: _Subface) -> list[int]:
+        """`dendrices_with_colours` of the node with nothing fixed, as ids in
+        its order; run once per node."""
+        if node.found is None:
+            colours_of, ops_of = tuple_getter(node.edges), tuple_getter(node.outs)
+            node.found = []
+            for d in dendrices_with_colours(self.p, node.shape, {}):
+                key = (colours_of(d.edge_colours), ops_of(d.vertex_ops))
+                got = node.ids.get(key)
+                node.found.append(got if got is not None else self._new_id(node, key))
+        return node.found
+
+    def candidates(self, node: _Subface, fixed: tuple[str, ...]) -> dict[tuple, list[int]]:
+        """The node's dendrices grouped by the colours of the edges `fixed`:
+        the group of a colouring is `dendrices_with_colours` with that
+        colouring fixed, in the same order (fixing an edge filters the
+        enumeration)."""
+        groups = node.groups.get(fixed)
+        if groups is None:
+            pick = tuple_getter([node.edges.index(e) for e in fixed])
+            groups = node.groups[fixed] = {}
+            values = self.values
+            for i in self.dendrices(node):
+                groups.setdefault(pick(values[i][0]), []).append(i)
+        return groups
+
+    def restrictions(self, i: int) -> tuple[int, ...]:
+        """The ids of `face_of` the dendrex with id i along each face of its
+        node, in `faces` order; the first `compose` error propagates."""
+        got = self._kids[i]
+        if got is None:
+            got = self._kids[i] = tuple(self._restricted(i))
+        return got
+
+    def _restricted(self, i: int):
+        """`restrictions`, unmemoised, one face at a time."""
+        cols, ops = self.values[i]
+        for child, colours, ops_of, site in self.node_of[i].plans:
+            new_ops = ops_of(ops)
+            if site is not None:
+                at, lower, j, upper = site
+                new_ops = (new_ops[:at] + (self.p.compose(ops[lower], j, ops[upper]),)
+                           + new_ops[at + 1:])
+            key = (colours(cols), new_ops)
+            got = child.ids.get(key)
+            yield got if got is not None else self._new_id(child, key)
+
+    def closure(self, i: int) -> tuple[int, ...] | None:
+        """The ids of all iterated restrictions of dendrex i, one per slot of
+        `node_of[i].slots` in that order, or None exactly where
+        `dendrex_closure` raises `ValueError`.
+
+        It joins the memoised closures of the faces.  When that fails, the
+        walk of `dendrex_closure` decides, restriction by restriction in the
+        same order, between a conflict and the error `compose` raises first.
+        """
+        got = self.closures[i]
+        if got is PENDING:
+            try:
+                got = self._join(i)
+            except Exception:
+                got = None
+            if got is None:
+                got = self._walk(i)
+            self.closures[i] = got
+        return got
+
+    def _join(self, i: int) -> tuple[int, ...] | None:
+        node = self.node_of[i]
+        kids = [(plan[0], self.closure(sub))
+                for sub, plan in zip(self.restrictions(i), node.plans)]
+        out = {node.slot: i}
+        for child, clo in kids:
+            if clo is None:
+                return None
+            out.update(zip(child.slots, clo))
+        # the faces' closures agree where they overlap iff each equals the union
+        if out[node.slot] != i or any(child.slots_of(out) != clo for child, clo in kids):
+            return None
+        return node.slots_of(out)
+
+    def _walk(self, i: int) -> tuple[int, ...] | None:
+        node_of = self.node_of
+        out = {node_of[i].slot: i}
+        frontier = [i]
+        while frontier:
+            cur = frontier.pop()
+            kids = self._kids[cur]
+            try:
+                for plan, sub in zip(node_of[cur].plans,
+                                     kids if kids is not None else self._restricted(cur)):
+                    prev = out.get(plan[0].slot)
+                    if prev is None:
+                        out[plan[0].slot] = sub
+                        frontier.append(sub)
+                    elif prev != sub:
+                        return None
+            except ValueError:
+                return None
+        return self.node_of[i].slots_of(out)
+
+
+PENDING = object()   # a closure not computed yet
 
 
 def degeneracy_of(p: FiniteOperad, d: Dendrex, edge: str, fresh: str) -> Dendrex:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Sequence
 
 Profile = tuple[tuple[str, ...], str]
@@ -223,8 +223,17 @@ class TableOperad(FiniteOperad):
     symmetry: dict[tuple[Hashable, tuple[int, ...]], Hashable] = field(default_factory=dict)
 
     def operations(self, inputs, output):
-        return tuple(op for op, prof in sorted(self.profiles.items(), key=lambda kv: str(kv[0]))
-                     if prof == (tuple(inputs), output))
+        return self._by_profile.get((tuple(inputs), output), ())
+
+    @cached_property
+    def _by_profile(self) -> dict[Profile, tuple]:
+        """Operations by profile, each ordered by `str(op)`; built on the
+        first lookup, so loading a table that is only serialised costs
+        nothing, and read from the `profiles` table as it was then."""
+        index: dict[Profile, list] = {}
+        for op, prof in sorted(self.profiles.items(), key=lambda kv: str(kv[0])):
+            index.setdefault(prof, []).append(op)
+        return {prof: tuple(ops) for prof, ops in index.items()}
 
     def op_profile(self, op):
         return self.profiles[op]

@@ -7,6 +7,8 @@ fault detection.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from dendro.anodyne import (AnodyneClass, Certificate, HornStep,
                             search_certificate, verify_certificate)
 from dendro.complexes import representable
+from dendro.jsonio import kan_report_to_json
 from dendro.kan import kan_report, tree_shapes
 from dendro.lemmas import (binary_tensor_certificate, codim_base_cells,
                            extended_corolla_split_certificate,
@@ -43,11 +46,23 @@ def test_acceptance_2_shuffle_counts():
 
 # -- 3: discrete abelian groups are fully Kan with unique fillers -----------
 
+# sha256 of the canonical `kan_report_to_json` at bound 3, recorded before
+# horn maps ran on compiled shapes (the smaller reports are in kan_goldens.json)
+BOUND_3_DIGESTS = {
+    "z4": "49be6b859a88df791276123b8216523150d395b11fea8f18d0046645a7af52f3",
+    "z2xz2": "83ec93939880f85dbe2c0d7b6e39630c602f11eaecee4fb2f3eeb1bd833aa959",
+}
+
+
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "z2xz2"])
 def test_acceptance_3_discrete_groups_fully_kan(name):
     rep = kan_report(CORPUS[name](), 3, name=name)
     assert rep.fully_kan, rep.witnesses
     assert rep.fully_unique, rep.witnesses
+    if name in BOUND_3_DIGESTS:
+        text = json.dumps(kan_report_to_json(rep), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == BOUND_3_DIGESTS[name]
 
 
 # -- 4: the one-object groupoid is fully Kan but not uniquely so ------------

@@ -1,13 +1,24 @@
 """Horn maps, fillers and Kan reports."""
 
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dendro.kan import (enumerate_horn_maps, fillers, kan_report, tree_shapes)
-from dendro.nerves import dendrices, face_of
+import dendro
+from dendro.jsonio import dumps, kan_report_to_json
+from dendro.kan import (HornMap, enumerate_horn_maps, fillers, kan_report,
+                        tree_shapes)
+from dendro.nerves import (dendrex_closure, dendrices, dendrices_with_colours,
+                           face_of)
+from dendro.operads import CORPUS, TableOperad, table_operad_from
 from dendro.trees import (COROLLA_FACE, Tree, Vertex, c2, corolla, face,
-                          faces, horn, isomorphic)
+                          faces, horn, isomorphic, linear)
 
 
 def _corolla_root_horn():
@@ -121,3 +132,123 @@ def test_strict_inner_kan_property(bz2, mult01):
         rep = kan_report(p, 3)
         assert rep.inner_kan
         assert all(w.horn_class != "inner" for w in rep.witnesses)
+
+
+# -- the compiled enumerator against the reference oracle --------------------
+
+def _brute_force_horn_maps(p, h):
+    """Every family of dendrices on the kept faces, taken in kept-face order
+    (largest first, then by key) as a product of the unconstrained
+    enumerations, whose closures exist and agree pairwise."""
+    kept = sorted((g for g in faces(h.tree) if g != h.omitted),
+                  key=lambda g: (-len(g.subtree.edges), g.key))
+
+    def closure(d):
+        try:
+            return dendrex_closure(p, d)
+        except ValueError:
+            return None
+
+    lists = [[(d, clo) for d in dendrices_with_colours(p, g.subtree, {})
+              if (clo := closure(d)) is not None] for g in kept]
+    out = []
+    for combo in itertools.product(*lists):
+        if all(a[k] == b[k] for (_, a), (_, b) in itertools.combinations(combo, 2)
+               for k in a.keys() & b.keys()):
+            out.append(HornMap(h, tuple((g.key, d) for g, (d, _) in zip(kept, combo))))
+    return out
+
+
+@pytest.mark.parametrize("name,bound", [("z2", 2), ("bz2", 2), ("mult01", 2),
+                                        ("z3", 1)])
+def test_horn_maps_equal_the_brute_force_oracle(name, bound):
+    p = CORPUS[name]()
+    for tree in tree_shapes(bound):
+        for f in faces(tree):
+            h = horn(tree, f)
+            assert enumerate_horn_maps(p, h) == _brute_force_horn_maps(p, h), (tree, f.key)
+
+
+def _with_composition(table, entries):
+    """The table with these composition entries; None removes an entry."""
+    composition = dict(table.composition)
+    composition.update(entries)
+    return TableOperad(colours=table.colours, profiles=table.profiles,
+                       identities_table=table.identities_table,
+                       composition={k: v for k, v in composition.items() if v is not None},
+                       symmetry=table.symmetry)
+
+
+def test_horn_maps_drop_conflicting_closures_as_the_oracle_does(bz2):
+    """With g1 o g0 = g0 the unary composition of bz2 breaks associativity,
+    so restricting along different face paths disagrees and some closures of
+    three-vertex dendrices raise; those candidates are dropped, in the
+    oracle's order."""
+    table = table_operad_from(bz2, 2)
+    g0, g1 = bz2.operations(("*",), "*")
+    p = _with_composition(table, {(g1, 0, g0): g0})
+
+    def conflicts(d):
+        try:
+            dendrex_closure(p, d)
+        except ValueError:
+            return True
+        return False
+
+    assert any(conflicts(d) for d in dendrices(p, linear(3)))
+    tree = linear(4)
+    for f in faces(tree):
+        h = horn(tree, f)
+        assert enumerate_horn_maps(p, h) == _brute_force_horn_maps(p, h), f.key
+
+
+def test_missing_composition_propagates(bz2):
+    """A composite the table lacks is an error, not a dropped candidate."""
+    table = table_operad_from(bz2, 2)
+    g0, g1 = bz2.operations(("*",), "*")
+    p = _with_composition(table, {(g1, 0, g1): None})
+    tree = linear(3)
+    with pytest.raises(KeyError, match="no entry"):
+        enumerate_horn_maps(p, horn(tree, faces(tree)[0]))
+    with pytest.raises(KeyError, match="no entry"):
+        kan_report(p, 2, max_arity=1)
+
+
+def _report_digest(rep) -> str:
+    text = json.dumps(kan_report_to_json(rep), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_GOLDENS = json.loads((Path(__file__).parent / "kan_goldens.json")
+                      .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDENS))
+def test_kan_report_matches_golden(key):
+    """The report's JSON is byte-identical to the one recorded by
+    `scripts/kan_goldens.py` before horn maps ran on compiled shapes."""
+    name, bound = key.split("@")
+    rep = kan_report(CORPUS[name](), int(bound), name=name)
+    assert _report_digest(rep) == _GOLDENS[key]
+
+
+def test_kan_report_json_independent_of_hash_seed():
+    """Compiled shapes key subfaces by edge sets; the report must not follow
+    the string hash order of the process."""
+    src = str(Path(dendro.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            "from dendro.jsonio import dumps, kan_report_to_json\n"
+            "from dendro.kan import kan_report\n"
+            "from dendro.operads import CORPUS\n"
+            "for name in ('bz2', 'mult01'):\n"
+            "    rep = kan_report(CORPUS[name](), 2, name=name)\n"
+            "    sys.stdout.write(dumps(kan_report_to_json(rep)))\n")
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        outputs.add(proc.stdout)
+    here = "".join(dumps(kan_report_to_json(kan_report(CORPUS[n](), 2, name=n)))
+                   for n in ("bz2", "mult01"))
+    assert outputs == {here}

@@ -105,6 +105,21 @@ def test_table_operad_matches_source(z2):
     assert table.permute(f, (1, 0)) == z2.permute(f, (1, 0))
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_table_operations_index_matches_the_profile_filter(name):
+    """`operations` reads a per-instance index by profile; it lists exactly
+    the operations of each profile, ordered by `str(op)`, as filtering the
+    whole table did."""
+    table = table_operad_from(CORPUS[name](), 3)
+    by_str = sorted(table.profiles.items(), key=lambda kv: str(kv[0]))
+    for n in range(4):
+        for inputs in itertools.product(table.colours, repeat=n):
+            for output in table.colours:
+                assert table.operations(list(inputs), output) == \
+                    tuple(op for op, prof in by_str if prof == (inputs, output))
+    assert table.operations(("no such colour",), table.colours[0]) == ()
+
+
 def test_table_operad_missing_entries_raise():
     t = TableOperad(colours=("c",), profiles={"f": (("c",), "c")},
                     identities_table={"c": "f"})
