@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--omit", required=True,
                       help="omitted face of the starting horn, KIND:LABEL")
     srch.add_argument("--class", dest="anodyne_class", default="inner")
-    srch.add_argument("--budget", type=int, default=100_000)
+    srch.add_argument("--budget", type=_int_at_least(1), default=100_000)
     _add_format(srch, "json", ["json", "text"])
 
     lem_p = sub.add_parser("lemma", help="built-in certificate families")

@@ -7,11 +7,13 @@ bound (and an arity cap, without which the shape family is infinite).
 
 Each tree shape is compiled once per report (`nerves.CompiledShape`): its
 dendrices and those of its iterated faces become ints, with memoised
-restrictions and closures.  One enumerator, `_horn_maps`, backtracks over
-those ints; `kan_report` counts fillers by tuples of ids and builds
-`HornMap` objects only for witnesses, and `enumerate_horn_maps` builds one
-for every map.  `fillers`, `face_of`, `dendrex_closure` and `Dendrex` are
-the reference oracle the tests compare the compiled path against.
+restrictions and closures.  The iterated faces are the cells of
+`Complex([tree])` and a slot is a cell index, so nothing here numbers them
+a second time.  One enumerator, `_horn_maps`, backtracks over those ints;
+`kan_report` counts fillers by tuples of ids and builds `HornMap` objects
+only for witnesses, and `enumerate_horn_maps` builds one for every map.
+`fillers`, `face_of`, `dendrex_closure` and `Dendrex` are the reference
+oracle the tests compare the compiled path against.
 """
 
 from __future__ import annotations
@@ -62,16 +64,17 @@ def _horn_maps(shape: CompiledShape, omitted: FaceDescriptor, visit) -> None:
     it and writes its new slots into it, with nothing to undo.
     """
     kept, order = _kept_faces(shape.top.shape, omitted)
+    index = shape.cells.index    # edge set -> slot
     at: dict[int, int] = {}      # slot -> position in merged
     steps = []
     for i in order:
         node = shape.node(kept[i].subtree)
-        fixed = tuple(e for e in node.edges if shape.slots.get(frozenset([e])) in at)
+        fixed = tuple(e for e in node.edges if index[frozenset([e])] in at)
         shared = [k for k, s in enumerate(node.slots) if s in at]
         new = [k for k, s in enumerate(node.slots) if s not in at]
         start = len(at)
         steps.append((i, node, fixed,
-                      tuple_getter([at[shape.slots[frozenset([e])]] for e in fixed]),
+                      tuple_getter([at[index[frozenset([e])]] for e in fixed]),
                       tuple_getter(shared), tuple_getter([at[node.slots[k]] for k in shared]),
                       tuple_getter(new), start, start + len(new)))
         at.update((node.slots[k], start + n) for n, k in enumerate(new))
@@ -221,16 +224,8 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                     strict=True, fully_unique=True)
     for tree in tree_shapes(max_vertices, max_arity):
         shape = CompiledShape(p, tree)
-        all_faces = faces(tree)
-        try:
-            sigs = [shape.restrictions(i) for i in shape.dendrices(shape.top)]
-        except Exception:
-            # raise what the reference raises first, over the sorted dendrices
-            for d in dendrices(p, tree):
-                for g in all_faces:
-                    face_of(p, d, g)
-            raise
-        for j, f in enumerate(all_faces):
+        sigs = [shape.restrictions(i) for i in shape.dendrices(shape.top)]
+        for j, f in enumerate(faces(tree)):
             h = horn(tree, f)
             cls = classify_horn(h)
             buckets = Counter(sig[:j] + sig[j + 1:] for sig in sigs)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
                       generator_class)
-from .complexes import Cell, Complex, closure_cells, representable
+from .complexes import Cell, Complex, _cell_key, closure_cells, representable
 from .shuffles import filtration_base
 from .trees import (ROOT_FACE, Tree, TreeError, Vertex, faces, has_root_horn,
                     initial_segments, is_extended_corolla, stem_edges,
@@ -29,18 +29,7 @@ from .trees import (ROOT_FACE, Tree, TreeError, Vertex, faces, has_root_horn,
 
 
 def _dedup(cells: Iterable[Iterable[str]]) -> list[frozenset]:
-    seen: set[frozenset] = set()
-    out = []
-    for c in cells:
-        fc = frozenset(c)
-        if fc not in seen:
-            seen.add(fc)
-            out.append(fc)
-    return out
-
-
-def _sorted_cells(cells: Iterable[frozenset]) -> list[frozenset]:
-    return sorted(cells, key=lambda c: (len(c), sorted(c)))
+    return list(dict.fromkeys(map(frozenset, cells)))
 
 
 def _root_face_cell(tree: Tree) -> frozenset:
@@ -385,7 +374,7 @@ def _root_horn_through_split(tree: Tree, start_cells):
                 continue     # the full tree W is attached in step 4
             batch = [frozenset(seg.edges - set(E))
                      for E in itertools.combinations(pool, esize)]
-            for cl in _sorted_cells(batch):
+            for cl in sorted(batch, key=_cell_key):
                 if not present >> amb.index_of(cl) & 1:
                     plan(cl, sub_cert=root_horn_certificate(amb.tree_of(cl)))
     # Step 4: the root face of W at the inner horn of a', then W itself

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .complexes import Complex
 from .operads import FiniteOperad
 from .trees import (COROLLA_FACE, INNER_FACE, ROOT_FACE, TOP_FACE,
                     FaceDescriptor, Tree, TreeError, faces, insert_unary, linear)
@@ -168,17 +169,20 @@ def tuple_getter(positions):
 
 
 class _Subface:
-    """One node of a compiled shape's subface DAG: an iterated face of the
-    tree, with its restriction plans and its interned dendrices."""
+    """One node of a compiled shape: an iterated face of the tree, which is
+    cell `slot` of the complex, with its restriction plans and its interned
+    dendrices."""
 
     __slots__ = ("shape", "edges", "outs", "slot", "plans", "slots", "slots_of",
                  "ids", "found", "groups")
 
-    def __init__(self, shape: Tree, slot: int):
+    def __init__(self, shape: Tree, slot: int, slots: tuple[int, ...]):
         self.shape = shape
         self.edges = tuple(sorted(shape.edges))
         self.outs = tuple(sorted(shape._vertex_outs))
         self.slot = slot
+        self.slots = slots             # the cells of its closure, ascending
+        self.slots_of = tuple_getter(slots)
         self.plans: list[tuple] = []   # per face: (child, colours, operations, site)
         self.ids: dict[tuple, int] = {}       # (colours, operations) -> id
         self.found: list[int] | None = None
@@ -189,8 +193,9 @@ class CompiledShape:
     """A tree shape compiled for one operad: every dendrex of the tree and of
     its iterated faces is an int.
 
-    The subface DAG numbers the iterated faces of the tree once (equal trees
-    are one node) and gives each edge set a slot.  A node keeps, per
+    The iterated faces are the cells of `Complex([tree])`, and nothing else
+    here numbers them: node i is cell i, its slot is i and its slots are the
+    indices of its closure mask, ascending.  A node keeps, per
     codimension-one face, a restriction plan: index maps for colours and
     operations plus, for an inner face, the one `compose` site (position in
     the face's operations, lower operation, input index, upper operation).
@@ -206,43 +211,30 @@ class CompiledShape:
 
     def __init__(self, p: FiniteOperad, tree: Tree):
         self.p = p
-        self._nodes: dict[Tree, _Subface] = {}
-        self.slots: dict[frozenset, int] = {}   # edge set -> slot
+        self.cells = cells = Complex([tree])
+        self.nodes = [_Subface(t, i, tuple(cells.indices(mask)))
+                      for i, (t, mask) in enumerate(zip(cells.cell_trees, cells.masks))]
+        for node, fs, ids in zip(self.nodes, cells.face_lists, cells.face_ids):
+            t = node.shape
+            for f, j in zip(fs, ids):
+                child, site = self.nodes[j], None
+                if f.kind == INNER_FACE:
+                    upper, lower = t.vertex_above(f.label), t.vertex_below(f.label)
+                    site = (child.outs.index(lower.output), node.outs.index(lower.output),
+                            lower.inputs.index(f.label), node.outs.index(upper.output))
+                node.plans.append((child,
+                                   tuple_getter([node.edges.index(e) for e in child.edges]),
+                                   tuple_getter([node.outs.index(o) for o in child.outs]),
+                                   site))
+        self.top = self.nodes[-1]
         self.values: list[tuple] = []       # id -> (colours, operations)
         self.node_of: list[_Subface] = []   # id -> its node
         self._kids: list[tuple | None] = []  # id -> restriction ids per face
         self.closures: list = []            # id -> closure, None or PENDING
-        self.top = self.node(tree)
 
     def node(self, tree: Tree) -> _Subface:
-        """The node of an iterated face of the tree, compiled on first use
-        together with all of its own iterated faces."""
-        node = self._nodes.get(tree)
-        if node is not None:
-            return node
-        slot = self.slots.setdefault(tree.edges, len(self.slots))
-        node = self._nodes[tree] = _Subface(tree, slot)
-        for f in faces(tree) if tree.vertices else ():
-            child = self.node(f.subtree)
-            site = None
-            if f.kind == INNER_FACE:
-                upper, lower = tree.vertex_above(f.label), tree.vertex_below(f.label)
-                site = (child.outs.index(lower.output), node.outs.index(lower.output),
-                        lower.inputs.index(f.label), node.outs.index(upper.output))
-            node.plans.append((child,
-                               tuple_getter([node.edges.index(e) for e in child.edges]),
-                               tuple_getter([node.outs.index(o) for o in child.outs]), site))
-        # the slots of a closure, in the order `dendrex_closure` meets them
-        seen = {node.slot: None}
-        frontier = [node]
-        while frontier:
-            for child, *_ in frontier.pop().plans:
-                if child.slot not in seen:
-                    seen[child.slot] = None
-                    frontier.append(child)
-        node.slots = tuple(seen)
-        node.slots_of = tuple_getter(node.slots)
-        return node
+        """The node of an iterated face of the tree."""
+        return self.nodes[self.cells.index[tree.edges]]
 
     def _new_id(self, node: _Subface, key: tuple) -> int:
         got = node.ids[key] = len(self.values)
@@ -287,78 +279,47 @@ class CompiledShape:
 
     def restrictions(self, i: int) -> tuple[int, ...]:
         """The ids of `face_of` the dendrex with id i along each face of its
-        node, in `faces` order; the first `compose` error propagates."""
+        node, in `faces` order; a `compose` error propagates."""
         got = self._kids[i]
         if got is None:
-            got = self._kids[i] = tuple(self._restricted(i))
+            cols, ops = self.values[i]
+            out = []
+            for child, colours, ops_of, site in self.node_of[i].plans:
+                new_ops = ops_of(ops)
+                if site is not None:
+                    at, lower, j, upper = site
+                    new_ops = (new_ops[:at] + (self.p.compose(ops[lower], j, ops[upper]),)
+                               + new_ops[at + 1:])
+                key = (colours(cols), new_ops)
+                sub = child.ids.get(key)
+                out.append(sub if sub is not None else self._new_id(child, key))
+            got = self._kids[i] = tuple(out)
         return got
-
-    def _restricted(self, i: int):
-        """`restrictions`, unmemoised, one face at a time."""
-        cols, ops = self.values[i]
-        for child, colours, ops_of, site in self.node_of[i].plans:
-            new_ops = ops_of(ops)
-            if site is not None:
-                at, lower, j, upper = site
-                new_ops = (new_ops[:at] + (self.p.compose(ops[lower], j, ops[upper]),)
-                           + new_ops[at + 1:])
-            key = (colours(cols), new_ops)
-            got = child.ids.get(key)
-            yield got if got is not None else self._new_id(child, key)
 
     def closure(self, i: int) -> tuple[int, ...] | None:
         """The ids of all iterated restrictions of dendrex i, one per slot of
         `node_of[i].slots` in that order, or None exactly where
-        `dendrex_closure` raises `ValueError`.
+        `dendrex_closure` raises `ValueError`; a `compose` error propagates.
 
-        It joins the memoised closures of the faces.  When that fails, the
-        walk of `dendrex_closure` decides, restriction by restriction in the
-        same order, between a conflict and the error `compose` raises first.
+        It joins the memoised closures of the faces: they exist and agree
+        where they overlap iff each equals their union.  Every path of
+        `dendrex_closure` passes through a face, so a conflict on that walk
+        is a missing or disagreeing face closure here.
         """
         got = self.closures[i]
         if got is PENDING:
-            try:
-                got = self._join(i)
-            except Exception:
-                got = None
-            if got is None:
-                got = self._walk(i)
+            node = self.node_of[i]
+            kids = [(plan[0], self.closure(sub))
+                    for plan, sub in zip(node.plans, self.restrictions(i))]
+            got = None
+            if all(clo is not None for _, clo in kids):
+                out = {node.slot: i}
+                for child, clo in kids:
+                    out.update(zip(child.slots, clo))
+                if all(child.slots_of(out) == clo for child, clo in kids):
+                    got = node.slots_of(out)
             self.closures[i] = got
         return got
-
-    def _join(self, i: int) -> tuple[int, ...] | None:
-        node = self.node_of[i]
-        kids = [(plan[0], self.closure(sub))
-                for sub, plan in zip(self.restrictions(i), node.plans)]
-        out = {node.slot: i}
-        for child, clo in kids:
-            if clo is None:
-                return None
-            out.update(zip(child.slots, clo))
-        # the faces' closures agree where they overlap iff each equals the union
-        if out[node.slot] != i or any(child.slots_of(out) != clo for child, clo in kids):
-            return None
-        return node.slots_of(out)
-
-    def _walk(self, i: int) -> tuple[int, ...] | None:
-        node_of = self.node_of
-        out = {node_of[i].slot: i}
-        frontier = [i]
-        while frontier:
-            cur = frontier.pop()
-            kids = self._kids[cur]
-            try:
-                for plan, sub in zip(node_of[cur].plans,
-                                     kids if kids is not None else self._restricted(cur)):
-                    prev = out.get(plan[0].slot)
-                    if prev is None:
-                        out[plan[0].slot] = sub
-                        frontier.append(sub)
-                    elif prev != sub:
-                        return None
-            except ValueError:
-                return None
-        return self.node_of[i].slots_of(out)
 
 
 PENDING = object()   # a closure not computed yet

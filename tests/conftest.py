@@ -1,12 +1,13 @@
 """Shared fixtures: the operad corpus and a few common tree shapes."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from dendro.operads import CORPUS
+from dendro.operads import CORPUS, table_operad_from
 from dendro.trees import Tree, Vertex, c2, corolla, extended_corolla, graft, linear
 
 
@@ -28,6 +29,16 @@ def bz2():
 @pytest.fixture(scope="session")
 def mult01():
     return CORPUS["mult01"]()
+
+
+@pytest.fixture(scope="session")
+def bz2_nonassociative(bz2):
+    """bz2 as a table with g1 o g0 = g0: the unary composition breaks
+    associativity, so restricting along different face paths disagrees and
+    some closures of three-vertex dendrices raise."""
+    table = table_operad_from(bz2, 2)
+    g0, g1 = bz2.operations(("*",), "*")
+    return dataclasses.replace(table, composition={**table.composition, (g1, 0, g0): g0})
 
 
 @pytest.fixture

@@ -4,7 +4,10 @@ A change that removes, renames or adds one of them must update this list on
 purpose; refactors that keep the API are checked against it.
 """
 
+import importlib
+import importlib.util
 import types
+from pathlib import Path
 
 import dendro
 
@@ -37,3 +40,17 @@ def test_public_names_are_pinned():
                 and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
 
+
+def test_traced_names_resolve():
+    """Every function and method the benchmark's tracer patches exists, so a
+    refactor that renames one fails here rather than in a traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, _ in tracing.FUNCTIONS:
+        layer, attr = name.split(".")
+        assert hasattr(importlib.import_module(f"dendro.{layer}"), attr), name
+    for layer, cls_name, attr, *_ in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"dendro.{layer}"), cls_name)
+        assert attr in cls.__dict__, (cls_name, attr)

@@ -175,8 +175,10 @@ def test_anodyne_search_definitively_none(capsys, c2_file):
 
 
 def test_anodyne_search_budget_exhausted(capsys, two_vertex_file):
+    """The smallest budget the parser accepts ends the search on this horn,
+    which needs two candidate evaluations."""
     assert main(["anodyne", "search", "--tree", two_vertex_file,
-                 "--omit", "inner:a", "--budget", "0"]) == 2
+                 "--omit", "inner:a", "--budget", "1"]) == 2
     assert "budget exhausted" in capsys.readouterr().err
 
 
@@ -236,11 +238,15 @@ def test_lemma_verify_missing_params(capsys):
      "dendro nerve sset: error: argument --dim: must be >= 0, got -3"),
     (["shuffle", "list", "--n", "-1"],
      "dendro shuffle list: error: argument --n: must be >= 0, got -1"),
-], ids=["bound-0", "bound-negative", "max-arity-0", "dim-negative", "n-negative"])
+    (["anodyne", "search", "--budget", "0"],
+     "dendro anodyne search: error: argument --budget: must be >= 1, got 0"),
+], ids=["bound-0", "bound-negative", "max-arity-0", "dim-negative", "n-negative",
+        "budget-0"])
 def test_out_of_range_parameters_rejected(capsys, tmp_path, c2_file, argv, message):
     files = {"kan": ["--operad", operad_file(tmp_path, "z2")],
              "nerve": ["--operad", operad_file(tmp_path, "z2")],
-             "shuffle": ["--tree", c2_file]}
+             "shuffle": ["--tree", c2_file],
+             "anodyne": ["--tree", c2_file, "--omit", "colour:a"]}
     with pytest.raises(SystemExit) as exc:
         main(argv[:2] + files[argv[0]] + argv[2:])
     assert exc.value.code == 2

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from dendro.kan import tree_shapes
-from dendro.nerves import (Dendrex, check_dendrex, degeneracy_of,
+from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, degeneracy_of,
                            dendrex_closure, dendrices, dendrices_with_colours,
                            face_of, is_degenerate, underlying_sset)
 from dendro.operads import CORPUS
@@ -205,3 +205,43 @@ def test_fixed_colouring_filters_the_enumeration(name):
             for c in p.colours:
                 got = dendrices_with_colours(p, shape, {e: c})
                 assert got == [d for d in every if d.edge_colours[e] == c], (shape, e, c)
+
+
+# -- compiled shapes against the reference -----------------------------------
+
+def _compiled_conflicts(p, tree) -> int:
+    """Checks every dendrex of every iterated face of the compiled tree: its
+    restrictions are `face_of` along each face, and its closure is
+    `dendrex_closure` keyed by edge set, None exactly where that raises.
+    Returns the number of dendrices whose closure is None."""
+    shape = CompiledShape(p, tree)
+    conflicts = 0
+    for node in shape.nodes:
+        fs = faces(node.shape) if node.shape.vertices else []
+        for i in shape.dendrices(node):
+            d = shape.dendrex(i)
+            assert [shape.dendrex(k) for k in shape.restrictions(i)] \
+                == [face_of(p, d, f) for f in fs], d
+            try:
+                want = dendrex_closure(p, d)
+            except ValueError:
+                want = None
+            clo = shape.closure(i)
+            got = None if clo is None else {shape.cells.order[s]: shape.dendrex(k)
+                                            for s, k in zip(node.slots, clo)}
+            assert got == want, d
+            conflicts += clo is None
+    return conflicts
+
+
+@pytest.mark.parametrize("name,bound", [("z2", 3), ("bz2", 3), ("mult01", 3),
+                                        ("z3", 2)])
+def test_compiled_shape_matches_reference(name, bound):
+    p = CORPUS[name]()
+    for tree in tree_shapes(bound):
+        assert _compiled_conflicts(p, tree) == 0, tree
+
+
+def test_compiled_closure_fails_where_reference_raises(bz2_nonassociative):
+    assert _compiled_conflicts(bz2_nonassociative, linear(3)) > 0
+    assert _compiled_conflicts(bz2_nonassociative, linear(4)) > 0
