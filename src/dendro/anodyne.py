@@ -84,9 +84,6 @@ class NestedStep:
     certificate: "Certificate"
 
 
-Step = "HornStep | NestedStep"
-
-
 @dataclass(frozen=True)
 class Certificate:
     """A certified anodyne inclusion start -> target inside an ambient
@@ -173,10 +170,10 @@ def _carries(tree: Tree, m: dict[str, str], image: Tree) -> bool:
     return len(outs) == len(image.vertices)
 
 
-def verify_certificate(cert: Certificate, path: tuple[int, ...] = ()) -> VerificationReport:
+def verify_certificate(cert: Certificate) -> VerificationReport:
     """Replay and check every step; all failures are reported, pinpointed by
     their step path."""
-    return _verify(cert, path, {})
+    return _verify(cert, (), {})
 
 
 def _ambient(cert: Certificate, ambients: dict) -> Complex:
@@ -342,21 +339,32 @@ def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
     return out
 
 
-def certificate_class(cert: Certificate) -> AnodyneClass | None:
+def certificate_class(cert: Certificate,
+                      known: dict[int, AnodyneClass | None] | None = None
+                      ) -> AnodyneClass | None:
     """The largest generator class claimed by the certificate's steps,
-    without replaying them; None for an empty filtration."""
+    without replaying them; None for an empty filtration.  A caller asking
+    for the class of every node passes one dict `known` to all its calls:
+    it keeps each node's class by `id`, so each ambient is built once."""
+    if known is None:
+        known = {}
+    if id(cert) in known:
+        return known[id(cert)]
     if cert.kind == "retract":
-        return certificate_class(cert.sub) if cert.sub is not None else None
-    amb = cert.ambient()
-    classes: list[AnodyneClass] = []
-    for step in cert.steps:
-        if isinstance(step, HornStep):
-            classes.append(generator_class(amb.tree_of(step.cell), step.omitted))
-        elif isinstance(step, NestedStep):
-            sub = certificate_class(step.certificate)
-            if sub is not None:
-                classes.append(sub)
-    return max(classes) if classes else None
+        cls = certificate_class(cert.sub, known) if cert.sub is not None else None
+    else:
+        amb = cert.ambient()
+        classes: list[AnodyneClass] = []
+        for step in cert.steps:
+            if isinstance(step, HornStep):
+                classes.append(generator_class(amb.tree_of(step.cell), step.omitted))
+            elif isinstance(step, NestedStep):
+                sub = certificate_class(step.certificate, known)
+                if sub is not None:
+                    classes.append(sub)
+        cls = max(classes) if classes else None
+    known[id(cert)] = cls
+    return cls
 
 
 # ---------------------------------------------------------------------------

@@ -268,14 +268,19 @@ def load_operad(data, path: str = "$") -> FiniteOperad:
 # ---------------------------------------------------------------------------
 
 def certificate_to_json(cert: Certificate) -> dict:
-    cls = certificate_class(cert)
+    return _certificate_json(cert, {})
+
+
+def _certificate_json(cert: Certificate, known: dict) -> dict:
+    """`certificate_to_json` with the node classes known so far."""
+    cls = certificate_class(cert, known)
     out = {"ambient": [tree_to_json(g) for g in cert.ambient_generators],
            "start": [sorted(c) for c in cert.start],
            "target": [sorted(c) for c in cert.target],
            "class": class_phrase(cls) if cls is not None else None}
     if cert.kind == "retract":
         out["steps"] = [{"type": "retract",
-                         "sub": certificate_to_json(cert.sub),
+                         "sub": _certificate_json(cert.sub, known),
                          "section": [list(p) for p in cert.section],
                          "retraction": [list(p) for p in cert.retraction]}]
         return out
@@ -287,7 +292,7 @@ def certificate_to_json(cert: Certificate) -> dict:
                                          "omit": list(step.omitted)}]})
         else:
             steps.append({"type": "nested", "cell": sorted(step.cell),
-                          "certificate": certificate_to_json(step.certificate)})
+                          "certificate": _certificate_json(step.certificate, known)})
     out["steps"] = steps
     return out
 

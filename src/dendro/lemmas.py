@@ -23,9 +23,9 @@ from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
                       generator_class)
 from .complexes import Cell, Complex, _cell_key, closure_cells, representable
 from .shuffles import filtration_base
-from .trees import (ROOT_FACE, Tree, TreeError, Vertex, faces, has_root_horn,
-                    initial_segments, is_extended_corolla, stem_edges,
-                    subtree_from_edges)
+from .trees import (ROOT_FACE, Tree, TreeError, Vertex, branch, faces,
+                    has_root_horn, initial_segments, is_extended_corolla,
+                    stem_edges, walk_up)
 
 
 def _dedup(cells: Iterable[Iterable[str]]) -> list[frozenset]:
@@ -125,20 +125,15 @@ def extended_corolla_split_certificate(n: int, k: int) -> Certificate:
 # "8.3": the codimension argument
 # ---------------------------------------------------------------------------
 
-def _base_segment(tree: Tree, v_output: str):
-    """(vertices not above any input of the distinguished vertex, its edge
-    set including those inputs as leaves)."""
+def _base_segment(tree: Tree, v_output: str) -> list[Vertex]:
+    """The vertices not above any input of the distinguished vertex: those
+    of the initial segment with the inputs as leaves."""
     v = tree.vertex_above(v_output)
     if v is None:
         raise TreeError(f"no vertex with output {v_output!r}")
-    cut = set(v.inputs)
-    kept = [w for w in tree.vertices
-            if not cut & set(tree.path_to_root(w.output))]
-    edges = {tree.root}
-    for w in kept:
-        edges.add(w.output)
-        edges.update(w.inputs)
-    return kept, frozenset(edges)
+    reached, _ = walk_up(tree, [tree.root], v.inputs)
+    return [w for e in reached if e not in v.inputs
+            and (w := tree.vertex_above(e)) is not None]
 
 
 def codim_base_cells(tree: Tree, v_output: str) -> list[frozenset]:
@@ -148,21 +143,18 @@ def codim_base_cells(tree: Tree, v_output: str) -> list[frozenset]:
     and the outer faces of the full tree at segment vertices; for a
     one-vertex segment, the corolla and the maximal subtrees above each
     input instead."""
-    v = tree.vertex_above(v_output)
-    kept, seg_edges = _base_segment(tree, v_output)
-    cells = [seg_edges]
-    if len(kept) >= 2:
-        seg = subtree_from_edges(tree, seg_edges)
+    seg = Tree(_base_segment(tree, v_output), tree.root)
+    cells = [seg.edges]
+    if len(seg.vertices) >= 2:
         for e in sorted(seg.inner_edges):
             cells.append(tree.edges - {e})
         for f in faces(tree):
             if f.kind in ("top", "root") and f.label != v_output \
-                    and tree.vertex_above(f.label) in kept:
+                    and seg.vertex_above(f.label) is not None:
                 cells.append(f.subtree.edges)
     else:
-        for d in v.inputs:
-            above = {e for e in tree.edges if d in tree.path_to_root(e)}
-            cells.append(frozenset(above))
+        for d in tree.vertex_above(v_output).inputs:
+            cells.append(branch(tree, d).edges)
     return _dedup(cells)
 
 
@@ -172,15 +164,11 @@ def _initial_subtree_codim(tree: Tree, cell_tree: Tree) -> int | None:
     if cell_tree.root != tree.root:
         return None
     leaves = cell_tree.leaves
-    for leaf in tree.leaves:
-        if not set(tree.path_to_root(leaf)) & leaves:
-            return None
-    segment_edges: set[str] = set()
-    for f in leaves:
-        segment_edges.update(tree.path_to_root(f))
-    # the cell's leaves are pairwise incomparable, so the segment has a
-    # vertex above each of its edges but them
-    return len(segment_edges) - len(leaves) - len(cell_tree.vertices)
+    segment, capped = walk_up(tree, [tree.root], leaves)
+    if not capped:
+        return None
+    # the segment has a vertex above each of its edges but the cell's leaves
+    return len(segment) - len(leaves) - len(cell_tree.vertices)
 
 
 def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
@@ -195,7 +183,7 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
     v = tree.vertex_above(v_output)
     if v is None:
         raise TreeError(f"no vertex with output {v_output!r} in {sorted(cell)}")
-    kept, _ = _base_segment(tree, v_output)
+    kept = _base_segment(tree, v_output)
     base_count = len(kept)
     big_n = len(tree.vertices) - base_count + 1
     kept_others = [w for w in kept if w is not v]
@@ -308,9 +296,7 @@ def _root_horn_through_split(tree: Tree, start_cells):
     Returns (certificate over W, the fresh edge, the edge below it)."""
     r, b_edges = _root_decomposition(tree)
     c = tree.root
-    upper = {e for e in tree.edges if r in tree.path_to_root(e)}
-    t_part = subtree_from_edges(tree, upper)
-    st = stem_edges(t_part)              # a_0 ... a_l with a_l = r
+    st = stem_edges(branch(tree, r))     # a_0 ... a_l with a_l = r
     a0 = st[0]
     l = len(st) - 1
     v = tree.vertex_above(a0)            # tree-top root vertex, arity >= 2

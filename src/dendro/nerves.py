@@ -73,17 +73,14 @@ def check_dendrex(p: FiniteOperad, d: Dendrex) -> None:
                              f"{p.op_profile(op)}, expected {want}")
 
 
-def dendrices_with_colours(p: FiniteOperad, shape: Tree,
-                           fixed: dict[str, str]) -> list[Dendrex]:
-    """Dendrices whose colouring extends the given partial one, by
-    backtracking over the vertices in order of their output edges."""
+def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
+    """All dendrices of the shape, by backtracking over the vertices in
+    order of their output edges."""
     if not shape.vertices:
-        e = shape.root
-        colours = [fixed[e]] if e in fixed else list(p.colours)
-        return [Dendrex._unchecked(shape, {e: c}, {}) for c in colours]
+        return [Dendrex._unchecked(shape, {shape.root: c}, {}) for c in p.colours]
     out: list[Dendrex] = []
     order = sorted(shape.vertices, key=lambda v: v.output)
-    colours = dict(fixed)
+    colours: dict[str, str] = {}
     ops: dict = {}
 
     def extend(i: int):
@@ -107,7 +104,7 @@ def dendrices_with_colours(p: FiniteOperad, shape: Tree,
 
 def dendrices(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
     """All dendrices of the given shape, sorted by colouring and operations."""
-    return sorted(dendrices_with_colours(p, shape, {}),
+    return sorted(dendrices_with_colours(p, shape),
                   key=lambda d: sorted(d.edge_colours.items())
                   + [str(sorted(map(str, d.vertex_ops.items())))])
 
@@ -252,22 +249,20 @@ class CompiledShape:
                                   dict(zip(node.outs, ops)))
 
     def dendrices(self, node: _Subface) -> list[int]:
-        """`dendrices_with_colours` of the node with nothing fixed, as ids in
-        its order; run once per node."""
+        """`dendrices_with_colours` of the node as ids, in its order; run
+        once per node."""
         if node.found is None:
             colours_of, ops_of = tuple_getter(node.edges), tuple_getter(node.outs)
             node.found = []
-            for d in dendrices_with_colours(self.p, node.shape, {}):
+            for d in dendrices_with_colours(self.p, node.shape):
                 key = (colours_of(d.edge_colours), ops_of(d.vertex_ops))
                 got = node.ids.get(key)
                 node.found.append(got if got is not None else self._new_id(node, key))
         return node.found
 
     def candidates(self, node: _Subface, fixed: tuple[str, ...]) -> dict[tuple, list[int]]:
-        """The node's dendrices grouped by the colours of the edges `fixed`:
-        the group of a colouring is `dendrices_with_colours` with that
-        colouring fixed, in the same order (fixing an edge filters the
-        enumeration)."""
+        """The node's dendrices grouped by the colours of the edges `fixed`,
+        each group in `dendrices_with_colours` order."""
         groups = node.groups.get(fixed)
         if groups is None:
             pick = tuple_getter([node.edges.index(e) for e in fixed])
@@ -347,7 +342,6 @@ def is_degenerate(p: FiniteOperad, d: Dendrex) -> bool:
 class SimplicialSetTable:
     """The underlying simplicial set: dendrices of linear shapes."""
     simplices: dict[int, tuple[Dendrex, ...]]
-    face_maps: dict[tuple[int, int, Dendrex], Dendrex]
 
     def counts(self) -> dict[int, int]:
         return {k: len(v) for k, v in self.simplices.items()}
@@ -355,24 +349,6 @@ class SimplicialSetTable:
 
 def underlying_sset(p: FiniteOperad, max_dim: int) -> SimplicialSetTable:
     """Simplices of dimension k are the dendrices of the linear tree with k
-    vertices; face i contracts edge i (composes) or drops an end."""
-    simplices: dict[int, tuple[Dendrex, ...]] = {}
-    face_maps: dict[tuple[int, int, Dendrex], Dendrex] = {}
-    for k in range(max_dim + 1):
-        shape = linear(k)
-        simplices[k] = tuple(dendrices(p, shape))
-    for k in range(1, max_dim + 1):
-        shape = linear(k)
-        fs = {f.key: f for f in faces(shape)}
-        for d in simplices[k]:
-            for i in range(k + 1):
-                if k == 1:
-                    f = fs[(COROLLA_FACE, str(1 - i))]
-                elif i == 0:
-                    f = fs[(TOP_FACE, "1")]
-                elif i == k:
-                    f = fs[(ROOT_FACE, str(k))]
-                else:
-                    f = fs[(INNER_FACE, str(i))]
-                face_maps[(k, i, d)] = face_of(p, d, f)
-    return SimplicialSetTable(simplices=simplices, face_maps=face_maps)
+    vertices."""
+    return SimplicialSetTable(simplices={k: tuple(dendrices(p, linear(k)))
+                                         for k in range(max_dim + 1)})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 Profile = tuple[tuple[str, ...], str]
 
@@ -503,15 +503,11 @@ def mult_01_monoid_smc() -> FiniteSMC:
     return discrete_commutative_monoid_smc([0, 1], lambda a, b: a * b)
 
 
-def operad_from_smc(c: FiniteSMC, name: str = "O_C") -> SMCOperad:
-    return SMCOperad(c, name=name)
-
-
 CORPUS = {
-    "z2": lambda: operad_from_smc(cyclic_group_smc(2), "O_{Z/2}"),
-    "z3": lambda: operad_from_smc(cyclic_group_smc(3), "O_{Z/3}"),
-    "z4": lambda: operad_from_smc(cyclic_group_smc(4), "O_{Z/4}"),
-    "z2xz2": lambda: operad_from_smc(klein_four_smc(), "O_{Z/2xZ/2}"),
-    "bz2": lambda: operad_from_smc(b_z2_smc(), "O_{BZ/2}"),
-    "mult01": lambda: operad_from_smc(mult_01_monoid_smc(), "O_{(0,1)x}"),
+    "z2": lambda: SMCOperad(cyclic_group_smc(2), "O_{Z/2}"),
+    "z3": lambda: SMCOperad(cyclic_group_smc(3), "O_{Z/3}"),
+    "z4": lambda: SMCOperad(cyclic_group_smc(4), "O_{Z/4}"),
+    "z2xz2": lambda: SMCOperad(klein_four_smc(), "O_{Z/2xZ/2}"),
+    "bz2": lambda: SMCOperad(b_z2_smc(), "O_{BZ/2}"),
+    "mult01": lambda: SMCOperad(mult_01_monoid_smc(), "O_{(0,1)x}"),
 }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 
 class TreeError(ValueError):
@@ -55,20 +55,12 @@ class Tree:
         for e in edges:
             if e != root and e not in below:
                 raise TreeError(f"edge {e!r} is attached to no vertex below and is not the root")
-        # connectivity: walk upward from the root
-        seen: set[str] = set()
-        stack = [root]
-        while stack:
-            e = stack.pop()
-            seen.add(e)
-            v = above.get(e)
-            if v is not None:
-                stack.extend(v.inputs)
+        object.__setattr__(self, "_above", above)
+        seen = set(walk_up(self, [root])[0])
         if seen != edges:
             raise TreeError(f"disconnected edges: {sorted(edges - seen)}")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_above", above)
         object.__setattr__(self, "_below", below)
         object.__setattr__(self, "_edges", frozenset(edges))
         object.__setattr__(self, "_key", None)
@@ -419,7 +411,36 @@ def automorphisms(tree: Tree) -> list[dict[str, str]]:
     return isomorphisms(tree, tree)
 
 
-# -- subtrees ---------------------------------------------------------------
+# -- walking up -------------------------------------------------------------
+
+def walk_up(tree: Tree, starts: Iterable[str],
+            stop: Container[str] = ()) -> tuple[list[str], bool]:
+    """The edges reached going up from the start edges in planar pre-order,
+    without passing an edge of `stop` (it is reached, the edges above it
+    are not), and whether every branch ends in `stop` or at a vertex
+    without inputs."""
+    above = tree._above
+    reached: list[str] = []
+    capped = True
+    todo = list(starts)[::-1]
+    while todo:
+        e = todo.pop()
+        reached.append(e)
+        if e in stop:
+            continue
+        v = above.get(e)
+        if v is None:
+            capped = False
+        else:
+            todo.extend(v.inputs[::-1])
+    return reached, capped
+
+
+def branch(tree: Tree, edge: str) -> Tree:
+    """The subtree of everything above `edge`, rooted at it."""
+    above = tree._above
+    return Tree([above[e] for e in walk_up(tree, [edge])[0] if e in above], edge)
+
 
 def subtree_from_edges(ambient: Tree, edge_set: Iterable[str]) -> Tree:
     """The subtree of `ambient` with exactly the given edges.
@@ -433,53 +454,23 @@ def subtree_from_edges(ambient: Tree, edge_set: Iterable[str]) -> Tree:
     unknown = es - ambient.edges
     if unknown:
         raise TreeError(f"edges not in ambient tree: {sorted(unknown)}")
-    paths = {e: ambient.path_to_root(e) for e in es}
-    # root of the subtree: the element through which every other passes
-    roots = [e for e in es if all(e in paths[f] for f in es)]
+    vertices, uncapped = [], []
+    for e in sorted(es):
+        # the inputs of e: the edges of the set reached going up from e
+        v = ambient.vertex_above(e)
+        reached, capped = walk_up(ambient, v.inputs if v is not None else (), es)
+        inputs = tuple(f for f in reached if f in es)
+        if inputs:
+            vertices.append(Vertex(inputs, e))
+            if not capped:
+                uncapped.append(e)
+    roots = es.difference(*(v.inputs for v in vertices))
     if len(roots) != 1:
         raise TreeError(f"edge set has no unique root: {sorted(es)}")
-    root = roots[0]
-    strictly_above = {e: {f for f in es if f != e and e in paths[f][1:]} for e in es}
-    vertices = []
-    for e in sorted(es):
-        above = strictly_above[e]
-        frontier = {f for f in above if not any(g in paths[f][1:] for g in above if g != f)}
-        if not frontier:
-            continue
-        _check_region(ambient, e, frontier)
-        vertices.append(Vertex(tuple(sorted(frontier, key=_planar_order(ambient))), e))
-    return Tree(tuple(vertices), root)
-
-
-def _planar_order(ambient: Tree):
-    order: dict[str, int] = {}
-
-    def walk(e):
-        order[e] = len(order)
-        v = ambient.vertex_above(e)
-        if v is not None:
-            for i in v.inputs:
-                walk(i)
-
-    walk(ambient.root)
-    return order.__getitem__
-
-
-def _check_region(ambient: Tree, base: str, frontier: set[str]) -> None:
-    """Every maximal upward path from `base` must stop at the frontier."""
-
-    def covered(edge: str) -> bool:
-        if edge in frontier:
-            return True
-        v = ambient.vertex_above(edge)
-        if v is None:
-            return False
-        return all(covered(i) for i in v.inputs)
-
-    v = ambient.vertex_above(base)
-    if v is None or not all(covered(i) for i in v.inputs):
-        raise TreeError(
-            f"edges do not span a subtree: branch above {base!r} is not capped")
+    if uncapped:
+        raise TreeError(f"edges do not span a subtree: branch above "
+                        f"{uncapped[0]!r} is not capped")
+    return Tree(tuple(vertices), roots.pop())
 
 
 # -- stem, tree top, initial subtrees ---------------------------------------
@@ -503,9 +494,7 @@ def stem(tree: Tree) -> Tree:
 
 def tree_top(tree: Tree) -> Tree:
     """Maximal subtree with non-unary root; eta for linear trees."""
-    top_edge = stem_edges(tree)[0]
-    above = {e for e in tree.edges if top_edge in tree.path_to_root(e)}
-    return subtree_from_edges(tree, above)
+    return branch(tree, stem_edges(tree)[0])
 
 
 def initial_segments(tree: Tree) -> list[Tree]:

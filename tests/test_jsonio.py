@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendro.anodyne import AnodyneClass, certificate_class, verify_certificate
+from dendro.anodyne import (AnodyneClass, NestedStep, certificate_class,
+                            verify_certificate)
+from dendro.complexes import Complex
 from dendro.jsonio import (SchemaError, certificate_from_json,
                            certificate_to_json, dumps, kan_report_to_json,
                            load_operad, operad_from_json, operad_to_json,
@@ -15,7 +17,8 @@ from dendro.jsonio import (SchemaError, certificate_from_json,
 from dendro.kan import kan_report, tree_shapes
 from dendro.lemmas import binary_tensor_certificate, root_horn_certificate
 from dendro.operads import CORPUS, table_operad_from, validate_operad
-from dendro.trees import Tree, Vertex, c2, corolla, extended_corolla, graft
+from dendro.trees import (Tree, Vertex, c2, corolla, extended_corolla, graft,
+                          has_root_horn)
 
 SHAPES = tree_shapes(3)
 
@@ -173,6 +176,36 @@ def test_retract_certificate_roundtrip():
     assert back == cert
     assert verify_certificate(back).valid
     assert certificate_class(back) <= AnodyneClass.EXTENDED_LEFT
+
+
+def _filtration_nodes(cert) -> int:
+    if cert.kind == "retract":
+        return _filtration_nodes(cert.sub)
+    return 1 + sum(_filtration_nodes(s.certificate) for s in cert.steps
+                   if isinstance(s, NestedStep))
+
+
+def test_certificate_json_builds_one_complex_per_node(monkeypatch):
+    """Each node's class is found once, so writing a certificate builds at
+    most one ambient per filtration node, however deeply they nest."""
+    built = []
+    init = Complex.__init__
+
+    def counting_init(self, generators):
+        built.append(1)
+        init(self, generators)
+
+    monkeypatch.setattr(Complex, "__init__", counting_init)
+    deepest = 0
+    for tree in SHAPES:
+        if len(tree.vertices) < 2 or not has_root_horn(tree):
+            continue
+        cert = root_horn_certificate(tree)
+        built.clear()
+        certificate_to_json(cert)
+        assert len(built) <= _filtration_nodes(cert), tree
+        deepest = max(deepest, _filtration_nodes(cert))
+    assert deepest >= 3
 
 
 def test_certificate_schema_bad_omit_kind():

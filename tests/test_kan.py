@@ -149,7 +149,7 @@ def _brute_force_horn_maps(p, h):
         except ValueError:
             return None
 
-    lists = [[(d, clo) for d in dendrices_with_colours(p, g.subtree, {})
+    lists = [[(d, clo) for d in dendrices_with_colours(p, g.subtree)
               if (clo := closure(d)) is not None] for g in kept]
     out = []
     for combo in itertools.product(*lists):

@@ -192,19 +192,32 @@ def test_dendrices_match_brute_force(name):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_fixed_colouring_filters_the_enumeration(name):
-    """Fixing one edge's colour yields the unconstrained enumeration, which
-    `dendrices` sorts, filtered by that colour in the same relative order.
-    Every output is a valid dendrex: the enumerator builds them unchecked."""
+def test_candidate_groups_keep_the_backtracking_order(name):
+    """A node's ids list `dendrices_with_colours` in its order, and each group
+    of `CompiledShape.candidates` lists the ids with that colouring of the
+    fixed edges in that order, the witness order of the Kan-report JSON
+    (tried for every set of at most two fixed edges).  Every output is a
+    valid dendrex: the enumerator builds them unchecked.  Shapes as in the
+    brute-force test above."""
     p = CORPUS[name]()
-    for shape in _SHAPES:
-        every = dendrices_with_colours(p, shape, {})
-        for d in every:
-            check_dendrex(p, d)
-        for e in sorted(shape.edges):
-            for c in p.colours:
-                got = dendrices_with_colours(p, shape, {e: c})
-                assert got == [d for d in every if d.edge_colours[e] == c], (shape, e, c)
+    for tree in _SHAPES:
+        if len(p.colours) > 3 and len(tree.vertices) > 2:
+            continue
+        shape = CompiledShape(p, tree)
+        for node in shape.nodes:
+            every = dendrices_with_colours(p, node.shape)
+            for d in every:
+                check_dendrex(p, d)
+            ids = shape.dendrices(node)
+            assert [shape.dendrex(i) for i in ids] == every, node.shape
+            for size in range(min(2, len(node.edges)) + 1):
+                for fixed in itertools.combinations(node.edges, size):
+                    at = [node.edges.index(e) for e in fixed]
+                    want: dict[tuple, list[int]] = {}
+                    for i in ids:
+                        want.setdefault(tuple(shape.values[i][0][k] for k in at),
+                                        []).append(i)
+                    assert shape.candidates(node, fixed) == want, (node.shape, fixed)
 
 
 # -- compiled shapes against the reference -----------------------------------

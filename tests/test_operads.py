@@ -7,7 +7,7 @@ import pytest
 from dendro.operads import (CORPUS, FiniteSMC, TableOperad, b_z2_smc,
                             cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
-                            operad_from_smc, picard_check, table_operad_from,
+                            picard_check, table_operad_from,
                             validate_operad, validate_smc)
 
 ALL_SMCS = {

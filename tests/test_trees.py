@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dendro.complexes import Complex
 from dendro.kan import tree_shapes
 from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
                           Tree, TreeError, Vertex, automorphisms,
@@ -321,6 +322,52 @@ def test_subtree_from_edges_rejects_unknown_and_empty():
         subtree_from_edges(c2(), {"zz"})
     with pytest.raises(TreeError):
         subtree_from_edges(c2(), set())
+
+
+def _planar_positions(tree):
+    """Edge -> position in the planar pre-order from the root."""
+    order, todo = {}, [tree.root]
+    while todo:
+        e = todo.pop()
+        order[e] = len(order)
+        v = tree.vertex_above(e)
+        if v is not None:
+            todo.extend(reversed(v.inputs))
+    return order
+
+
+def test_subtree_from_edges_is_the_cell_tree_in_planar_order():
+    for tree in SHAPES4:
+        position = _planar_positions(tree)
+        for cell, want in Complex([tree]).cells.items():
+            got = subtree_from_edges(tree, cell)
+            assert got == want, (tree, sorted(cell))
+            for v in got.vertices:
+                assert sorted(v.inputs, key=position.get) == list(v.inputs), got
+
+
+def test_subtree_from_edges_rejects_every_non_cell():
+    for tree in tree_shapes(3):
+        cells = Complex([tree]).cells
+        edges = sorted(tree.edges)
+        for size in range(len(edges) + 1):
+            for es in itertools.combinations(edges, size):
+                if frozenset(es) not in cells:
+                    with pytest.raises(TreeError):
+                        subtree_from_edges(tree, es)
+
+
+def test_deep_trees_need_no_recursion():
+    n = 1200
+    chain = linear(n)
+    assert subtree_from_edges(chain, chain.edges) == chain
+    assert subtree_from_edges(chain, map(str, range(601))) == linear(600)
+    upper = [Vertex((f"u{i}",), f"u{i + 1}") for i in range(n)]
+    upper.append(Vertex((f"u{n}", "b"), "m0"))
+    lower = [Vertex((f"m{i}",), f"m{i + 1}") for i in range(n)]
+    t = Tree(upper + lower, f"m{n}")
+    assert tree_top(t) == Tree(upper, "m0")
+    assert graft(stem(t), "m0", tree_top(t)) == t
 
 
 def test_stem_and_top_of_linear_tree():
