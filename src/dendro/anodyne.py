@@ -84,6 +84,9 @@ class NestedStep:
     certificate: "Certificate"
 
 
+_UNSET = object()
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A certified anodyne inclusion start -> target inside an ambient
@@ -102,9 +105,23 @@ class Certificate:
     sub: "Certificate | None" = None
     section: tuple[tuple[str, str], ...] = ()
     retraction: tuple[tuple[str, str], ...] = ()
+    # The node's ambient and class, found once and kept while it lives.
+    _complex: Complex | None = field(default=None, init=False, compare=False,
+                                     repr=False)
+    _class: object = field(default=_UNSET, init=False, compare=False, repr=False)
 
     def ambient(self) -> Complex:
-        return Complex(self.ambient_generators)
+        if self._complex is None:
+            object.__setattr__(self, "_complex", Complex(self.ambient_generators))
+        return self._complex
+
+
+def _filtration(amb: Complex, start, target, steps) -> Certificate:
+    """A filtration certificate over `amb`, which it keeps as its ambient."""
+    cert = Certificate(ambient_generators=amb.generators, start=start,
+                       target=target, kind="filtration", steps=steps)
+    object.__setattr__(cert, "_complex", amb)
+    return cert
 
 
 @dataclass
@@ -339,19 +356,14 @@ def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
     return out
 
 
-def certificate_class(cert: Certificate,
-                      known: dict[int, AnodyneClass | None] | None = None
-                      ) -> AnodyneClass | None:
+def certificate_class(cert: Certificate) -> AnodyneClass | None:
     """The largest generator class claimed by the certificate's steps,
-    without replaying them; None for an empty filtration.  A caller asking
-    for the class of every node passes one dict `known` to all its calls:
-    it keeps each node's class by `id`, so each ambient is built once."""
-    if known is None:
-        known = {}
-    if id(cert) in known:
-        return known[id(cert)]
+    without replaying them; None for an empty filtration.  Each node keeps
+    its class, so asking again, or for an enclosing node, rebuilds nothing."""
+    if cert._class is not _UNSET:
+        return cert._class
     if cert.kind == "retract":
-        cls = certificate_class(cert.sub, known) if cert.sub is not None else None
+        cls = certificate_class(cert.sub) if cert.sub is not None else None
     else:
         amb = cert.ambient()
         classes: list[AnodyneClass] = []
@@ -359,11 +371,11 @@ def certificate_class(cert: Certificate,
             if isinstance(step, HornStep):
                 classes.append(generator_class(amb.tree_of(step.cell), step.omitted))
             elif isinstance(step, NestedStep):
-                sub = certificate_class(step.certificate, known)
+                sub = certificate_class(step.certificate)
                 if sub is not None:
                     classes.append(sub)
         cls = max(classes) if classes else None
-    known[id(cert)] = cls
+    object.__setattr__(cert, "_class", cls)
     return cls
 
 
@@ -411,9 +423,8 @@ def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
         target = tuple(sorted(amb.cells_of(current), key=sorted))
     else:
         target = tuple(frozenset(c) for c in target_cells)
-    return Certificate(ambient_generators=amb.generators,
-                       start=tuple(frozenset(c) for c in start_cells),
-                       target=target, kind="filtration", steps=tuple(steps))
+    return _filtration(amb, tuple(frozenset(c) for c in start_cells), target,
+                       tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +481,6 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
     ok = dfs(start_mask, steps)
     if not ok:
         return SearchResult(None, examined, out_of_budget)
-    cert = Certificate(
-        ambient_generators=amb.generators,
-        start=tuple(sorted(start.cells, key=sorted)),
-        target=tuple(sorted(target.cells, key=sorted)),
-        kind="filtration", steps=tuple(steps))
+    cert = _filtration(amb, tuple(sorted(start.cells, key=sorted)),
+                       tuple(sorted(target.cells, key=sorted)), tuple(steps))
     return SearchResult(cert, examined, out_of_budget)

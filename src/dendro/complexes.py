@@ -58,6 +58,12 @@ class Complex:
             raise ValueError("a complex needs at least one generator")
         found: dict[Cell, Tree] = {}
         for g in self.generators:
+            # removing a vertex without inputs keeps the edge set, and cells
+            # are keyed by edge set
+            stumps = [v.output for v in g.vertices if not v.inputs]
+            if stumps:
+                raise ValueError(f"vertex {stumps[0]!r} has no inputs; complexes "
+                                 f"of trees with such vertices are not supported")
             for es, t in closure_cells(g).items():
                 prev = found.get(es)
                 if prev is not None and prev != t:

@@ -47,6 +47,12 @@ def _field(data: dict, key: str, typ, path: str):
     return _as(data[key], typ, f"{path}.{key}")
 
 
+def _known(name: str, names, what: str, path: str) -> str:
+    if name not in names:
+        raise SchemaError(path, f"unknown {what} {name!r}")
+    return name
+
+
 def _string_list(value, path: str) -> list[str]:
     _as(value, list, path)
     return [_as(x, str, f"{path}[{i}]") for i, x in enumerate(value)]
@@ -127,23 +133,16 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
             raise SchemaError(f"{op_path}.name", f"duplicate operation name {nm!r}")
         inputs = _string_list(_field(op, "inputs", list, op_path), f"{op_path}.inputs")
         output = _field(op, "output", str, op_path)
-        for j, c in enumerate(inputs + [output]):
-            if c not in colours:
-                raise SchemaError(op_path, f"unknown colour {c!r}")
+        for c in inputs + [output]:
+            _known(c, colours, "colour", op_path)
         profiles[nm] = (tuple(inputs), output)
-
-    def known(nm, p):
-        if nm not in profiles:
-            raise SchemaError(p, f"unknown operation {nm!r}")
-        return nm
-
+    op = (profiles, "operation")
     identities = {}
     ids = _field(data, "identities", dict, path)
     for c, nm in sorted(ids.items()):
         ip = f"{path}.identities.{c}"
-        if c not in colours:
-            raise SchemaError(ip, f"unknown colour {c!r}")
-        identities[c] = known(_as(nm, str, ip), ip)
+        _known(c, colours, "colour", ip)
+        identities[c] = _known(_as(nm, str, ip), *op, ip)
     missing = [c for c in colours if c not in identities]
     if missing:
         raise SchemaError(f"{path}.identities", f"no identity for colours {missing}")
@@ -151,9 +150,9 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
     for i, row in enumerate(_field(data, "composition", list, path)):
         rp = f"{path}.composition[{i}]"
         _as(row, dict, rp)
-        f = known(_field(row, "f", str, rp), f"{rp}.f")
-        g = known(_field(row, "g", str, rp), f"{rp}.g")
-        h = known(_field(row, "result", str, rp), f"{rp}.result")
+        f = _known(_field(row, "f", str, rp), *op, f"{rp}.f")
+        g = _known(_field(row, "g", str, rp), *op, f"{rp}.g")
+        h = _known(_field(row, "result", str, rp), *op, f"{rp}.result")
         pos = _field(row, "i", int, rp)
         if not 0 <= pos < len(profiles[f][0]):
             raise SchemaError(f"{rp}.i", f"input index {pos} out of range for {f!r}")
@@ -162,8 +161,8 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
     for i, row in enumerate(_field(data, "symmetry", list, path)):
         rp = f"{path}.symmetry[{i}]"
         _as(row, dict, rp)
-        f = known(_field(row, "f", str, rp), f"{rp}.f")
-        g = known(_field(row, "result", str, rp), f"{rp}.result")
+        f = _known(_field(row, "f", str, rp), *op, f"{rp}.f")
+        g = _known(_field(row, "result", str, rp), *op, f"{rp}.result")
         sigma = _field(row, "sigma", list, rp)
         sigma = tuple(_as(x, int, f"{rp}.sigma[{j}]") for j, x in enumerate(sigma))
         if sorted(sigma) != list(range(len(profiles[f][0]))):
@@ -205,40 +204,33 @@ def smc_from_json(data, path: str = "$") -> FiniteSMC:
             raise SchemaError(f"{mp}.name", f"duplicate morphism name {nm!r}")
         dom, cod = _field(m, "dom", str, mp), _field(m, "cod", str, mp)
         for o in (dom, cod):
-            if o not in objects:
-                raise SchemaError(mp, f"unknown object {o!r}")
+            _known(o, objects, "object", mp)
         profile[nm] = (dom, cod)
-
-    def mor(nm, p):
-        if nm not in profile:
-            raise SchemaError(p, f"unknown morphism {nm!r}")
-        return nm
-
-    def obj(o, p):
-        if o not in objects:
-            raise SchemaError(p, f"unknown object {o!r}")
-        return o
+    mor, obj = (profile, "morphism"), (objects, "object")
 
     def table(name, k1, k2, key, result):
-        """Rows {k1, k2, "result"} as a dict (k1, k2) -> result; each row's
-        result is checked before its keys."""
+        """Rows {k1, k2, "result"} as a dict (k1, k2) -> result, keys and
+        result known as `key` and `result` say; each row's result is checked
+        before its keys."""
         out = {}
         for i, row in enumerate(_field(data, name, list, path)):
             rp = f"{path}.{name}[{i}]"
             _as(row, dict, rp)
-            out[(key(_field(row, k1, str, rp), f"{rp}.{k1}"),
-                 key(_field(row, k2, str, rp), f"{rp}.{k2}"))] = \
-                result(_field(row, "result", str, rp), f"{rp}.result")
+            out[(_known(_field(row, k1, str, rp), *key, f"{rp}.{k1}"),
+                 _known(_field(row, k2, str, rp), *key, f"{rp}.{k2}"))] = \
+                _known(_field(row, "result", str, rp), *result, f"{rp}.result")
         return out
 
-    identities = {obj(o, f"{path}.identities.{o}"): mor(_as(m, str, f"{path}.identities.{o}"), f"{path}.identities.{o}")
-                  for o, m in sorted(_field(data, "identities", dict, path).items())}
+    identities = {}
+    for o, m in sorted(_field(data, "identities", dict, path).items()):
+        ip = f"{path}.identities.{o}"
+        _known(o, *obj, ip)
+        identities[o] = _known(_as(m, str, ip), *mor, ip)
     compose = table("compose", "g", "f", mor, mor)
     t_obj = table("tensor_objects", "a", "b", obj, obj)
     t_mor = table("tensor_morphisms", "f", "g", mor, mor)
     braid = table("braiding", "a", "b", obj, mor)
-    if unit not in objects:
-        raise SchemaError(f"{path}.unit", f"unknown object {unit!r}")
+    _known(unit, objects, "object", f"{path}.unit")
     return FiniteSMC(objects=tuple(objects), unit=unit, profile=profile,
                      compose=compose, identities=identities, tensor_obj=t_obj,
                      tensor_mor=t_mor, braiding=braid)
@@ -268,19 +260,14 @@ def load_operad(data, path: str = "$") -> FiniteOperad:
 # ---------------------------------------------------------------------------
 
 def certificate_to_json(cert: Certificate) -> dict:
-    return _certificate_json(cert, {})
-
-
-def _certificate_json(cert: Certificate, known: dict) -> dict:
-    """`certificate_to_json` with the node classes known so far."""
-    cls = certificate_class(cert, known)
+    cls = certificate_class(cert)
     out = {"ambient": [tree_to_json(g) for g in cert.ambient_generators],
            "start": [sorted(c) for c in cert.start],
            "target": [sorted(c) for c in cert.target],
            "class": class_phrase(cls) if cls is not None else None}
     if cert.kind == "retract":
         out["steps"] = [{"type": "retract",
-                         "sub": _certificate_json(cert.sub, known),
+                         "sub": certificate_to_json(cert.sub),
                          "section": [list(p) for p in cert.section],
                          "retraction": [list(p) for p in cert.retraction]}]
         return out
@@ -292,7 +279,7 @@ def _certificate_json(cert: Certificate, known: dict) -> dict:
                                          "omit": list(step.omitted)}]})
         else:
             steps.append({"type": "nested", "cell": sorted(step.cell),
-                          "certificate": _certificate_json(step.certificate, known)})
+                          "certificate": certificate_to_json(step.certificate)})
     out["steps"] = steps
     return out
 

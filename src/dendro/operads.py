@@ -270,10 +270,6 @@ class SMCOperad(FiniteOperad):
         self.name = name
         self.colours = tuple(smc.objects)
         self._perm_iso = lru_cache(maxsize=None)(smc.permutation_iso)
-        self._homs: dict[tuple[str, str], tuple[str, ...]] = {}
-        for m, (d, c) in sorted(smc.profile.items()):
-            self._homs.setdefault((d, c), ())
-            self._homs[(d, c)] += (m,)
         self.operations = lru_cache(maxsize=None)(self._operations)
         self.compose = lru_cache(maxsize=None)(self._compose)
         self.permute = lru_cache(maxsize=None)(self._permute)
@@ -281,8 +277,7 @@ class SMCOperad(FiniteOperad):
     def _operations(self, inputs, output):
         inputs = tuple(inputs)
         dom = self.smc.tensor_objects(inputs)
-        return tuple((inputs, output, m)
-                     for m in self._homs.get((dom, output), ()))
+        return tuple((inputs, output, m) for m in self.smc.homs(dom, output))
 
     def op_profile(self, op):
         return (op[0], op[1])

@@ -250,15 +250,6 @@ def _inner_face(tree: Tree, e: str) -> Tree:
     return Tree(vs, tree.root)
 
 
-def _top_face(tree: Tree, v: Vertex) -> Tree:
-    return Tree(tuple(w for w in tree.vertices if w != v), tree.root)
-
-
-def _root_face(tree: Tree, v: Vertex) -> Tree:
-    new_root = next(e for e in v.inputs if tree.vertex_above(e) is not None)
-    return Tree(tuple(w for w in tree.vertices if w != v), new_root)
-
-
 # Module-wide, not a Tree slot: equal trees rebuilt in one process share faces.
 _FACES_CACHE: dict[Tree, list[FaceDescriptor]] = {}
 
@@ -285,10 +276,13 @@ def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
         attached = [e for e in v.inputs + (v.output,) if e in tree.inner_edges]
         if len(attached) != 1:
             continue
+        # an outer vertex: the root vertex on one inner input, or a vertex
+        # whose inputs are all leaves
+        rest = tuple(w for w in tree.vertices if w != v)
         if v.output == tree.root:
-            out.append(FaceDescriptor(ROOT_FACE, v.output, _root_face(tree, v)))
-        elif all(tree.vertex_above(e) is None for e in v.inputs):
-            out.append(FaceDescriptor(TOP_FACE, v.output, _top_face(tree, v)))
+            out.append(FaceDescriptor(ROOT_FACE, v.output, Tree(rest, attached[0])))
+        else:
+            out.append(FaceDescriptor(TOP_FACE, v.output, Tree(rest, tree.root)))
     return out
 
 
@@ -473,7 +467,7 @@ def subtree_from_edges(ambient: Tree, edge_set: Iterable[str]) -> Tree:
     return Tree(tuple(vertices), roots.pop())
 
 
-# -- stem, tree top, initial subtrees ---------------------------------------
+# -- stem, tree top, initial segments ---------------------------------------
 
 def stem_edges(tree: Tree) -> list[str]:
     """The maximal linear initial segment, listed top edge first, root last."""
@@ -506,30 +500,9 @@ def initial_segments(tree: Tree) -> list[Tree]:
         t = frontier.pop()
         if not t.vertices:
             continue
-        if len(t.vertices) == 1:
-            chop = eta(t.root)
-            if chop.edges not in seen:
-                seen[chop.edges] = chop
-            continue
-        for v in t.vertices:
-            if all(t.vertex_above(e) is None for e in v.inputs) and v.output != t.root:
-                chopped = _top_face(t, v)
-                if chopped.edges not in seen:
-                    seen[chopped.edges] = chopped
-                    frontier.append(chopped)
+        for f in faces(t):
+            if (f.kind == TOP_FACE or f.kind == COROLLA_FACE and f.label == t.root) \
+                    and f.subtree.edges not in seen:
+                seen[f.subtree.edges] = f.subtree
+                frontier.append(f.subtree)
     return sorted(seen.values(), key=lambda t: (len(t.edges), sorted(t.edges)))
-
-
-def initial_subtrees(tree: Tree, codim: int) -> list[Tree]:
-    """Initial segments followed by exactly `codim` inner face contractions."""
-    if codim < 0:
-        raise TreeError("codim must be >= 0")
-    current = {t.edges: t for t in initial_segments(tree)}
-    for _ in range(codim):
-        nxt: dict[frozenset, Tree] = {}
-        for t in current.values():
-            for e in t.inner_edges:
-                ft = _inner_face(t, e)
-                nxt.setdefault(ft.edges, ft)
-        current = nxt
-    return sorted(current.values(), key=lambda t: (len(t.edges), sorted(t.edges)))

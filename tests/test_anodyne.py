@@ -131,6 +131,35 @@ def test_verify_rejects_malformed_start():
     assert "malformed" in str(rep.violations[0])
 
 
+def test_verify_reports_vertex_without_inputs_as_malformed():
+    stump = Tree([Vertex(("a", "b"), "r"), Vertex((), "b")], "r")
+    cert = Certificate(ambient_generators=(stump,),
+                       start=(frozenset({"a"}),), target=(stump.edges,))
+    rep = verify_certificate(cert)
+    assert [str(v) for v in rep.violations] == [
+        "step certificate: malformed certificate: vertex 'b' has no inputs; "
+        "complexes of trees with such vertices are not supported"]
+
+
+def test_replace_finds_its_own_class_and_ambient():
+    """A node keeps the ambient its builder handed over and the class it
+    found; `dataclasses.replace` makes a node that finds its own."""
+    amb = representable(c2())
+    cert = build_filtration(amb, [{"a"}, {"c"}], [c2().edges])
+    assert cert.ambient() is amb
+    assert certificate_class(cert) is AnodyneClass.BINARY_EXTENDED_LEFT
+    leaf = dataclasses.replace(cert, steps=(HornStep(c2().edges, ("colour", "c")),))
+    assert certificate_class(leaf) is AnodyneClass.LEFT
+    assert certificate_class(cert) is AnodyneClass.BINARY_EXTENDED_LEFT
+    other = c2("x", "y", "z")
+    moved = dataclasses.replace(cert, ambient_generators=(other,))
+    assert moved.ambient() is not amb
+    assert moved.ambient().generators == (other,)
+    assert moved.ambient() is moved.ambient()
+    assert dataclasses.replace(cert) == cert
+    assert repr(dataclasses.replace(cert)) == repr(cert)
+
+
 def test_verify_detects_bad_nested_ambient():
     amb = representable(c2())
     inner = build_filtration(representable(corolla(1, leaves=("x",), root="y")),

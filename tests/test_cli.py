@@ -263,6 +263,27 @@ def test_smallest_in_range_parameters_accepted(capsys, tmp_path, c2_file):
     assert main(["shuffle", "list", "--tree", c2_file, "--n", "0"]) == 0
 
 
+# -- trees a complex cannot hold ---------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "verify", "--id", "8.3", "--v", "r"],
+    ["lemma", "verify", "--id", "8.5"],
+    ["anodyne", "search", "--omit", "colour:a"],
+], ids=["lemma-8.3", "lemma-8.5", "anodyne-search"])
+def test_vertex_without_inputs_is_input_error(capsys, tmp_path, argv):
+    """A complex rejects a generator with a vertex without inputs, so these
+    commands end as exit 2 with one stderr line instead of a traceback."""
+    path = tmp_path / "stump.json"
+    stump = Tree([Vertex(("a", "b"), "r"), Vertex((), "b")], "r")
+    path.write_text(dumps(tree_to_json(stump)))
+    assert main(argv + ["--tree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: vertex ")
+    assert "has no inputs" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 # -- inputs too deep for the recursive algorithms ------------------------------
 
 def test_deep_tree_is_input_error_not_traceback(capsys, tmp_path):

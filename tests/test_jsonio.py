@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dendro import anodyne
 from dendro.anodyne import (AnodyneClass, NestedStep, certificate_class,
                             verify_certificate)
 from dendro.complexes import Complex
@@ -178,34 +179,54 @@ def test_retract_certificate_roundtrip():
     assert certificate_class(back) <= AnodyneClass.EXTENDED_LEFT
 
 
-def _filtration_nodes(cert) -> int:
+def _node_counts(cert) -> tuple[int, int]:
+    """(filtration and retract nodes, horn steps) of a certificate."""
     if cert.kind == "retract":
-        return _filtration_nodes(cert.sub)
-    return 1 + sum(_filtration_nodes(s.certificate) for s in cert.steps
-                   if isinstance(s, NestedStep))
+        nodes, horns = _node_counts(cert.sub)
+        return nodes + 1, horns
+    nodes, horns = 1, 0
+    for s in cert.steps:
+        if isinstance(s, NestedStep):
+            sub_nodes, sub_horns = _node_counts(s.certificate)
+            nodes, horns = nodes + sub_nodes, horns + sub_horns
+        else:
+            horns += 1
+    return nodes, horns
 
 
 def test_certificate_json_builds_one_complex_per_node(monkeypatch):
-    """Each node's class is found once, so writing a certificate builds at
-    most one ambient per filtration node, however deeply they nest."""
-    built = []
+    """Builders hand their ambient to the certificate and each node keeps
+    its class, so building, verifying and writing a certificate builds at
+    most one ambient per node, however deeply they nest, and writing it
+    finds the class of each horn step once."""
+    built, classified = [], []
     init = Complex.__init__
+    classify = anodyne.generator_class
 
     def counting_init(self, generators):
         built.append(1)
         init(self, generators)
 
+    def counting_class(tree, omitted_key):
+        classified.append(1)
+        return classify(tree, omitted_key)
+
     monkeypatch.setattr(Complex, "__init__", counting_init)
-    deepest = 0
+    monkeypatch.setattr(anodyne, "generator_class", counting_class)
+    largest = 0
     for tree in SHAPES:
         if len(tree.vertices) < 2 or not has_root_horn(tree):
             continue
-        cert = root_horn_certificate(tree)
         built.clear()
+        cert = root_horn_certificate(tree)
+        assert verify_certificate(cert).valid
+        classified.clear()
         certificate_to_json(cert)
-        assert len(built) <= _filtration_nodes(cert), tree
-        deepest = max(deepest, _filtration_nodes(cert))
-    assert deepest >= 3
+        nodes, horns = _node_counts(cert)
+        assert len(built) <= nodes, tree
+        assert len(classified) <= horns, tree
+        largest = max(largest, nodes)
+    assert largest >= 4
 
 
 def test_certificate_schema_bad_omit_kind():

@@ -11,8 +11,8 @@ from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
                           Tree, TreeError, Vertex, automorphisms,
                           build_standard, c2, classify_edges, classify_horn,
                           corolla, eta, extended_corolla, face, faces, graft,
-                          has_root_horn, horn, initial_segments,
-                          initial_subtrees, isomorphic, isomorphisms, linear,
+                          has_root_horn, horn, initial_segments, isomorphic,
+                          isomorphisms, linear,
                           stem, stem_edges, subtree_from_edges, tree_top)
 
 SHAPES4 = tree_shapes(4)
@@ -389,20 +389,13 @@ def test_initial_segments_of_corolla():
                                        frozenset({"l_1", "l_2", "r"})}
 
 
-def test_initial_subtrees_codim_zero_matches_segments():
-    t = extended_corolla(1, 1)
-    assert initial_subtrees(t, 0) == initial_segments(t)
-
-
-def test_initial_subtrees_codim_one():
-    t = extended_corolla(1, 1)    # chain a_0,a_1 over binary (a_1,b_1)->c
-    subs = initial_subtrees(t, 1)
-    assert frozenset({"a_0", "b_1", "c"}) in {s.edges for s in subs}
-
-
-def test_initial_subtrees_negative_codim():
-    with pytest.raises(TreeError):
-        initial_subtrees(c2(), -1)
+def test_initial_segments_are_the_cells_at_the_root_of_its_own_vertices():
+    """Chopping top faces reaches exactly the cells with the tree's root
+    whose vertices are vertices of the tree, in cell order."""
+    for t in SHAPES4 + [eta()]:
+        expected = [c for c in Complex([t]).cell_trees
+                    if c.root == t.root and set(c.vertices) <= set(t.vertices)]
+        assert initial_segments(t) == expected, t
 
 
 def test_path_to_root():
