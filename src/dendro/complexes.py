@@ -43,6 +43,15 @@ def _cell_key(cell: Cell):
     return (len(cell), sorted(cell))
 
 
+def reject_stumps(tree: Tree) -> None:
+    """Raise ValueError if the tree has a vertex without inputs: removing it
+    keeps the edge set, and cells are keyed by edge set."""
+    stumps = [v.output for v in tree.vertices if not v.inputs]
+    if stumps:
+        raise ValueError(f"vertex {stumps[0]!r} has no inputs; complexes "
+                         f"of trees with such vertices are not supported")
+
+
 class Complex:
     """The union of the closures of a finite family of generator trees.
 
@@ -58,12 +67,7 @@ class Complex:
             raise ValueError("a complex needs at least one generator")
         found: dict[Cell, Tree] = {}
         for g in self.generators:
-            # removing a vertex without inputs keeps the edge set, and cells
-            # are keyed by edge set
-            stumps = [v.output for v in g.vertices if not v.inputs]
-            if stumps:
-                raise ValueError(f"vertex {stumps[0]!r} has no inputs; complexes "
-                                 f"of trees with such vertices are not supported")
+            reject_stumps(g)
             for es, t in closure_cells(g).items():
                 prev = found.get(es)
                 if prev is not None and prev != t:

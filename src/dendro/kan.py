@@ -5,9 +5,10 @@ one; a filler is a dendrex of the whole tree restricting to the family.
 `kan_report` runs the exhaustive check over all tree shapes up to a vertex
 bound (and an arity cap, without which the shape family is infinite).
 
-Each tree shape is compiled once per report (`nerves.CompiledShape`): its
-dendrices and those of its iterated faces become ints, with memoised
-restrictions and closures.  The iterated faces are the cells of
+Each tree shape is compiled once per report (`nerves.CompiledShape`): the
+`nerves.labellings` of the tree and of its iterated faces become ints, with
+memoised restrictions and closures, each closure joined from its faces'
+by a plan compiled per iterated face.  The iterated faces are the cells of
 `Complex([tree])` and a slot is a cell index, so nothing here numbers them
 a second time.  One enumerator, `_horn_maps`, backtracks over those ints;
 `kan_report` counts fillers by tuples of ids and builds `HornMap` objects

@@ -21,7 +21,8 @@ from typing import Iterable
 
 from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
                       generator_class)
-from .complexes import Cell, Complex, _cell_key, closure_cells, representable
+from .complexes import (Cell, Complex, _cell_key, closure_cells, reject_stumps,
+                         representable)
 from .shuffles import filtration_base
 from .trees import (ROOT_FACE, Tree, TreeError, Vertex, branch, faces,
                     has_root_horn, initial_segments, is_extended_corolla,
@@ -263,6 +264,7 @@ def root_horn_certificate(tree: Tree,
     horn inclusion is certified as a retract through the tree with one
     extra stem edge.
     """
+    reject_stumps(tree)
     if len(tree.vertices) == 1:
         if omitted is None or omitted[0] != "colour" or omitted[1] == tree.root:
             raise TreeError("a corolla root horn omits a leaf colour")

@@ -3,7 +3,8 @@
 A dendrex of shape T is a colouring of the edges of T together with an
 operation for each vertex whose profile matches the colours of its attached
 edges.  Faces compose or restrict; degeneracies insert identity-labelled
-unary vertices.
+unary vertices.  `labellings` is the one dendrex enumerator: `Dendrex`
+objects wrap its tuples, and `CompiledShape` interns them as they are.
 """
 
 from __future__ import annotations
@@ -73,33 +74,63 @@ def check_dendrex(p: FiniteOperad, d: Dendrex) -> None:
                              f"{p.op_profile(op)}, expected {want}")
 
 
-def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
-    """All dendrices of the shape, by backtracking over the vertices in
-    order of their output edges."""
+def tuple_getter(positions):
+    """The function taking a sequence or mapping to the tuple of its items at
+    `positions` (`itemgetter` returns a bare item for a single position)."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda s: (s[i],)
+    return itemgetter(*positions) if positions else (lambda s: ())
+
+
+def labellings(p: FiniteOperad, shape: Tree) -> list[tuple[tuple, tuple]]:
+    """Every dendrex of the shape as a pair (colours by sorted edge,
+    operations by sorted vertex output), in the order of backtracking over
+    the vertices by output edge: at each, the colours of its edges not
+    coloured yet in `itertools.product` order, then `p.operations`.  All
+    partial labellings (tuples of the values chosen, at positions fixed by
+    the shape) grow one vertex at a time, which keeps that order without
+    recursing; a vertex's extensions are listed once per colouring of its
+    edges coloured before it."""
     if not shape.vertices:
-        return [Dendrex._unchecked(shape, {shape.root: c}, {}) for c in p.colours]
-    out: list[Dendrex] = []
-    order = sorted(shape.vertices, key=lambda v: v.output)
-    colours: dict[str, str] = {}
-    ops: dict = {}
+        return [((c,), ()) for c in p.colours]
+    at: dict[str, int] = {}        # edge -> position of its colour
+    op_at: dict[str, int] = {}     # vertex output -> position of its operation
+    levels = []
+    for v in sorted(shape.vertices, key=lambda v: v.output):
+        edges = v.inputs + (v.output,)
+        fixed = tuple_getter([at[e] for e in edges if e in at])
+        free = [e for e in edges if e not in at]
+        start = len(at) + len(op_at)
+        at.update((e, start + n) for n, e in enumerate(free))
+        op_at[v.output] = start + len(free)
+        levels.append((fixed, list(itertools.product(p.colours, repeat=len(free))),
+                       tuple_getter([at[e] for e in v.inputs]), at[v.output]))
+    partial: list[tuple] = [()]
+    for fixed, combos, ins, out in levels:
+        grown: list[tuple] = []
+        extensions: dict[tuple, list[tuple]] = {}    # fixed colours -> extensions
+        for t in partial:
+            key = fixed(t)
+            ext = extensions.get(key)
+            if ext is None:
+                ext = extensions[key] = []
+                for combo in combos:
+                    s = t + combo
+                    ext.extend([combo + (op,) for op in p.operations(ins(s), s[out])])
+            grown.extend([t + e for e in ext])
+        partial = grown
+    colours = tuple_getter([at[e] for e in sorted(shape.edges)])
+    ops = tuple_getter([op_at[o] for o in sorted(op_at)])
+    return [(colours(t), ops(t)) for t in partial]
 
-    def extend(i: int):
-        if i == len(order):
-            out.append(Dendrex._unchecked(shape, dict(colours), dict(ops)))
-            return
-        v = order[i]
-        free = [e for e in v.inputs + (v.output,) if e not in colours]
-        for combo in itertools.product(p.colours, repeat=len(free)):
-            colours.update(zip(free, combo))
-            for op in p.operations(tuple([colours[e] for e in v.inputs]), colours[v.output]):
-                ops[v.output] = op
-                extend(i + 1)
-        for e in free:
-            colours.pop(e, None)
-        ops.pop(v.output, None)
 
-    extend(0)
-    return out
+def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
+    """All dendrices of the shape, as `Dendrex` objects in `labellings`
+    order."""
+    edges, outs = sorted(shape.edges), sorted(shape._vertex_outs)
+    return [Dendrex._unchecked(shape, dict(zip(edges, cols)), dict(zip(outs, ops)))
+            for cols, ops in labellings(p, shape)]
 
 
 def dendrices(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
@@ -156,21 +187,12 @@ def dendrex_closure(p: FiniteOperad, d: Dendrex) -> dict[frozenset, Dendrex]:
     return out
 
 
-def tuple_getter(positions):
-    """The function taking a sequence or mapping to the tuple of its items at
-    `positions` (`itemgetter` returns a bare item for a single position)."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda s: (s[i],)
-    return itemgetter(*positions) if positions else (lambda s: ())
-
-
 class _Subface:
     """One node of a compiled shape: an iterated face of the tree, which is
     cell `slot` of the complex, with its restriction plans and its interned
     dendrices."""
 
-    __slots__ = ("shape", "edges", "outs", "slot", "plans", "slots", "slots_of",
+    __slots__ = ("shape", "edges", "outs", "slot", "plans", "slots", "join",
                  "ids", "found", "groups")
 
     def __init__(self, shape: Tree, slot: int, slots: tuple[int, ...]):
@@ -179,8 +201,8 @@ class _Subface:
         self.outs = tuple(sorted(shape._vertex_outs))
         self.slot = slot
         self.slots = slots             # the cells of its closure, ascending
-        self.slots_of = tuple_getter(slots)
         self.plans: list[tuple] = []   # per face: (child, colours, operations, site)
+        self.join: tuple = ()          # (pick, repeated, first): see CompiledShape.closure
         self.ids: dict[tuple, int] = {}       # (colours, operations) -> id
         self.found: list[int] | None = None
         self.groups: dict[tuple, dict] = {}
@@ -196,9 +218,11 @@ class CompiledShape:
     codimension-one face, a restriction plan: index maps for colours and
     operations plus, for an inner face, the one `compose` site (position in
     the face's operations, lower operation, input index, upper operation).
-    A dendrex of a node is the tuple (colours by sorted edge, operations by
-    sorted vertex output), interned to an id unique across the compiled
-    shape, so two ids are equal exactly when the `Dendrex` objects are.
+    A dendrex of a node is a pair of `labellings` (colours by sorted edge,
+    operations by sorted vertex output), interned to an id unique across
+    the compiled shape, so two ids are equal exactly when the `Dendrex`
+    objects are.  A node's join plan, compiled from its faces' slots, reads
+    a dendrex's closure off its faces' closures (see `closure`).
 
     `restrictions` is `face_of` on ids and `closure` is `dendrex_closure`
     on ids, both memoised; `face_of`, `dendrex_closure` and `Dendrex` stay
@@ -223,6 +247,13 @@ class CompiledShape:
                                    tuple_getter([node.edges.index(e) for e in child.edges]),
                                    tuple_getter([node.outs.index(o) for o in child.outs]),
                                    site))
+            cat = [node.slot] + [s for plan in node.plans for s in plan[0].slots]
+            first = {}
+            for at, s in enumerate(cat):
+                first.setdefault(s, at)
+            repeated = [at for at, s in enumerate(cat) if first[s] != at]
+            node.join = (tuple_getter([first[s] for s in node.slots]), tuple_getter(repeated),
+                         tuple_getter([first[cat[at]] for at in repeated]))
         self.top = self.nodes[-1]
         self.values: list[tuple] = []       # id -> (colours, operations)
         self.node_of: list[_Subface] = []   # id -> its node
@@ -249,20 +280,18 @@ class CompiledShape:
                                   dict(zip(node.outs, ops)))
 
     def dendrices(self, node: _Subface) -> list[int]:
-        """`dendrices_with_colours` of the node as ids, in its order; run
-        once per node."""
+        """`labellings` of the node as ids, in its order; run once per
+        node."""
         if node.found is None:
-            colours_of, ops_of = tuple_getter(node.edges), tuple_getter(node.outs)
             node.found = []
-            for d in dendrices_with_colours(self.p, node.shape):
-                key = (colours_of(d.edge_colours), ops_of(d.vertex_ops))
+            for key in labellings(self.p, node.shape):
                 got = node.ids.get(key)
                 node.found.append(got if got is not None else self._new_id(node, key))
         return node.found
 
     def candidates(self, node: _Subface, fixed: tuple[str, ...]) -> dict[tuple, list[int]]:
         """The node's dendrices grouped by the colours of the edges `fixed`,
-        each group in `dendrices_with_colours` order."""
+        each group in `labellings` order."""
         groups = node.groups.get(fixed)
         if groups is None:
             pick = tuple_getter([node.edges.index(e) for e in fixed])
@@ -296,23 +325,23 @@ class CompiledShape:
         `node_of[i].slots` in that order, or None exactly where
         `dendrex_closure` raises `ValueError`; a `compose` error propagates.
 
-        It joins the memoised closures of the faces: they exist and agree
-        where they overlap iff each equals their union.  Every path of
+        It joins the memoised closures of the faces by the node's join plan:
+        `(i,)` and the faces' closures laid end to end hold every slot of
+        the node at least once; `pick` takes each slot's first occurrence,
+        in slot order, and the closures agree where they overlap iff each
+        `repeated` position equals its `first` one.  Every path of
         `dendrex_closure` passes through a face, so a conflict on that walk
         is a missing or disagreeing face closure here.
         """
         got = self.closures[i]
         if got is PENDING:
-            node = self.node_of[i]
-            kids = [(plan[0], self.closure(sub))
-                    for plan, sub in zip(node.plans, self.restrictions(i))]
+            kids = [self.closure(sub) for sub in self.restrictions(i)]
             got = None
-            if all(clo is not None for _, clo in kids):
-                out = {node.slot: i}
-                for child, clo in kids:
-                    out.update(zip(child.slots, clo))
-                if all(child.slots_of(out) == clo for child, clo in kids):
-                    got = node.slots_of(out)
+            if None not in kids:
+                cat = (i,) + tuple(itertools.chain.from_iterable(kids))
+                pick, repeated, first = self.node_of[i].join
+                if repeated(cat) == first(cat):
+                    got = pick(cat)
             self.closures[i] = got
         return got
 

@@ -284,19 +284,32 @@ def test_vertex_without_inputs_is_input_error(capsys, tmp_path, argv):
     assert captured.err.count("\n") == 1
 
 
-# -- inputs too deep for the recursive algorithms ------------------------------
+def test_root_horn_of_tree_with_stump_names_the_input_vertex(capsys, tmp_path):
+    """`lemma verify --id 8.5` rejects the input tree's vertex without
+    inputs before it builds the split tree, so the one stderr line names
+    that vertex, not an edge of the split tree."""
+    path = tmp_path / "stump.json"
+    stump = Tree([Vertex(("a", "b"), "r"), Vertex((), "b")], "r")
+    path.write_text(dumps(tree_to_json(stump)))
+    assert main(["lemma", "verify", "--id", "8.5", "--tree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: vertex 'b' has no inputs")
 
-def test_deep_tree_is_input_error_not_traceback(capsys, tmp_path):
-    """The dendrex backtracker recurses once per vertex; on a 3000-vertex
-    linear tree the RecursionError ends as exit 2 with one stderr line."""
+
+# -- deep inputs -------------------------------------------------------------
+
+def test_deep_tree_dendrices_need_no_recursion(capsys, tmp_path):
+    """The dendrex enumerator grows its labellings vertex by vertex without
+    recursing, so a 3000-vertex linear tree lists its two dendrices on z2."""
     path = tmp_path / "linear3000.json"
     path.write_text(dumps(tree_to_json(linear(3000))))
     assert main(["nerve", "dendrices", "--operad", operad_file(tmp_path, "z2"),
-                 "--tree", str(path)]) == 2
+                 "--tree", str(path)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: maximum recursion depth exceeded")
-    assert captured.err.count("\n") == 1
+    assert captured.out.splitlines()[0] == "2 dendrices"
+    assert captured.err == ""
 
 
 # -- byte-determinism across processes ----------------------------------------

@@ -8,7 +8,7 @@ from dendro.kan import tree_shapes
 from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, degeneracy_of,
                            dendrex_closure, dendrices, dendrices_with_colours,
                            face_of, is_degenerate, underlying_sset)
-from dendro.operads import CORPUS
+from dendro.operads import CORPUS, table_operad_from
 from dendro.trees import (COROLLA_FACE, INNER_FACE, Tree, Vertex, c2, eta,
                           face, faces, linear)
 
@@ -159,6 +159,23 @@ def test_dendrex_repr_and_hash(z2):
 # -- the one enumerator against a brute-force reference ----------------------
 
 _SHAPES = tree_shapes(3) + [eta()]
+# "table:x" is the corpus operad x as explicit tables up to arity 5, whose
+# operations are not SMC tokens and whose lookups go through dicts
+_TABLE = "table:"
+
+
+def _operad(name):
+    if name.startswith(_TABLE):
+        return table_operad_from(CORPUS[name[len(_TABLE):]](), 5)
+    return CORPUS[name]()
+
+
+def _small_shapes(name, p):
+    """The shapes the brute force affords: every shape for up to three
+    colours, and those with at most two vertices for four colours or for
+    tables."""
+    small = len(p.colours) > 3 or name.startswith(_TABLE)
+    return [t for t in _SHAPES if not (small and len(t.vertices) > 2)]
 
 
 def _reference_dendrices(p, shape):
@@ -178,20 +195,17 @@ def _sort_key(d):
     return sorted(d.edge_colours.items()) + [str(sorted(map(str, d.vertex_ops.items())))]
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(CORPUS) + [_TABLE + "bz2"])
 def test_dendrices_match_brute_force(name):
-    """The sorted enumerator lists exactly the reference dendrices; the
-    brute force over all colourings is affordable on every shape for up to
-    three colours, and on shapes with at most two vertices for four."""
-    p = CORPUS[name]()
-    for shape in _SHAPES:
-        if len(p.colours) > 3 and len(shape.vertices) > 2:
-            continue
+    """The sorted enumerator lists exactly the reference dendrices, on the
+    shapes of `_small_shapes`."""
+    p = _operad(name)
+    for shape in _small_shapes(name, p):
         assert dendrices(p, shape) == sorted(_reference_dendrices(p, shape),
                                              key=_sort_key), shape
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(CORPUS) + [_TABLE + "bz2"])
 def test_candidate_groups_keep_the_backtracking_order(name):
     """A node's ids list `dendrices_with_colours` in its order, and each group
     of `CompiledShape.candidates` lists the ids with that colouring of the
@@ -199,10 +213,8 @@ def test_candidate_groups_keep_the_backtracking_order(name):
     (tried for every set of at most two fixed edges).  Every output is a
     valid dendrex: the enumerator builds them unchecked.  Shapes as in the
     brute-force test above."""
-    p = CORPUS[name]()
-    for tree in _SHAPES:
-        if len(p.colours) > 3 and len(tree.vertices) > 2:
-            continue
+    p = _operad(name)
+    for tree in _small_shapes(name, p):
         shape = CompiledShape(p, tree)
         for node in shape.nodes:
             every = dendrices_with_colours(p, node.shape)
@@ -247,10 +259,13 @@ def _compiled_conflicts(p, tree) -> int:
     return conflicts
 
 
-@pytest.mark.parametrize("name,bound", [("z2", 3), ("bz2", 3), ("mult01", 3),
-                                        ("z3", 2)])
+@pytest.mark.parametrize("name,bound", [
+    ("z2", 3), ("bz2", 3), ("mult01", 3), ("z3", 2), ("z4", 2), ("z2xz2", 2),
+    (_TABLE + "z2", 2), (_TABLE + "bz2", 2), (_TABLE + "mult01", 2)])
 def test_compiled_shape_matches_reference(name, bound):
-    p = CORPUS[name]()
+    """Restrictions and closures of every compiled node equal `face_of` and
+    `dendrex_closure`, on four-colour operads and on tables too."""
+    p = _operad(name)
     for tree in tree_shapes(bound):
         assert _compiled_conflicts(p, tree) == 0, tree
 
