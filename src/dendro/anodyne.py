@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .complexes import Cell, Complex, Subcomplex
-from .trees import Tree, TreeError, classify_horn, face, horn, is_extended_corolla
+from .trees import HornSpec, Tree, TreeError, classify_horn, face, is_extended_corolla
 
 
 class AnodyneClass(enum.IntEnum):
@@ -49,8 +49,7 @@ def parse_class(text: str) -> AnodyneClass:
 def generator_class(tree: Tree, omitted_key: tuple[str, str]) -> AnodyneClass:
     """The smallest anodyne class containing the horn of `tree` omitting the
     given face."""
-    h = horn(tree, face(tree, *omitted_key))
-    cls = classify_horn(h)
+    cls = classify_horn(HornSpec(tree, face(tree, *omitted_key)))
     if cls == "inner":
         return AnodyneClass.INNER
     if cls == "leaf":
@@ -389,10 +388,11 @@ class BuildError(ValueError):
 
 def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
                      cell_order: Sequence[Iterable[str]],
-                     target_cells: Sequence[Iterable[str]] | None = None,
                      nested: dict[Cell, Certificate] | None = None) -> Certificate:
     """Assemble a filtration certificate from an ordered list of cells,
     inferring for each the unique face missing from the current subcomplex.
+    The target is the whole ambient, so an order that stops short of it
+    gives a certificate that does not verify.
 
     Cells listed in `nested` are attached through their sub-certificate
     instead of a horn.  Raises BuildError when a step is not a horn pushout.
@@ -419,12 +419,8 @@ def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
                              f"subcomplex in the horn at {missing[0]}")
         steps.append(HornStep(cell, missing[0]))
         current |= amb.masks[i]
-    if target_cells is None:
-        target = tuple(sorted(amb.cells_of(current), key=sorted))
-    else:
-        target = tuple(frozenset(c) for c in target_cells)
-    return _filtration(amb, tuple(frozenset(c) for c in start_cells), target,
-                       tuple(steps))
+    return _filtration(amb, tuple(frozenset(c) for c in start_cells),
+                       tuple(sorted(amb.cells, key=sorted)), tuple(steps))
 
 
 # ---------------------------------------------------------------------------

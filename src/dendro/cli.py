@@ -17,10 +17,10 @@ from .anodyne import (BuildError, class_phrase, parse_class, search_certificate,
 from .complexes import representable
 from .dot import tree_to_dot
 from .jsonio import (SchemaError, certificate_from_json, certificate_to_json,
-                     dumps, kan_report_to_json, load_operad, tree_from_json,
-                     tree_to_json)
+                     dendrex_to_json, dumps, kan_report_to_json, load_operad,
+                     tree_from_json, tree_to_json)
 from .kan import kan_report
-from .lemmas import LEMMA_IDS, build_lemma_certificate
+from .lemmas import LEMMA_IDS, LEMMAS, build_lemma_certificate
 from .nerves import dendrices, underlying_sset
 from .shuffles import shuffles
 from .trees import FACE_KINDS, TreeError, build_standard, classify_edges, faces
@@ -109,10 +109,7 @@ def _cmd_nerve(args) -> int:
         tree = tree_from_json(_load_json(args.tree))
         ds = dendrices(p, tree)
         if args.format == "json":
-            _emit(dumps([{"colours": dict(sorted(d.edge_colours.items())),
-                          "operations": {o: str(op) for o, op
-                                         in sorted(d.vertex_ops.items())}}
-                         for d in ds]))
+            _emit(dumps([dendrex_to_json(d) for d in ds]))
         else:
             _emit(f"{len(ds)} dendrices")
             for d in ds:
@@ -204,25 +201,15 @@ def _cmd_lemma(args) -> int:
         for lid in LEMMA_IDS:
             _emit(lid)
         return 0
-    params: dict = {}
-    if args.id == "6.4":
-        if args.n is None:
-            raise ValueError("--id 6.4 requires --n")
-        params["n"] = args.n
-    elif args.id == "7.2":
-        if args.n is None or args.k is None:
-            raise ValueError("--id 7.2 requires --n and --k")
-        params.update(n=args.n, k=args.k)
-    elif args.id == "8.3":
-        if args.tree is None or args.v is None:
-            raise ValueError("--id 8.3 requires --tree and --v")
-        params.update(tree=tree_from_json(_load_json(args.tree)), v=args.v)
-    else:
-        if args.tree is None:
-            raise ValueError("--id 8.5 requires --tree")
-        params["tree"] = tree_from_json(_load_json(args.tree))
-        if args.omit is not None:
-            params["omitted"] = _parse_face_key(args.omit)
+    _, required, optional = LEMMAS[args.id]
+    if any(getattr(args, p) is None for p in required):
+        raise ValueError(f"--id {args.id} requires "
+                         + " and ".join(f"--{p}" for p in required))
+    params = {p: getattr(args, p) for p in required + optional}
+    if "tree" in params:
+        params["tree"] = tree_from_json(_load_json(params["tree"]))
+    if params.get("omitted") is not None:
+        params["omitted"] = _parse_face_key(params["omitted"])
     cert = build_lemma_certificate(args.id, **params)
     rep = verify_certificate(cert)
     if args.format == "json":
@@ -309,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lver.add_argument("--k", type=int)
     lver.add_argument("--tree")
     lver.add_argument("--v")
-    lver.add_argument("--omit")
+    lver.add_argument("--omit", dest="omitted")
     _add_format(lver, "text", ["json", "text"])
     return parser
 

@@ -14,6 +14,7 @@ from typing import Any
 from .anodyne import (Certificate, HornStep, NestedStep, certificate_class,
                       class_phrase, parse_class)
 from .kan import KanReport
+from .nerves import Dendrex
 from .operads import (CORPUS, FiniteOperad, FiniteSMC, SMCOperad, TableOperad,
                       table_operad_from)
 from .trees import FACE_KINDS, Tree, TreeError, Vertex
@@ -356,6 +357,11 @@ def _pair_from_json(value, path: str) -> tuple[str, str]:
 # reports
 # ---------------------------------------------------------------------------
 
+def dendrex_to_json(d: Dendrex) -> dict:
+    return {"colours": dict(sorted(d.edge_colours.items())),
+            "operations": {out: str(op) for out, op in sorted(d.vertex_ops.items())}}
+
+
 def kan_report_to_json(rep: KanReport) -> dict:
     witnesses = []
     for w in rep.witnesses:
@@ -365,10 +371,7 @@ def kan_report_to_json(rep: KanReport) -> dict:
             "horn_class": w.horn_class,
             "issue": w.issue,
             "filler_count": w.filler_count,
-            "horn_map": [{"face": list(key),
-                          "colours": dict(sorted(d.edge_colours.items())),
-                          "operations": {out: str(op) for out, op
-                                         in sorted(d.vertex_ops.items())}}
+            "horn_map": [{"face": list(key), **dendrex_to_json(d)}
                          for key, d in sorted(w.horn_map.assignment)],
         })
     return {"operad": rep.operad_name, "max_vertices": rep.max_vertices,

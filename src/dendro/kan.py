@@ -27,8 +27,7 @@ from functools import lru_cache
 from .nerves import PENDING, CompiledShape, Dendrex, dendrices, face_of, tuple_getter
 from .nerves import dendrices_with_colours  # noqa: F401  (perfbench traces this binding)
 from .operads import FiniteOperad
-from .trees import (FaceDescriptor, HornSpec, Tree, Vertex, classify_horn, faces,
-                    horn)
+from .trees import FaceDescriptor, HornSpec, Tree, Vertex, classify_horn, faces
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,7 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
         shape = CompiledShape(p, tree)
         sigs = [shape.restrictions(i) for i in shape.dendrices(shape.top)]
         for j, f in enumerate(faces(tree)):
-            h = horn(tree, f)
+            h = HornSpec(tree, f)
             cls = classify_horn(h)
             buckets = Counter(sig[:j] + sig[j + 1:] for sig in sigs)
 

@@ -25,7 +25,7 @@ from .complexes import (Cell, Complex, _cell_key, closure_cells, reject_stumps,
                          representable)
 from .shuffles import filtration_base
 from .trees import (ROOT_FACE, Tree, TreeError, Vertex, branch, faces,
-                    has_root_horn, initial_segments, is_extended_corolla,
+                    has_root_horn, is_extended_corolla,
                     stem_edges, walk_up)
 
 
@@ -82,8 +82,7 @@ def binary_tensor_certificate(n: int) -> Certificate:
             raise BuildError("no horn-attachable cell of class at most "
                              "binary extended left; filtration is stuck")
         present = grown
-    return build_filtration(amb, list(base), order,
-                            target_cells=sorted(amb.cells, key=sorted))
+    return build_filtration(amb, list(base), order)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +117,7 @@ def extended_corolla_split_certificate(n: int, k: int) -> Certificate:
             order.append({a[i] for i in sub} | set(b) | {"d", "c"})
     order.append(set(a) | {"d", "c"})
     order.append(set(t.edges))
-    return build_filtration(amb, start, _dedup(order),
-                            target_cells=sorted(amb.cells, key=sorted))
+    return build_filtration(amb, start, _dedup(order))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +212,8 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
             for s in by_nk.get((nn + 1, kk - 1), []):
                 if s in chosen[(nn + 1, kk - 1)]:
                     continue
-                st = amb.tree_of(s)
-                inner = [d for d in v.inputs if d in st.inner_edges]
+                s_inner = amb.tree_of(s).inner_edges
+                inner = [d for d in v.inputs if d in s_inner]
                 if inner:
                     chosen[(nn, kk)].add(s - {inner[0]})
     order: list[frozenset] = []
@@ -237,8 +235,7 @@ def codim_certificate(tree: Tree, v_output: str) -> Certificate:
         if not present >> i & 1:
             final.append(cl)
             present |= amb.masks[i]
-    return build_filtration(amb, base, final,
-                            target_cells=sorted(amb.cells, key=sorted))
+    return build_filtration(amb, base, final)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +347,13 @@ def _root_horn_through_split(tree: Tree, start_cells):
             plan(Uprime(J))
     # Step 2: the initial segment with a' as a leaf, at its root horn
     plan(frozenset({c, a_prime} | set(b_edges) | set(st)))
-    # Step 3: larger initial segments and their tree-top contractions, each
-    # attached along its own recursively certified root horn
+    # Step 3: larger initial segments (the cells at W's root made of W's
+    # vertices) and their tree-top contractions, each attached along its own
+    # recursively certified root horn
     stem_set = set(st) | {a_prime}
-    segments = [s for s in initial_segments(w) if len(s.vertices) >= l + 3]
+    own = set(w.vertices)
+    segments = [s for s in amb.cell_trees if s.root == c
+                and len(s.vertices) >= l + 3 and own.issuperset(s.vertices)]
     segments.sort(key=lambda s: (len(s.vertices), sorted(s.edges)))
     for seg in segments:
         pool = sorted(seg.inner_edges - stem_set)
@@ -368,9 +368,7 @@ def _root_horn_through_split(tree: Tree, start_cells):
     # Step 4: the root face of W at the inner horn of a', then W itself
     plan(frozenset(w.edges - ({c} | set(b_edges))))
     plan(frozenset(w.edges))
-    cert = build_filtration(amb, list(start_cells), order,
-                            target_cells=sorted(amb.cells, key=sorted),
-                            nested=nested)
+    cert = build_filtration(amb, list(start_cells), order, nested=nested)
     return cert, a_prime, a0
 
 
@@ -378,16 +376,19 @@ def _root_horn_through_split(tree: Tree, start_cells):
 # dispatch
 # ---------------------------------------------------------------------------
 
-LEMMA_IDS = ("6.4", "7.2", "8.3", "8.5")
+# The builder of each lemma id and the names of its parameters, the required
+# ones and then the optional ones, in call order.
+LEMMAS = {
+    "6.4": (binary_tensor_certificate, ("n",), ()),
+    "7.2": (extended_corolla_split_certificate, ("n", "k"), ()),
+    "8.3": (codim_certificate, ("tree", "v"), ()),
+    "8.5": (root_horn_certificate, ("tree",), ("omitted",)),
+}
+LEMMA_IDS = tuple(LEMMAS)
 
 
 def build_lemma_certificate(lemma_id: str, **params) -> Certificate:
-    if lemma_id == "6.4":
-        return binary_tensor_certificate(int(params["n"]))
-    if lemma_id == "7.2":
-        return extended_corolla_split_certificate(int(params["n"]), int(params["k"]))
-    if lemma_id == "8.3":
-        return codim_certificate(params["tree"], params["v"])
-    if lemma_id == "8.5":
-        return root_horn_certificate(params["tree"], params.get("omitted"))
-    raise ValueError(f"unknown certificate id {lemma_id!r}")
+    if lemma_id not in LEMMAS:
+        raise ValueError(f"unknown certificate id {lemma_id!r}")
+    build, required, optional = LEMMAS[lemma_id]
+    return build(*(params[p] for p in required), *(params.get(p) for p in optional))

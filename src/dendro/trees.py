@@ -183,11 +183,15 @@ def extended_corolla(n: int, k: int) -> Tree:
 
 
 def build_standard(kind: str, *args: int) -> Tree:
-    builders = {"eta": lambda: eta(), "corolla": corolla, "linear": linear,
-                "extended_corolla": extended_corolla}
+    builders = {"eta": (eta, 0), "corolla": (corolla, 1), "linear": (linear, 1),
+                "extended_corolla": (extended_corolla, 2)}
     if kind not in builders:
         raise TreeError(f"unknown standard tree kind {kind!r}")
-    return builders[kind](*args)
+    build, count = builders[kind]
+    if len(args) != count:
+        raise TreeError(f"{kind} takes {count} parameter{'' if count == 1 else 's'}, "
+                        f"got {len(args)}")
+    return build(*args)
 
 
 def c2(a: str = "a", b: str = "b", c: str = "c") -> Tree:
@@ -270,10 +274,11 @@ def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
     if len(tree.vertices) == 1:
         return [FaceDescriptor(COROLLA_FACE, e, eta(e)) for e in sorted(tree.edges)]
     out = []
-    for e in sorted(tree.inner_edges):
+    inner = tree.inner_edges
+    for e in sorted(inner):
         out.append(FaceDescriptor(INNER_FACE, e, _inner_face(tree, e)))
     for v in tree.vertices:
-        attached = [e for e in v.inputs + (v.output,) if e in tree.inner_edges]
+        attached = [e for e in v.inputs + (v.output,) if e in inner]
         if len(attached) != 1:
             continue
         # an outer vertex: the root vertex on one inner input, or a vertex
@@ -324,9 +329,8 @@ def has_root_horn(tree: Tree) -> bool:
         return False
     if len(tree.vertices) == 1:
         return True
-    root_vertex = tree.vertex_above(tree.root)
-    inner = [e for e in root_vertex.inputs if e in tree.inner_edges]
-    return len(inner) == 1
+    inner = tree.inner_edges
+    return sum(e in inner for e in tree.vertex_above(tree.root).inputs) == 1
 
 
 def is_extended_corolla(tree: Tree) -> bool:
@@ -467,7 +471,7 @@ def subtree_from_edges(ambient: Tree, edge_set: Iterable[str]) -> Tree:
     return Tree(tuple(vertices), roots.pop())
 
 
-# -- stem, tree top, initial segments ---------------------------------------
+# -- stem and tree top ------------------------------------------------------
 
 def stem_edges(tree: Tree) -> list[str]:
     """The maximal linear initial segment, listed top edge first, root last."""
@@ -489,20 +493,3 @@ def stem(tree: Tree) -> Tree:
 def tree_top(tree: Tree) -> Tree:
     """Maximal subtree with non-unary root; eta for linear trees."""
     return branch(tree, stem_edges(tree)[0])
-
-
-def initial_segments(tree: Tree) -> list[Tree]:
-    """All subtrees reachable by compositions of top face chops (including
-    the tree itself and eta at the root)."""
-    seen = {tree.edges: tree}
-    frontier = [tree]
-    while frontier:
-        t = frontier.pop()
-        if not t.vertices:
-            continue
-        for f in faces(t):
-            if (f.kind == TOP_FACE or f.kind == COROLLA_FACE and f.label == t.root) \
-                    and f.subtree.edges not in seen:
-                seen[f.subtree.edges] = f.subtree
-                frontier.append(f.subtree)
-    return sorted(seen.values(), key=lambda t: (len(t.edges), sorted(t.edges)))

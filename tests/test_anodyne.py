@@ -14,7 +14,7 @@ from dendro.lemmas import (binary_tensor_certificate,
                            extended_corolla_split_certificate,
                            root_horn_certificate)
 from dendro.shuffles import c2_shuffle
-from dendro.trees import (ROOT_FACE, Tree, Vertex, c2, corolla,
+from dendro.trees import (ROOT_FACE, Tree, TreeError, Vertex, c2, corolla,
                           extended_corolla, faces, graft)
 
 
@@ -52,6 +52,11 @@ def test_generator_class_leaf():
     assert generator_class(c2(), ("colour", "c")) is AnodyneClass.LEFT
 
 
+def test_generator_class_unknown_face():
+    with pytest.raises(TreeError):
+        generator_class(c2_shuffle(1, 0), ("inner", "nope"))
+
+
 def test_generator_class_root_horns(retract_tree):
     assert generator_class(c2(), ("colour", "b")) is \
         AnodyneClass.BINARY_EXTENDED_LEFT       # C_2 = EC_{0,1}
@@ -80,6 +85,18 @@ def test_build_filtration_rejects_present_cell():
     amb = representable(c2())
     with pytest.raises(BuildError):
         build_filtration(amb, [c2().edges], [c2().edges])
+
+
+def test_short_cell_order_does_not_verify():
+    """A built filtration targets its whole ambient, so an order that stops
+    short of it does not certify the subcomplex it reached."""
+    full = extended_corolla_split_certificate(1, 1)
+    cert = build_filtration(full.ambient(), list(full.start),
+                            [step.cell for step in full.steps[:-1]])
+    assert cert.target == full.target
+    rep = verify_certificate(cert)
+    assert not rep.valid
+    assert rep.violations[0].message.startswith("final subcomplex differs from target")
 
 
 def test_build_filtration_rejects_non_horn():
@@ -300,8 +317,7 @@ def permuted_replay(cert: Certificate, seed: int):
         order.extend(s.cell for s in batch)
         current |= batch_closure
         i = j
-    redone = build_filtration(amb, list(cert.start), order,
-                              target_cells=list(cert.target))
+    redone = build_filtration(amb, list(cert.start), order)
     return verify_certificate(redone)
 
 

@@ -49,6 +49,21 @@ def test_tree_build_dot(capsys):
     assert "digraph" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("params,message", [
+    (["--kind", "corolla"], "error: corolla takes 1 parameter, got 0"),
+    (["--kind", "eta", "--params", "3"], "error: eta takes 0 parameters, got 1"),
+    (["--kind", "linear", "--params", "1", "2", "3"],
+     "error: linear takes 1 parameter, got 3"),
+    (["--kind", "extended_corolla", "--params", "1"],
+     "error: extended_corolla takes 2 parameters, got 1"),
+], ids=["corolla-none", "eta-one", "linear-three", "extended-corolla-one"])
+def test_tree_build_wrong_parameter_count(capsys, params, message):
+    assert main(["tree", "build"] + params) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_tree_show_text(capsys, c2_file):
     assert main(["tree", "show", "--tree", c2_file]) == 0
     out = capsys.readouterr().out
@@ -223,6 +238,19 @@ def test_lemma_verify_root_horn(capsys, c2_file):
 def test_lemma_verify_missing_params(capsys):
     assert main(["lemma", "verify", "--id", "7.2", "--n", "1"]) == 2
     assert "requires" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--id", "6.4"], "error: --id 6.4 requires --n"),
+    (["--id", "7.2", "--n", "1"], "error: --id 7.2 requires --n and --k"),
+    (["--id", "8.3", "--v", "c"], "error: --id 8.3 requires --tree and --v"),
+    (["--id", "8.5", "--omit", "colour:a"], "error: --id 8.5 requires --tree"),
+], ids=["6.4", "7.2", "8.3", "8.5"])
+def test_lemma_verify_missing_params_message(capsys, argv, message):
+    assert main(["lemma", "verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 # -- out-of-range parameters --------------------------------------------------

@@ -11,7 +11,7 @@ from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
                           Tree, TreeError, Vertex, automorphisms,
                           build_standard, c2, classify_edges, classify_horn,
                           corolla, eta, extended_corolla, face, faces, graft,
-                          has_root_horn, horn, initial_segments, isomorphic,
+                          has_root_horn, horn, isomorphic,
                           isomorphisms, linear,
                           stem, stem_edges, subtree_from_edges, tree_top)
 
@@ -60,6 +60,8 @@ def test_build_standard_dispatch():
     assert build_standard("eta") == eta()
     with pytest.raises(TreeError):
         build_standard("widget", 1)
+    with pytest.raises(TreeError, match="corolla takes 1 parameter, got 0"):
+        build_standard("corolla")
 
 
 def test_duplicate_output_rejected():
@@ -381,21 +383,6 @@ def test_stem_of_extended_corolla():
     assert stem_edges(t) == ["c"]          # root vertex is binary: no chain
     top = tree_top(t)
     assert top == t
-
-
-def test_initial_segments_of_corolla():
-    segs = initial_segments(corolla(2))
-    assert {s.edges for s in segs} == {frozenset({"r"}),
-                                       frozenset({"l_1", "l_2", "r"})}
-
-
-def test_initial_segments_are_the_cells_at_the_root_of_its_own_vertices():
-    """Chopping top faces reaches exactly the cells with the tree's root
-    whose vertices are vertices of the tree, in cell order."""
-    for t in SHAPES4 + [eta()]:
-        expected = [c for c in Complex([t]).cell_trees
-                    if c.root == t.root and set(c.vertices) <= set(t.vertices)]
-        assert initial_segments(t) == expected, t
 
 
 def test_path_to_root():
