@@ -31,6 +31,7 @@ class SchemaError(ValueError):
 
 _TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
                bool: "boolean"}
+_INT = {int}    # the one type a sigma element may have
 
 
 def _as(value, typ, path: str):
@@ -52,6 +53,41 @@ def _known(name: str, names, what: str, path: str) -> str:
     if name not in names:
         raise SchemaError(path, f"unknown {what} {name!r}")
     return name
+
+
+def _rows(data: dict, table: str, fields, path: str):
+    """Yields the index and the field values of each row of the array
+    `data[table]`, checking the fields in the order given.
+
+    Each field is (key, type, names, what): the value is of that type and,
+    unless `names` is None, one of `names`, a known `what`.  The normal path
+    tests exact types inline; only a failing check formats its path."""
+    for k, row in enumerate(_field(data, table, list, path)):
+        if type(row) is not dict:
+            _as(row, dict, f"{path}.{table}[{k}]")
+        values = []
+        for key, typ, names, what in fields:
+            value = row.get(key)
+            if type(value) is not typ:
+                value = _field(row, key, typ, f"{path}.{table}[{k}]")
+            if names is not None and value not in names:
+                raise SchemaError(f"{path}.{table}[{k}].{key}",
+                                  f"unknown {what} {value!r}")
+            values.append(value)
+        yield k, values
+
+
+def _names(data: dict, key: str, what: str, path: str) -> dict:
+    """The array of distinct strings `data[key]` as a dict from each name
+    to None, in document order."""
+    names: dict = {}
+    for k, name in enumerate(_field(data, key, list, path)):
+        if type(name) is not str:
+            _as(name, str, f"{path}.{key}[{k}]")
+        if name in names:
+            raise SchemaError(f"{path}.{key}[{k}]", f"duplicate {what} {name!r}")
+        names[name] = None
+    return names
 
 
 def _string_list(value, path: str) -> list[str]:
@@ -124,7 +160,7 @@ def operad_to_json(p: FiniteOperad, max_arity: int = 3) -> dict:
 
 def operad_from_json(data, path: str = "$") -> TableOperad:
     _as(data, dict, path)
-    colours = _string_list(_field(data, "colours", list, path), f"{path}.colours")
+    colours = _names(data, "colours", "colour", path)
     profiles: dict = {}
     for i, op in enumerate(_field(data, "operations", list, path)):
         op_path = f"{path}.operations[{i}]"
@@ -148,26 +184,44 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
     if missing:
         raise SchemaError(f"{path}.identities", f"no identity for colours {missing}")
     composition = {}
-    for i, row in enumerate(_field(data, "composition", list, path)):
-        rp = f"{path}.composition[{i}]"
-        _as(row, dict, rp)
-        f = _known(_field(row, "f", str, rp), *op, f"{rp}.f")
-        g = _known(_field(row, "g", str, rp), *op, f"{rp}.g")
-        h = _known(_field(row, "result", str, rp), *op, f"{rp}.result")
-        pos = _field(row, "i", int, rp)
-        if not 0 <= pos < len(profiles[f][0]):
-            raise SchemaError(f"{rp}.i", f"input index {pos} out of range for {f!r}")
+    for k, (f, g, h, pos) in _rows(data, "composition", (
+            ("f", str, *op), ("g", str, *op), ("result", str, *op),
+            ("i", int, None, None)), path):
+        f_in, f_out = profiles[f]
+        if not 0 <= pos < len(f_in):
+            raise SchemaError(f"{path}.composition[{k}].i",
+                              f"input index {pos} out of range for {f!r}")
+        g_in, g_out = profiles[g]
+        if g_out != f_in[pos]:
+            raise SchemaError(f"{path}.composition[{k}].g",
+                              f"output {g_out!r} of {g!r} is not input {pos} "
+                              f"({f_in[pos]!r}) of {f!r}")
+        composite = (f_in[:pos] + g_in + f_in[pos + 1:], f_out)
+        if profiles[h] != composite:
+            raise SchemaError(f"{path}.composition[{k}].result",
+                              f"profile of {h!r} is {profiles[h]}, "
+                              f"not the composite's {composite}")
+        if (f, pos, g) in composition:
+            raise SchemaError(f"{path}.composition[{k}]",
+                              f"duplicate row for f={f!r}, i={pos}, g={g!r}")
         composition[(f, pos, g)] = h
     symmetry = {}
-    for i, row in enumerate(_field(data, "symmetry", list, path)):
-        rp = f"{path}.symmetry[{i}]"
-        _as(row, dict, rp)
-        f = _known(_field(row, "f", str, rp), *op, f"{rp}.f")
-        g = _known(_field(row, "result", str, rp), *op, f"{rp}.result")
-        sigma = _field(row, "sigma", list, rp)
-        sigma = tuple(_as(x, int, f"{rp}.sigma[{j}]") for j, x in enumerate(sigma))
-        if sorted(sigma) != list(range(len(profiles[f][0]))):
-            raise SchemaError(f"{rp}.sigma", f"not a permutation of the inputs of {f!r}")
+    permutations = set()
+    for k, (f, g, sigma) in _rows(data, "symmetry", (
+            ("f", str, *op), ("result", str, *op),
+            ("sigma", list, None, None)), path):
+        if not _INT.issuperset(map(type, sigma)):
+            for j, x in enumerate(sigma):
+                _as(x, int, f"{path}.symmetry[{k}].sigma[{j}]")
+        sigma = tuple(sigma)
+        if (len(sigma) != len(profiles[f][0]) or sigma not in permutations
+                and sorted(sigma) != list(range(len(sigma)))):
+            raise SchemaError(f"{path}.symmetry[{k}].sigma",
+                              f"not a permutation of the inputs of {f!r}")
+        permutations.add(sigma)
+        if (f, sigma) in symmetry:
+            raise SchemaError(f"{path}.symmetry[{k}]",
+                              f"duplicate row for f={f!r}, sigma={list(sigma)}")
         symmetry[(f, sigma)] = g
     return TableOperad(colours=tuple(colours), profiles=profiles,
                        identities_table=identities, composition=composition,
@@ -194,7 +248,7 @@ def smc_to_json(c: FiniteSMC) -> dict:
 
 def smc_from_json(data, path: str = "$") -> FiniteSMC:
     _as(data, dict, path)
-    objects = _string_list(_field(data, "objects", list, path), f"{path}.objects")
+    objects = _names(data, "objects", "object", path)
     unit = _field(data, "unit", str, path)
     profile: dict[str, tuple[str, str]] = {}
     for i, m in enumerate(_field(data, "morphisms", list, path)):
@@ -214,12 +268,12 @@ def smc_from_json(data, path: str = "$") -> FiniteSMC:
         result known as `key` and `result` say; each row's result is checked
         before its keys."""
         out = {}
-        for i, row in enumerate(_field(data, name, list, path)):
-            rp = f"{path}.{name}[{i}]"
-            _as(row, dict, rp)
-            out[(_known(_field(row, k1, str, rp), *key, f"{rp}.{k1}"),
-                 _known(_field(row, k2, str, rp), *key, f"{rp}.{k2}"))] = \
-                _known(_field(row, "result", str, rp), *result, f"{rp}.result")
+        for i, (r, a, b) in _rows(data, name, (
+                ("result", str, *result), (k1, str, *key), (k2, str, *key)), path):
+            if (a, b) in out:
+                raise SchemaError(f"{path}.{name}[{i}]",
+                                  f"duplicate row for {k1}={a!r}, {k2}={b!r}")
+            out[(a, b)] = r
         return out
 
     identities = {}

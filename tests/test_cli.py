@@ -10,8 +10,10 @@ import pytest
 
 import dendro
 from dendro.cli import main
-from dendro.jsonio import certificate_to_json, dumps, tree_to_json
+from dendro.jsonio import (certificate_to_json, dumps, operad_to_json,
+                           smc_to_json, tree_to_json)
 from dendro.lemmas import binary_tensor_certificate
+from dendro.operads import CORPUS, cyclic_group_smc, table_operad_from
 from dendro.trees import Tree, Vertex, c2, linear
 
 
@@ -325,6 +327,53 @@ def test_root_horn_of_tree_with_stump_names_the_input_vertex(capsys, tmp_path):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: vertex 'b' has no inputs")
 
+
+
+def _z2_table():
+    """z2 as a table up to arity 5, enough for `kan check --bound 2`."""
+    return operad_to_json(table_operad_from(CORPUS["z2"](), 5))
+
+
+def _colour_twice():
+    doc = _z2_table()
+    doc["colours"].append("0")
+    return doc
+
+
+def _object_twice():
+    doc = smc_to_json(cyclic_group_smc(3))
+    doc["objects"].append("1")
+    return doc
+
+
+def _misprofiled_composite():
+    doc = _z2_table()
+    doc["composition"].append({"f": "o0", "i": 0, "g": "o0", "result": "o2"})
+    return doc
+
+
+@pytest.mark.parametrize("make,argv,message", [
+    (_colour_twice, ["kan", "check", "--bound", "2", "--format", "text"],
+     "error: $.colours[2]: duplicate colour '0'\n"),
+    (_object_twice, ["nerve", "dendrices", "--tree", "{c2}"],
+     "error: $.objects[3]: duplicate object '1'\n"),
+    (_misprofiled_composite, ["kan", "check", "--bound", "2"],
+     "error: $.composition[831].result: profile of 'o2' is "
+     "(('0', '0', '0', '0'), '0'), "
+     "not the composite's (('0', '0', '0'), '0')\n"),
+], ids=["colour-twice", "object-twice", "misprofiled-composite"])
+def test_table_that_is_not_an_operad_is_input_error(capsys, tmp_path, c2_file,
+                                                    make, argv, message):
+    """Tables with a name listed twice or a composite of the wrong profile
+    get no verdict (they used to get one): the command exits 2 with one
+    stderr line."""
+    path = tmp_path / "table.json"
+    path.write_text(dumps(make()))
+    argv = [a.format(c2=c2_file) for a in argv]
+    assert main(argv[:2] + ["--operad", str(path)] + argv[2:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 # -- deep inputs -------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """JSON round trips, schema validation and deterministic emission."""
 
+import copy
 import json
 
 import pytest
@@ -74,14 +75,27 @@ def test_tree_schema_invalid_tree_reported():
 
 # -- operads ----------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["z2", "z3", "bz2", "mult01"])
-def test_operad_roundtrip(name):
-    p = CORPUS[name]()
-    table = table_operad_from(p, max_arity=3)
-    back = operad_from_json(operad_to_json(p, max_arity=3))
-    assert set(back.colours) == set(table.colours)
-    assert len(back.profiles) == len(table.profiles)
-    assert len(back.composition) == len(table.composition)
+@pytest.mark.parametrize("name,arity", [
+    ("z2", 3), ("z3", 3), ("bz2", 3), ("mult01", 3), ("z2", 5),
+], ids=["z2", "z3", "bz2", "mult01", "z2-arity5"])
+def test_operad_roundtrip(name, arity):
+    """A table read back from its JSON is the source table with operations
+    renamed, with the same value types: an int position, a tuple of ints
+    for sigma."""
+    table = table_operad_from(CORPUS[name](), max_arity=arity)
+    back = operad_from_json(operad_to_json(table))
+    new = {o: f"o{i}" for i, o in enumerate(sorted(table.profiles, key=str))}
+    assert back.colours == table.colours
+    assert back.profiles == {new[o]: prof for o, prof in table.profiles.items()}
+    assert back.identities_table == {c: new[o] for c, o in
+                                     table.identities_table.items()}
+    assert back.composition == {(new[f], i, new[g]): new[h] for (f, i, g), h
+                                in table.composition.items()}
+    assert back.symmetry == {(new[f], s): new[g]
+                             for (f, s), g in table.symmetry.items()}
+    assert all(type(i) is int for _, i, _ in back.composition)
+    assert all(type(s) is tuple and all(type(x) is int for x in s)
+               for _, s in back.symmetry)
     assert validate_operad(back, max_arity=1) == []
 
 
@@ -146,6 +160,199 @@ def test_load_operad_dispatch():
     with pytest.raises(SchemaError):
         load_operad({})
 
+
+# -- the loaders' error contract ---------------------------------------------
+
+_DROP = object()
+_OPERAD_DOC = operad_to_json(CORPUS["bz2"]())
+_SMC_DOC = smc_to_json(CORPUS["z2"]().smc)
+
+
+def _changed(doc, keys, value):
+    """A deep copy of `doc` with the field at `keys` set to `value` (removed
+    for `_DROP`); with no keys, `value` is the whole document."""
+    if not keys:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    return doc
+
+
+# (table, keys of the changed field, new value, path, message): each loader
+# reports the first failing check, in the order fields appear in the
+# document and, within a row, in the order the loader reads them
+# (composition: f, g, result, i; symmetry: f, result, sigma; SMC tables:
+# result, then the two keys).
+LOADER_ERRORS = [
+    ('op', (), [], '$',
+     '$: expected object, got list'),
+    ('op', ('symmetry',), _DROP, '$',
+     "$: missing field 'symmetry'"),
+    ('op', ('composition',), {}, '$.composition',
+     '$.composition: expected array, got dict'),
+    ('op', ('colours', 0), 1, '$.colours[0]',
+     '$.colours[0]: expected string, got int'),
+    ('op', ('operations', 0), 3, '$.operations[0]',
+     '$.operations[0]: expected object, got int'),
+    ('op', ('operations', 2, 'inputs'), _DROP, '$.operations[2]',
+     "$.operations[2]: missing field 'inputs'"),
+    ('op', ('operations', 1, 'inputs', 1), None, '$.operations[1].inputs[1]',
+     '$.operations[1].inputs[1]: expected string, got NoneType'),
+    ('op', ('operations', 1, 'output'), 'c', '$.operations[1]',
+     "$.operations[1]: unknown colour 'c'"),
+    ('op', ('operations', 1, 'name'), 'o0', '$.operations[1].name',
+     "$.operations[1].name: duplicate operation name 'o0'"),
+    ('op', ('identities',), {}, '$.identities',
+     "$.identities: no identity for colours ['*']"),
+    ('op', ('identities', 'x'), 'o4', '$.identities.x',
+     "$.identities.x: unknown colour 'x'"),
+    ('op', ('identities', '*'), 'zz', '$.identities.*',
+     "$.identities.*: unknown operation 'zz'"),
+    ('op', ('identities', '*'), 4, '$.identities.*',
+     '$.identities.*: expected string, got int'),
+    ('op', ('composition', 4), [], '$.composition[4]',
+     '$.composition[4]: expected object, got list'),
+    ('op', ('composition', 3, 'g'), _DROP, '$.composition[3]',
+     "$.composition[3]: missing field 'g'"),
+    ('op', ('composition', 3, 'i'), _DROP, '$.composition[3]',
+     "$.composition[3]: missing field 'i'"),
+    ('op', ('composition', 2, 'f'), 7, '$.composition[2].f',
+     '$.composition[2].f: expected string, got int'),
+    ('op', ('composition', 5, 'result'), 'zz', '$.composition[5].result',
+     "$.composition[5].result: unknown operation 'zz'"),
+    ('op', ('composition', 0, 'i'), True, '$.composition[0].i',
+     '$.composition[0].i: expected integer, got boolean'),
+    ('op', ('composition', 0, 'i'), '0', '$.composition[0].i',
+     '$.composition[0].i: expected integer, got str'),
+    ('op', ('composition', 0, 'i'), 2, '$.composition[0].i',
+     "$.composition[0].i: input index 2 out of range for 'o0'"),
+    ('op', ('composition', 0, 'i'), -1, '$.composition[0].i',
+     "$.composition[0].i: input index -1 out of range for 'o0'"),
+    ('op', ('composition', 6), {'f': 'zz', 'i': 'x', 'g': 1, 'result': 'o0'},
+     '$.composition[6].f',
+     "$.composition[6].f: unknown operation 'zz'"),
+    ('op', ('symmetry', 0), 'x', '$.symmetry[0]',
+     '$.symmetry[0]: expected object, got str'),
+    ('op', ('symmetry', 1, 'sigma'), _DROP, '$.symmetry[1]',
+     "$.symmetry[1]: missing field 'sigma'"),
+    ('op', ('symmetry', 1, 'result'), _DROP, '$.symmetry[1]',
+     "$.symmetry[1]: missing field 'result'"),
+    ('op', ('symmetry', 1, 'f'), 'zz', '$.symmetry[1].f',
+     "$.symmetry[1].f: unknown operation 'zz'"),
+    ('op', ('symmetry', 1, 'sigma'), '10', '$.symmetry[1].sigma',
+     '$.symmetry[1].sigma: expected array, got str'),
+    ('op', ('symmetry', 1, 'sigma', 1), True, '$.symmetry[1].sigma[1]',
+     '$.symmetry[1].sigma[1]: expected integer, got boolean'),
+    ('op', ('symmetry', 1, 'sigma', 0), 1.0, '$.symmetry[1].sigma[0]',
+     '$.symmetry[1].sigma[0]: expected integer, got float'),
+    ('op', ('symmetry', 1, 'sigma'), [0, 0], '$.symmetry[1].sigma',
+     "$.symmetry[1].sigma: not a permutation of the inputs of 'o0'"),
+    ('op', ('symmetry', 1, 'sigma'), [0, 1, 2], '$.symmetry[1].sigma',
+     "$.symmetry[1].sigma: not a permutation of the inputs of 'o0'"),
+    ('op', ('symmetry', 2), {'f': 'o0', 'result': 'zz', 'sigma': [True]},
+     '$.symmetry[2].result',
+     "$.symmetry[2].result: unknown operation 'zz'"),
+    ('smc', (), 'x', '$',
+     '$: expected object, got str'),
+    ('smc', ('unit',), _DROP, '$',
+     "$: missing field 'unit'"),
+    ('smc', ('unit',), '2', '$.unit',
+     "$.unit: unknown object '2'"),
+    ('smc', ('objects', 1), False, '$.objects[1]',
+     '$.objects[1]: expected string, got bool'),
+    ('smc', ('morphisms', 0, 'dom'), True, '$.morphisms[0].dom',
+     '$.morphisms[0].dom: expected string, got bool'),
+    ('smc', ('morphisms', 1, 'cod'), '9', '$.morphisms[1]',
+     "$.morphisms[1]: unknown object '9'"),
+    ('smc', ('morphisms', 1, 'name'), 'id_0', '$.morphisms[1].name',
+     "$.morphisms[1].name: duplicate morphism name 'id_0'"),
+    ('smc', ('identities', '0'), 'm', '$.identities.0',
+     "$.identities.0: unknown morphism 'm'"),
+    ('smc', ('compose', 0, 'result'), _DROP, '$.compose[0]',
+     "$.compose[0]: missing field 'result'"),
+    ('smc', ('compose', 1, 'g'), 'm', '$.compose[1].g',
+     "$.compose[1].g: unknown morphism 'm'"),
+    ('smc', ('compose', 0), {'g': 'x', 'f': 'id_0', 'result': 'y'},
+     '$.compose[0].result',
+     "$.compose[0].result: unknown morphism 'y'"),
+    ('smc', ('tensor_objects', 2, 'b'), 1, '$.tensor_objects[2].b',
+     '$.tensor_objects[2].b: expected string, got int'),
+    ('smc', ('tensor_objects', 1, 'result'), '2', '$.tensor_objects[1].result',
+     "$.tensor_objects[1].result: unknown object '2'"),
+    ('smc', ('tensor_morphisms', 3), None, '$.tensor_morphisms[3]',
+     '$.tensor_morphisms[3]: expected object, got NoneType'),
+    ('smc', ('braiding', 1, 'a'), _DROP, '$.braiding[1]',
+     "$.braiding[1]: missing field 'a'"),
+    ('smc', ('braiding', 0, 'a'), '2', '$.braiding[0].a',
+     "$.braiding[0].a: unknown object '2'"),
+    ('smc', ('braiding', 2, 'result'), '1', '$.braiding[2].result',
+     "$.braiding[2].result: unknown morphism '1'"),
+]
+
+
+@pytest.mark.parametrize("kind,keys,value,path,text", LOADER_ERRORS)
+def test_loader_reports_first_error(kind, keys, value, path, text):
+    load, doc = ((operad_from_json, _OPERAD_DOC) if kind == "op"
+                 else (smc_from_json, _SMC_DOC))
+    with pytest.raises(SchemaError) as exc:
+        load(_changed(doc, keys, value))
+    assert exc.value.path == path
+    assert str(exc.value) == text
+
+
+
+_Z2_DOC = operad_to_json(CORPUS["z2"]())
+
+
+@pytest.mark.parametrize("kind,keys,value,path,text", [
+    ("op", ("colours",), ["*", "*"], "$.colours[1]",
+     "$.colours[1]: duplicate colour '*'"),
+    ("smc", ("objects",), ["0", "1", "0"], "$.objects[2]",
+     "$.objects[2]: duplicate object '0'"),
+    ("z2", ("composition", 0, "g"), "o3", "$.composition[0].g",
+     "$.composition[0].g: output '1' of 'o3' is not input 0 ('0') of 'o0'"),
+    ("z2", ("composition", 0, "result"), "o2", "$.composition[0].result",
+     "$.composition[0].result: profile of 'o2' is (('0', '0', '1'), '1'), "
+     "not the composite's (('0', '0', '0'), '0')"),
+], ids=["colour-twice", "object-twice", "uncomposable", "result-profile"])
+def test_loader_rejects_inconsistent_table(kind, keys, value, path, text):
+    """A name listed twice, or a composite whose profile does not fit, is
+    an input error: such tables used to be accepted and give wrong
+    answers."""
+    load, doc = {"op": (operad_from_json, _OPERAD_DOC),
+                 "z2": (operad_from_json, _Z2_DOC),
+                 "smc": (smc_from_json, _SMC_DOC)}[kind]
+    with pytest.raises(SchemaError) as exc:
+        load(_changed(doc, keys, value))
+    assert exc.value.path == path
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("kind,table,text", [
+    ("op", "composition", "duplicate row for f='o0', i=0, g='o0'"),
+    ("op", "symmetry", "duplicate row for f='o0', sigma=[0, 1]"),
+    ("smc", "compose", "duplicate row for g='id_0', f='id_0'"),
+    ("smc", "tensor_objects", "duplicate row for a='0', b='0'"),
+    ("smc", "tensor_morphisms", "duplicate row for f='id_0', g='id_0'"),
+    ("smc", "braiding", "duplicate row for a='0', b='0'"),
+], ids=["composition", "symmetry", "compose", "tensor_objects",
+        "tensor_morphisms", "braiding"])
+def test_loader_rejects_repeated_row(kind, table, text):
+    """A row that repeats the key of an earlier row is rejected at the
+    later row; it used to replace the earlier one silently."""
+    load, doc = ((operad_from_json, _OPERAD_DOC) if kind == "op"
+                 else (smc_from_json, _SMC_DOC))
+    rows = doc[table]
+    with pytest.raises(SchemaError) as exc:
+        load(_changed(doc, (table,), rows + [dict(rows[0])]))
+    assert exc.value.path == f"$.{table}[{len(rows)}]"
+    assert str(exc.value) == f"$.{table}[{len(rows)}]: {text}"
 
 # -- determinism ------------------------------------------------------------
 
