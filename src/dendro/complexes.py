@@ -103,9 +103,6 @@ class Complex:
     def tree_of(self, cell: Cell) -> Tree:
         return self.cell_trees[self.index_of(cell)]
 
-    def has_cell(self, cell: Iterable[str]) -> bool:
-        return frozenset(cell) in self.index
-
     def cell_mask(self, cells: Iterable[Iterable[str]]) -> int:
         """The mask of exactly the given cells."""
         mask = 0
@@ -132,13 +129,15 @@ class Complex:
 
     def horn_mask(self, i: int, omitted_key: tuple[str, str]) -> int:
         """The closure of every face of cell i but the omitted one."""
-        keys = [f.key for f in faces(self.cell_trees[i])]
+        keys = [f.key for f in self.face_lists[i]]
         if omitted_key not in keys:
-            raise TreeError(f"no face {omitted_key} on cell {sorted(self.order[i])}")
+            raise TreeError(f"no face {omitted_key} on cell {sorted(self.order[i])}"
+                            if keys else "eta has no faces")
         return self._kept_closure(i, keys.index(omitted_key))
 
-    def _kept_closure(self, i: int, omitted: int) -> int:
-        """The closure of the faces of cell i but its face number `omitted`."""
+    def _kept_closure(self, i: int, omitted: int | None) -> int:
+        """The closure of the faces of cell i but its face number `omitted`
+        (of all of them for None)."""
         mask = 0
         for k, j in enumerate(self.face_ids[i]):
             if k != omitted:
@@ -171,8 +170,7 @@ class Complex:
         return Subcomplex(self, self.full_mask)
 
     def boundary(self, cell: Iterable[str]) -> "Subcomplex":
-        t = self.tree_of(frozenset(cell))
-        return self.closure_subcomplex([f.subtree.edges for f in faces(t)])
+        return Subcomplex(self, self._kept_closure(self.index_of(cell), None))
 
     def horn_subcomplex(self, cell: Iterable[str], omitted_key: tuple[str, str]) -> "Subcomplex":
         return Subcomplex(self, self.horn_mask(self.index_of(cell), omitted_key))
@@ -218,9 +216,6 @@ class Subcomplex:
     def __le__(self, other: "Subcomplex") -> bool:
         self._same_ambient(other)
         return not self.mask & ~other.mask
-
-    def with_cells(self, cells: Iterable[Iterable[str]]) -> "Subcomplex":
-        return Subcomplex(self.ambient, self.mask | self.ambient.closure_mask(cells))
 
     def is_face_closed(self) -> bool:
         return not self.face_closure_violations()

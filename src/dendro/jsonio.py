@@ -14,7 +14,7 @@ from typing import Any
 from .anodyne import (Certificate, HornStep, NestedStep, certificate_class,
                       class_phrase, parse_class)
 from .kan import KanReport
-from .nerves import Dendrex
+from .nerves import Dendrex, tuple_getter
 from .operads import (CORPUS, FiniteOperad, FiniteSMC, SMCOperad, TableOperad,
                       table_operad_from)
 from .trees import FACE_KINDS, Tree, TreeError, Vertex
@@ -180,6 +180,9 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
         ip = f"{path}.identities.{c}"
         _known(c, colours, "colour", ip)
         identities[c] = _known(_as(nm, str, ip), *op, ip)
+        if profiles[nm] != ((c,), c):
+            raise SchemaError(ip, f"profile of {nm!r} is {profiles[nm]}, "
+                                  f"not the identity's {((c,), c)}")
     missing = [c for c in colours if c not in identities]
     if missing:
         raise SchemaError(f"{path}.identities", f"no identity for colours {missing}")
@@ -206,7 +209,7 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
                               f"duplicate row for f={f!r}, i={pos}, g={g!r}")
         composition[(f, pos, g)] = h
     symmetry = {}
-    permutations = set()
+    permutations: dict = {}     # sigma -> its action on input tuples
     for k, (f, g, sigma) in _rows(data, "symmetry", (
             ("f", str, *op), ("result", str, *op),
             ("sigma", list, None, None)), path):
@@ -214,11 +217,18 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
             for j, x in enumerate(sigma):
                 _as(x, int, f"{path}.symmetry[{k}].sigma[{j}]")
         sigma = tuple(sigma)
-        if (len(sigma) != len(profiles[f][0]) or sigma not in permutations
-                and sorted(sigma) != list(range(len(sigma)))):
+        f_in, f_out = profiles[f]
+        permute = permutations.get(sigma)
+        if permute is None and sorted(sigma) == list(range(len(sigma))):
+            permute = permutations[sigma] = tuple_getter(sigma)
+        if permute is None or len(sigma) != len(f_in):
             raise SchemaError(f"{path}.symmetry[{k}].sigma",
                               f"not a permutation of the inputs of {f!r}")
-        permutations.add(sigma)
+        permuted = (permute(f_in), f_out)
+        if profiles[g] != permuted:
+            raise SchemaError(f"{path}.symmetry[{k}].result",
+                              f"profile of {g!r} is {profiles[g]}, "
+                              f"not the permuted {permuted}")
         if (f, sigma) in symmetry:
             raise SchemaError(f"{path}.symmetry[{k}]",
                               f"duplicate row for f={f!r}, sigma={list(sigma)}")

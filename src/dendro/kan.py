@@ -5,16 +5,15 @@ one; a filler is a dendrex of the whole tree restricting to the family.
 `kan_report` runs the exhaustive check over all tree shapes up to a vertex
 bound (and an arity cap, without which the shape family is infinite).
 
-Each tree shape is compiled once per report (`nerves.CompiledShape`): the
-`nerves.labellings` of the tree and of its iterated faces become ints, with
-memoised restrictions and closures, each closure joined from its faces'
-by a plan compiled per iterated face.  The iterated faces are the cells of
-`Complex([tree])` and a slot is a cell index, so nothing here numbers them
-a second time.  One enumerator, `_horn_maps`, backtracks over those ints;
-`kan_report` counts fillers by tuples of ids and builds `HornMap` objects
-only for witnesses, and `enumerate_horn_maps` builds one for every map.
-`fillers`, `face_of`, `dendrex_closure` and `Dendrex` are the reference
-oracle the tests compare the compiled path against.
+Each tree shape is compiled once per report, as `Complex([tree])`
+(`nerves.CompiledShape`), whose last cell is the tree: its faces are
+`face_lists[-1]`, so a horn is a list of cells, the faces but one.  One
+enumerator, `_horn_maps`, lists the maps out of any list of cells into the
+nerve by backtracking over ids; `kan_report` counts fillers by tuples of
+ids and builds `HornMap` objects only for witnesses, and
+`enumerate_horn_maps` builds one for every map.  `fillers`, `face_of`,
+`dendrex_closure` and `Dendrex` are the reference oracle the tests compare
+the compiled path against.
 """
 
 from __future__ import annotations
@@ -24,10 +23,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .complexes import Complex
 from .nerves import PENDING, CompiledShape, Dendrex, dendrices, face_of, tuple_getter
 from .nerves import dendrices_with_colours  # noqa: F401  (perfbench traces this binding)
 from .operads import FiniteOperad
-from .trees import FaceDescriptor, HornSpec, Tree, Vertex, classify_horn, faces
+from .trees import HornSpec, Tree, Vertex, classify_horn, faces
 
 
 @dataclass(frozen=True)
@@ -36,66 +36,61 @@ class HornMap:
     horn: HornSpec
     assignment: tuple[tuple[tuple[str, str], Dendrex], ...]   # (face key, dendrex)
 
-    def face_dendrex(self, key: tuple[str, str]) -> Dendrex:
-        return dict(self.assignment)[key]
+
+def _horns(shape: CompiledShape):
+    """Per face f of the top cell, the horn omitting it: (f, the positions
+    of the other faces, their cells), both in the order horn maps choose
+    faces, largest first, then by key."""
+    fs, ids = shape.cells.face_lists[-1], shape.cells.face_ids[-1]
+    order = sorted(range(len(fs)), key=lambda k: (-len(fs[k].subtree.edges), fs[k].key))
+    for j, f in enumerate(fs):
+        kept = [k for k in order if k != j]
+        yield f, kept, [ids[k] for k in kept]
 
 
-def _kept_faces(tree: Tree, omitted: FaceDescriptor):
-    """The faces of the tree but the omitted one, in `faces` order, and the
-    order in which horn maps choose them: largest first, then by key."""
-    kept = [f for f in faces(tree) if f != omitted]
-    order = sorted(range(len(kept)),
-                   key=lambda i: (-len(kept[i].subtree.edges), kept[i].key))
-    return kept, order
-
-
-def _horn_maps(shape: CompiledShape, omitted: FaceDescriptor, visit) -> None:
-    """The horn-map enumerator: backtracking over the kept faces, largest
-    first, it calls `visit(chosen)` once per horn map, where `chosen[i]` is
-    the id of the dendrex on kept face i (`faces` order).  `chosen` is
-    reused between calls.
+def _horn_maps(shape: CompiledShape, slots: list[int], visit) -> None:
+    """The enumerator of maps into the nerve out of the subcomplex that the
+    cells `slots` generate (a horn's kept faces, say): backtracking over
+    the cells in the order given, it calls `visit(chosen)` once per map,
+    where `chosen[k]` is the id of the dendrex on cell `slots[k]`.
+    `chosen` is reused between calls.
 
     A candidate joins the partial family when its closure exists and agrees
     with the closures already chosen on every shared slot, which decides
     compatibility on all shared subtrees.  Which slots are shared at each
     depth does not depend on the choices, so `merged` holds each slot at a
-    position fixed for the horn, the slots a depth adds being contiguous;
+    position fixed for the list, the slots a depth adds being contiguous;
     a depth reads the colours of its fixed edges and its shared slots from
     it and writes its new slots into it, with nothing to undo.
     """
-    kept, order = _kept_faces(shape.top.shape, omitted)
     index = shape.cells.index    # edge set -> slot
     at: dict[int, int] = {}      # slot -> position in merged
     steps = []
-    for i in order:
-        node = shape.node(kept[i].subtree)
+    for slot in slots:
+        node = shape.nodes[slot]
         fixed = tuple(e for e in node.edges if index[frozenset([e])] in at)
         shared = [k for k, s in enumerate(node.slots) if s in at]
         new = [k for k, s in enumerate(node.slots) if s not in at]
         start = len(at)
-        steps.append((i, node, fixed,
+        steps.append((shape.candidates(node, fixed),
                       tuple_getter([at[index[frozenset([e])]] for e in fixed]),
                       tuple_getter(shared), tuple_getter([at[node.slots[k]] for k in shared]),
                       tuple_getter(new), start, start + len(new)))
         at.update((node.slots[k], start + n) for n, k in enumerate(new))
-    groups: list[dict | None] = [None] * len(steps)
     merged: list = [None] * len(at)
-    chosen: list = [None] * len(kept)
+    chosen: list = [None] * len(steps)
     values, closures, closure = shape.values, shape.closures, shape.closure
     last = len(steps) - 1
 
     def extend(depth: int):
-        i, node, fixed, fixed_at, shared, shared_at, new, start, stop = steps[depth]
-        found = groups[depth]
-        if found is None:
-            found = groups[depth] = shape.candidates(node, fixed)
+        found, fixed_at, shared, shared_at, new, start, stop = steps[depth]
         want = shared_at(merged)
         for d in found.get(tuple([values[m][0][0] for m in fixed_at(merged)]), ()):
             clo = closures[d]
             if clo is PENDING:
                 clo = closure(d)
             if clo is not None and shared(clo) == want:
-                chosen[i] = d
+                chosen[depth] = d
                 if depth == last:
                     visit(chosen)
                 else:
@@ -108,17 +103,20 @@ def _horn_maps(shape: CompiledShape, omitted: FaceDescriptor, visit) -> None:
         visit(chosen)
 
 
-def _horn_map(shape: CompiledShape, h: HornSpec, chosen) -> HornMap:
-    kept, order = _kept_faces(h.tree, h.omitted)
-    return HornMap(h, tuple((kept[i].key, shape.dendrex(chosen[i])) for i in order))
+def _horn_map(shape: CompiledShape, h: HornSpec, kept: list[int], chosen) -> HornMap:
+    """The horn map with id `chosen[k]` on the top cell's face `kept[k]`."""
+    fs = shape.cells.face_lists[-1]
+    return HornMap(h, tuple((fs[k].key, shape.dendrex(d)) for k, d in zip(kept, chosen)))
 
 
 def enumerate_horn_maps(p: FiniteOperad, h: HornSpec) -> list[HornMap]:
     """All horn maps into the nerve, in the order of the enumerator that
     `kan_report` runs, each built as a `HornMap`."""
-    shape = CompiledShape(p, h.tree)
+    shape = CompiledShape(p, Complex([h.tree]))
+    horns = {f.key: (kept, slots) for f, kept, slots in _horns(shape)}
+    kept, slots = horns[h.omitted.key]
     out: list[HornMap] = []
-    _horn_maps(shape, h.omitted, lambda chosen: out.append(_horn_map(shape, h, chosen)))
+    _horn_maps(shape, slots, lambda chosen: out.append(_horn_map(shape, h, kept, chosen)))
     return out
 
 
@@ -223,12 +221,12 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                     inner_kan=True, dendroidal_kan=True, fully_kan=True,
                     strict=True, fully_unique=True)
     for tree in tree_shapes(max_vertices, max_arity):
-        shape = CompiledShape(p, tree)
-        sigs = [shape.restrictions(i) for i in shape.dendrices(shape.top)]
-        for j, f in enumerate(faces(tree)):
+        shape = CompiledShape(p, Complex([tree]))
+        sigs = [shape.restrictions(i) for i in shape.dendrices(shape.nodes[-1])]
+        for f, kept, slots in _horns(shape):
             h = HornSpec(tree, f)
             cls = classify_horn(h)
-            buckets = Counter(sig[:j] + sig[j + 1:] for sig in sigs)
+            buckets = Counter(map(tuple_getter(kept), sigs))
 
             def visit(chosen):
                 rep.horns_checked += 1
@@ -240,13 +238,13 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                     if cls == "inner":
                         rep.inner_kan = False
                     rep.witnesses.append(HornWitness(tree, f.key, cls, "unfillable",
-                                                     _horn_map(shape, h, chosen), 0))
+                                                     _horn_map(shape, h, kept, chosen), 0))
                 elif n > 1:
                     rep.fully_unique = False
                     if len(tree.vertices) > 1:
                         rep.strict = False
                     rep.witnesses.append(HornWitness(tree, f.key, cls, "non_unique",
-                                                     _horn_map(shape, h, chosen), n))
+                                                     _horn_map(shape, h, kept, chosen), n))
 
-            _horn_maps(shape, f, visit)
+            _horn_maps(shape, slots, visit)
     return rep

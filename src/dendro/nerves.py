@@ -4,7 +4,8 @@ A dendrex of shape T is a colouring of the edges of T together with an
 operation for each vertex whose profile matches the colours of its attached
 edges.  Faces compose or restrict; degeneracies insert identity-labelled
 unary vertices.  `labellings` is the one dendrex enumerator: `Dendrex`
-objects wrap its tuples, and `CompiledShape` interns them as they are.
+objects wrap its tuples, and `CompiledShape`, which compiles a given
+`Complex` for one operad, interns them as they are, cell by cell.
 """
 
 from __future__ import annotations
@@ -188,9 +189,8 @@ def dendrex_closure(p: FiniteOperad, d: Dendrex) -> dict[frozenset, Dendrex]:
 
 
 class _Subface:
-    """One node of a compiled shape: an iterated face of the tree, which is
-    cell `slot` of the complex, with its restriction plans and its interned
-    dendrices."""
+    """One node of a compiled complex: cell `slot`, with its restriction
+    plans and its interned dendrices."""
 
     __slots__ = ("shape", "edges", "outs", "slot", "plans", "slots", "join",
                  "ids", "found", "groups")
@@ -209,30 +209,30 @@ class _Subface:
 
 
 class CompiledShape:
-    """A tree shape compiled for one operad: every dendrex of the tree and of
-    its iterated faces is an int.
+    """A `Complex` compiled for one operad: every dendrex of every cell is an
+    int.
 
-    The iterated faces are the cells of `Complex([tree])`, and nothing else
-    here numbers them: node i is cell i, its slot is i and its slots are the
-    indices of its closure mask, ascending.  A node keeps, per
-    codimension-one face, a restriction plan: index maps for colours and
-    operations plus, for an inner face, the one `compose` site (position in
-    the face's operations, lower operation, input index, upper operation).
-    A dendrex of a node is a pair of `labellings` (colours by sorted edge,
-    operations by sorted vertex output), interned to an id unique across
-    the compiled shape, so two ids are equal exactly when the `Dendrex`
-    objects are.  A node's join plan, compiled from its faces' slots, reads
-    a dendrex's closure off its faces' closures (see `closure`).
+    Nothing here numbers cells a second time: node i is cell i of
+    `cells`, its slot is i and its slots are the indices of its closure
+    mask, ascending.  A node keeps, per codimension-one face, a
+    restriction plan: index maps for colours and operations plus, for an
+    inner face, the one `compose` site (position in the face's operations,
+    lower operation, input index, upper operation).  A dendrex of a node is
+    a pair of `labellings` (colours by sorted edge, operations by sorted
+    vertex output), interned to an id unique across the compiled complex,
+    so two ids are equal exactly when the `Dendrex` objects are.  A node's
+    join plan, compiled from its faces' slots, reads a dendrex's closure
+    off its faces' closures (see `closure`).
 
     `restrictions` is `face_of` on ids and `closure` is `dendrex_closure`
     on ids, both memoised; `face_of`, `dendrex_closure` and `Dendrex` stay
     the reference they are tested against.  Every cache lives here, for as
-    long as the caller keeps the compiled shape.
+    long as the caller keeps the compiled complex.
     """
 
-    def __init__(self, p: FiniteOperad, tree: Tree):
+    def __init__(self, p: FiniteOperad, cells: Complex):
         self.p = p
-        self.cells = cells = Complex([tree])
+        self.cells = cells
         self.nodes = [_Subface(t, i, tuple(cells.indices(mask)))
                       for i, (t, mask) in enumerate(zip(cells.cell_trees, cells.masks))]
         for node, fs, ids in zip(self.nodes, cells.face_lists, cells.face_ids):
@@ -254,15 +254,10 @@ class CompiledShape:
             repeated = [at for at, s in enumerate(cat) if first[s] != at]
             node.join = (tuple_getter([first[s] for s in node.slots]), tuple_getter(repeated),
                          tuple_getter([first[cat[at]] for at in repeated]))
-        self.top = self.nodes[-1]
         self.values: list[tuple] = []       # id -> (colours, operations)
         self.node_of: list[_Subface] = []   # id -> its node
         self._kids: list[tuple | None] = []  # id -> restriction ids per face
         self.closures: list = []            # id -> closure, None or PENDING
-
-    def node(self, tree: Tree) -> _Subface:
-        """The node of an iterated face of the tree."""
-        return self.nodes[self.cells.index[tree.edges]]
 
     def _new_id(self, node: _Subface, key: tuple) -> int:
         got = node.ids[key] = len(self.values)
@@ -303,7 +298,7 @@ class CompiledShape:
 
     def restrictions(self, i: int) -> tuple[int, ...]:
         """The ids of `face_of` the dendrex with id i along each face of its
-        node, in `faces` order; a `compose` error propagates."""
+        node, in `cells.face_lists` order; a `compose` error propagates."""
         got = self._kids[i]
         if got is None:
             cols, ops = self.values[i]

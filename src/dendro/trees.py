@@ -91,16 +91,6 @@ class Tree:
     def inner_edges(self) -> frozenset[str]:
         return frozenset(e for e in self._edges if e in self._above and e in self._below)
 
-    def is_linear(self) -> bool:
-        return all(v.arity == 1 for v in self.vertices)
-
-    def path_to_root(self, edge: str) -> tuple[str, ...]:
-        """Edges from `edge` (inclusive) down to the root (inclusive)."""
-        path = [edge]
-        while path[-1] != self.root:
-            path.append(self._below[path[-1]].output)
-        return tuple(path)
-
     # -- equality up to input reordering -----------------------------------
 
     def _normal(self):
@@ -367,7 +357,7 @@ def insert_unary(tree: Tree, edge: str, fresh: str) -> Tree:
     return Tree(tuple(vs), fresh if edge == tree.root else tree.root)
 
 
-# -- isomorphism and automorphisms -----------------------------------------
+# -- isomorphism ------------------------------------------------------------
 
 def isomorphic(s: Tree, t: Tree) -> bool:
     return s.canonical_key() == t.canonical_key()
@@ -403,10 +393,6 @@ def isomorphisms(s: Tree, t: Tree) -> list[dict[str, str]]:
             seen.add(key)
             out.append(m)
     return out
-
-
-def automorphisms(tree: Tree) -> list[dict[str, str]]:
-    return isomorphisms(tree, tree)
 
 
 # -- walking up -------------------------------------------------------------
@@ -471,7 +457,7 @@ def subtree_from_edges(ambient: Tree, edge_set: Iterable[str]) -> Tree:
     return Tree(tuple(vertices), roots.pop())
 
 
-# -- stem and tree top ------------------------------------------------------
+# -- stem -------------------------------------------------------------------
 
 def stem_edges(tree: Tree) -> list[str]:
     """The maximal linear initial segment, listed top edge first, root last."""
@@ -488,8 +474,3 @@ def stem_edges(tree: Tree) -> list[str]:
 def stem(tree: Tree) -> Tree:
     names = stem_edges(tree)
     return linear(len(names) - 1, edges=names)
-
-
-def tree_top(tree: Tree) -> Tree:
-    """Maximal subtree with non-unary root; eta for linear trees."""
-    return branch(tree, stem_edges(tree)[0])

@@ -91,8 +91,7 @@ def test_acceptance_5_monoid_obstruction(mult01):
         if len(w.tree.vertices) != 1 or w.tree.vertices[0].arity != 2:
             return False
         colours = {}
-        for key, _ in w.horn_map.assignment:
-            d = w.horn_map.face_dendrex(key)
+        for key, d in w.horn_map.assignment:
             colours[key[1]] = d.edge_colours[key[1]]
         root = w.tree.root
         leaf = next(e for e in colours if e != root)

@@ -352,6 +352,20 @@ def _misprofiled_composite():
     return doc
 
 
+def _misprofiled_identity():
+    doc = _z2_table()
+    doc["identities"]["0"] = "o0"
+    return doc
+
+
+def _misprofiled_symmetry():
+    doc = _z2_table()
+    row = doc["symmetry"][1071]
+    assert (row["f"], row["sigma"]) == ("o15", [1, 0])
+    row["result"] = "o0"
+    return doc
+
+
 @pytest.mark.parametrize("make,argv,message", [
     (_colour_twice, ["kan", "check", "--bound", "2", "--format", "text"],
      "error: $.colours[2]: duplicate colour '0'\n"),
@@ -361,12 +375,19 @@ def _misprofiled_composite():
      "error: $.composition[831].result: profile of 'o2' is "
      "(('0', '0', '0', '0'), '0'), "
      "not the composite's (('0', '0', '0'), '0')\n"),
-], ids=["colour-twice", "object-twice", "misprofiled-composite"])
+    (_misprofiled_identity, ["kan", "check", "--bound", "2", "--format", "text"],
+     "error: $.identities.0: profile of 'o0' is (('0', '0'), '0'), "
+     "not the identity's (('0',), '0')\n"),
+    (_misprofiled_symmetry, ["kan", "check", "--bound", "2", "--format", "text"],
+     "error: $.symmetry[1071].result: profile of 'o0' is (('0', '0'), '0'), "
+     "not the permuted (('1', '0'), '1')\n"),
+], ids=["colour-twice", "object-twice", "misprofiled-composite",
+        "misprofiled-identity", "misprofiled-symmetry"])
 def test_table_that_is_not_an_operad_is_input_error(capsys, tmp_path, c2_file,
                                                     make, argv, message):
-    """Tables with a name listed twice or a composite of the wrong profile
-    get no verdict (they used to get one): the command exits 2 with one
-    stderr line."""
+    """Tables with a name listed twice, or a composite, identity or permuted
+    operation of the wrong profile, get no verdict (they used to get one):
+    the command exits 2 with one stderr line."""
     path = tmp_path / "table.json"
     path.write_text(dumps(make()))
     argv = [a.format(c2=c2_file) for a in argv]

@@ -166,6 +166,7 @@ def test_load_operad_dispatch():
 _DROP = object()
 _OPERAD_DOC = operad_to_json(CORPUS["bz2"]())
 _SMC_DOC = smc_to_json(CORPUS["z2"]().smc)
+_Z2_A5_DOC = operad_to_json(table_operad_from(CORPUS["z2"](), 5))
 
 
 def _changed(doc, keys, value):
@@ -188,7 +189,8 @@ def _changed(doc, keys, value):
 # reports the first failing check, in the order fields appear in the
 # document and, within a row, in the order the loader reads them
 # (composition: f, g, result, i; symmetry: f, result, sigma; SMC tables:
-# result, then the two keys).
+# result, then the two keys).  Table "op" is bz2 up to arity 3 and "z2a5"
+# is z2 up to arity 5, where o0 is (0, 0) -> 0 and o15 is (0, 1) -> 1.
 LOADER_ERRORS = [
     ('op', (), [], '$',
      '$: expected object, got list'),
@@ -293,13 +295,21 @@ LOADER_ERRORS = [
      "$.braiding[0].a: unknown object '2'"),
     ('smc', ('braiding', 2, 'result'), '1', '$.braiding[2].result',
      "$.braiding[2].result: unknown morphism '1'"),
+    ('z2a5', ('identities', '0'), 'o0', '$.identities.0',
+     "$.identities.0: profile of 'o0' is (('0', '0'), '0'), "
+     "not the identity's (('0',), '0')"),
+    ('z2a5', ('symmetry', 1071), {'f': 'o15', 'sigma': [1, 0], 'result': 'o0'},
+     '$.symmetry[1071].result',
+     "$.symmetry[1071].result: profile of 'o0' is (('0', '0'), '0'), "
+     "not the permuted (('1', '0'), '1')"),
 ]
 
 
 @pytest.mark.parametrize("kind,keys,value,path,text", LOADER_ERRORS)
 def test_loader_reports_first_error(kind, keys, value, path, text):
-    load, doc = ((operad_from_json, _OPERAD_DOC) if kind == "op"
-                 else (smc_from_json, _SMC_DOC))
+    load, doc = {"op": (operad_from_json, _OPERAD_DOC),
+                 "z2a5": (operad_from_json, _Z2_A5_DOC),
+                 "smc": (smc_from_json, _SMC_DOC)}[kind]
     with pytest.raises(SchemaError) as exc:
         load(_changed(doc, keys, value))
     assert exc.value.path == path

@@ -12,11 +12,12 @@ import pytest
 
 import dendro
 from dendro.jsonio import dumps, kan_report_to_json
-from dendro.kan import (HornMap, enumerate_horn_maps, fillers, kan_report,
-                        tree_shapes)
-from dendro.nerves import (dendrex_closure, dendrices, dendrices_with_colours,
-                           face_of)
+from dendro.kan import (HornMap, _horn_maps, enumerate_horn_maps, fillers,
+                        kan_report, tree_shapes)
+from dendro.nerves import (CompiledShape, dendrex_closure, dendrices,
+                           dendrices_with_colours, face_of)
 from dendro.operads import CORPUS, TableOperad, table_operad_from
+from dendro.shuffles import c2_tensor_complex, filtration_base
 from dendro.trees import (COROLLA_FACE, Tree, Vertex, c2, corolla, face,
                           faces, horn, isomorphic, linear)
 
@@ -66,7 +67,7 @@ def test_fillers_group_solve(z2):
     _, h = _corolla_root_horn()
     want = {"a": "1", "c": "0"}
     m = next(m for m in enumerate_horn_maps(z2, h)
-             if all(m.face_dendrex(("colour", e)).edge_colours[e] == v
+             if all(dict(m.assignment)[("colour", e)].edge_colours[e] == v
                     for e, v in want.items()))
     fs = fillers(z2, m)
     assert len(fs) == 1
@@ -76,8 +77,8 @@ def test_fillers_group_solve(z2):
 def test_fillers_monoid_obstruction(mult01):
     _, h = _corolla_root_horn()
     m = next(m for m in enumerate_horn_maps(mult01, h)
-             if m.face_dendrex(("colour", "a")).edge_colours["a"] == "0"
-             and m.face_dendrex(("colour", "c")).edge_colours["c"] == "1")
+             if dict(m.assignment)[("colour", "a")].edge_colours["a"] == "0"
+             and dict(m.assignment)[("colour", "c")].edge_colours["c"] == "1")
     assert fillers(mult01, m) == []
 
 
@@ -136,12 +137,10 @@ def test_strict_inner_kan_property(bz2, mult01):
 
 # -- the compiled enumerator against the reference oracle --------------------
 
-def _brute_force_horn_maps(p, h):
-    """Every family of dendrices on the kept faces, taken in kept-face order
-    (largest first, then by key) as a product of the unconstrained
-    enumerations, whose closures exist and agree pairwise."""
-    kept = sorted((g for g in faces(h.tree) if g != h.omitted),
-                  key=lambda g: (-len(g.subtree.edges), g.key))
+def _brute_force_maps(p, cells):
+    """Every family of dendrices on the given cells (trees), in their order,
+    as a product of the unconstrained enumerations, whose closures exist and
+    agree pairwise: the maps out of the subcomplex the cells generate."""
 
     def closure(d):
         try:
@@ -149,14 +148,20 @@ def _brute_force_horn_maps(p, h):
         except ValueError:
             return None
 
-    lists = [[(d, clo) for d in dendrices_with_colours(p, g.subtree)
-              if (clo := closure(d)) is not None] for g in kept]
-    out = []
-    for combo in itertools.product(*lists):
-        if all(a[k] == b[k] for (_, a), (_, b) in itertools.combinations(combo, 2)
-               for k in a.keys() & b.keys()):
-            out.append(HornMap(h, tuple((g.key, d) for g, (d, _) in zip(kept, combo))))
-    return out
+    lists = [[(d, clo) for d in dendrices_with_colours(p, t)
+              if (clo := closure(d)) is not None] for t in cells]
+    return [tuple(d for d, _ in combo) for combo in itertools.product(*lists)
+            if all(a[k] == b[k] for (_, a), (_, b) in itertools.combinations(combo, 2)
+                   for k in a.keys() & b.keys())]
+
+
+def _brute_force_horn_maps(p, h):
+    """The brute-force maps out of the kept faces, taken in kept-face order
+    (largest first, then by key), as horn maps."""
+    kept = sorted((g for g in faces(h.tree) if g != h.omitted),
+                  key=lambda g: (-len(g.subtree.edges), g.key))
+    return [HornMap(h, tuple(zip([g.key for g in kept], ds)))
+            for ds in _brute_force_maps(p, [g.subtree for g in kept])]
 
 
 @pytest.mark.parametrize("name,bound", [("z2", 2), ("bz2", 2), ("mult01", 2),
@@ -167,6 +172,31 @@ def test_horn_maps_equal_the_brute_force_oracle(name, bound):
         for f in faces(tree):
             h = horn(tree, f)
             assert enumerate_horn_maps(p, h) == _brute_force_horn_maps(p, h), (tree, f.key)
+
+
+@pytest.mark.parametrize("complex_", ["c2_tensor", "filtration_base"])
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["bz2_nonassociative"])
+def test_maps_out_of_a_complex_equal_the_brute_force_oracle(name, complex_, request):
+    """The horn-map enumerator lists the maps out of any subcomplex, given
+    by its maximal cells: the two generators of the tensor of the binary
+    corolla with the 1-simplex, or the maximal cells of the base of its
+    filtration."""
+    p = (request.getfixturevalue(name) if name == "bz2_nonassociative"
+         else CORPUS[name]())
+    if complex_ == "c2_tensor":
+        amb = c2_tensor_complex(1)
+        cells = [g.edges for g in amb.generators]
+    else:
+        base = filtration_base(1)
+        amb, cells = base.ambient, base.maximal_cells()
+    assert len(cells) == {"c2_tensor": 2, "filtration_base": 4}[complex_]
+    shape = CompiledShape(p, amb)
+    got = []
+    _horn_maps(shape, [amb.index[c] for c in cells],
+               lambda chosen: got.append(tuple(map(shape.dendrex, chosen))))
+    want = _brute_force_maps(p, [amb.cells[c] for c in cells])
+    assert got == want
+    assert want
 
 
 def _with_composition(table, entries):

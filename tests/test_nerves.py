@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from dendro.complexes import Complex
 from dendro.kan import tree_shapes
 from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, degeneracy_of,
                            dendrex_closure, dendrices, dendrices_with_colours,
@@ -215,7 +216,7 @@ def test_candidate_groups_keep_the_backtracking_order(name):
     brute-force test above."""
     p = _operad(name)
     for tree in _small_shapes(name, p):
-        shape = CompiledShape(p, tree)
+        shape = CompiledShape(p, Complex([tree]))
         for node in shape.nodes:
             every = dendrices_with_colours(p, node.shape)
             for d in every:
@@ -239,7 +240,7 @@ def _compiled_conflicts(p, tree) -> int:
     restrictions are `face_of` along each face, and its closure is
     `dendrex_closure` keyed by edge set, None exactly where that raises.
     Returns the number of dendrices whose closure is None."""
-    shape = CompiledShape(p, tree)
+    shape = CompiledShape(p, Complex([tree]))
     conflicts = 0
     for node in shape.nodes:
         fs = faces(node.shape) if node.shape.vertices else []

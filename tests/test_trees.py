@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from dendro.complexes import Complex
 from dendro.kan import tree_shapes
 from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
-                          Tree, TreeError, Vertex, automorphisms,
+                          Tree, TreeError, Vertex, branch,
                           build_standard, c2, classify_edges, classify_horn,
                           corolla, eta, extended_corolla, face, faces, graft,
                           has_root_horn, horn, isomorphic,
                           isomorphisms, linear,
-                          stem, stem_edges, subtree_from_edges, tree_top)
+                          stem, stem_edges, subtree_from_edges)
 
 SHAPES4 = tree_shapes(4)
 
@@ -43,7 +43,7 @@ def test_corolla_shape():
 
 def test_linear_tree():
     t = linear(3)
-    assert t.is_linear()
+    assert all(v.arity == 1 for v in t.vertices)
     assert len(t.vertices) == 3
     assert t.root == "3"
     assert t.leaves == frozenset({"0"})
@@ -242,7 +242,7 @@ def test_graft_rejects_name_collision():
 def test_graft_stem_top_roundtrip():
     for t in (extended_corolla(2, 2), c2_over_chain()):
         top_edge = stem_edges(t)[0]
-        assert graft(stem(t), top_edge, tree_top(t)) == t
+        assert graft(stem(t), top_edge, branch(t, top_edge)) == t
 
 
 def c2_over_chain():
@@ -254,17 +254,17 @@ def c2_over_chain():
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_corolla_automorphism_count(n):
-    aut = automorphisms(corolla(n))
+    aut = isomorphisms(corolla(n), corolla(n))
     assert len(aut) == [1, 1, 2, 6, 24][n]
 
 
 def test_eta_has_one_automorphism():
-    assert automorphisms(eta()) == [{"e": "e"}]
+    assert isomorphisms(eta(), eta()) == [{"e": "e"}]
 
 
 def test_automorphisms_form_a_group():
     t = graft(c2(), "a", corolla(2, leaves=("p", "q"), root="a"))
-    aut = automorphisms(t)
+    aut = isomorphisms(t, t)
     keyed = {frozenset(m.items()) for m in aut}
     ident = {e: e for e in t.edges}
     assert frozenset(ident.items()) in keyed
@@ -303,7 +303,7 @@ def test_canonical_key_invariant_under_renaming(data):
     renamed = Tree(tuple(Vertex(tuple(m[e] for e in v.inputs), m[v.output])
                          for v in tree.vertices), m[tree.root])
     assert isomorphic(tree, renamed)
-    assert len(isomorphisms(tree, renamed)) == len(automorphisms(tree))
+    assert len(isomorphisms(tree, renamed)) == len(isomorphisms(tree, tree))
 
 
 # -- subtrees, stems, initial segments --------------------------------------
@@ -368,23 +368,19 @@ def test_deep_trees_need_no_recursion():
     upper.append(Vertex((f"u{n}", "b"), "m0"))
     lower = [Vertex((f"m{i}",), f"m{i + 1}") for i in range(n)]
     t = Tree(upper + lower, f"m{n}")
-    assert tree_top(t) == Tree(upper, "m0")
-    assert graft(stem(t), "m0", tree_top(t)) == t
+    assert branch(t, stem_edges(t)[0]) == Tree(upper, "m0")
+    assert graft(stem(t), "m0", Tree(upper, "m0")) == t
 
 
 def test_stem_and_top_of_linear_tree():
     t = linear(2)
     assert stem_edges(t) == ["0", "1", "2"]
-    assert tree_top(t) == eta("0")
+    assert branch(t, stem_edges(t)[0]) == eta("0")
 
 
 def test_stem_of_extended_corolla():
     t = extended_corolla(2, 1)
     assert stem_edges(t) == ["c"]          # root vertex is binary: no chain
-    top = tree_top(t)
+    top = branch(t, stem_edges(t)[0])
     assert top == t
 
-
-def test_path_to_root():
-    t = extended_corolla(1, 1)
-    assert t.path_to_root("a_0") == ("a_0", "a_1", "c")
