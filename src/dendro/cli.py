@@ -205,6 +205,11 @@ def _cmd_lemma(args) -> int:
     if any(getattr(args, p) is None for p in required):
         raise ValueError(f"--id {args.id} requires "
                          + " and ".join(f"--{p}" for p in required))
+    options = dict.fromkeys(q for _, req, opt in LEMMAS.values() for q in req + opt)
+    extra = [p for p in options if p not in required + optional and getattr(args, p) is not None]
+    if extra:
+        raise ValueError(f"--id {args.id} does not take "
+                         + ", ".join("--omit" if p == "omitted" else f"--{p}" for p in extra))
     params = {p: getattr(args, p) for p in required + optional}
     if "tree" in params:
         params["tree"] = tree_from_json(_load_json(params["tree"]))

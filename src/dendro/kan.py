@@ -7,11 +7,11 @@ bound (and an arity cap, without which the shape family is infinite).
 
 Each tree shape is compiled once per report, as `Complex([tree])`
 (`nerves.CompiledShape`), whose last cell is the tree: its faces are
-`face_lists[-1]`, so a horn is a list of cells, the faces but one.  One
-enumerator, `_horn_maps`, lists the maps out of any list of cells into the
-nerve by backtracking over ids; `kan_report` counts fillers by tuples of
-ids and builds `HornMap` objects only for witnesses, and
-`enumerate_horn_maps` builds one for every map.  `fillers`, `face_of`,
+`face_lists[-1]`, so a horn is a list of cells, the faces but one.
+`_horn_maps` lists the maps out of any list of cells into the nerve as
+tuples of ids through `nerves.grow`, the one enumeration loop; `kan_report`
+counts fillers by those tuples and builds `HornMap` objects only for
+witnesses, and `enumerate_horn_maps` builds one for every map.  `fillers`, `face_of`,
 `dendrex_closure` and `Dendrex` are the reference oracle the tests compare
 the compiled path against.
 """
@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .complexes import Complex
-from .nerves import PENDING, CompiledShape, Dendrex, dendrices, face_of, tuple_getter
+from .nerves import PENDING, CompiledShape, Dendrex, dendrices, face_of, grow, tuple_getter
 from .nerves import dendrices_with_colours  # noqa: F401  (perfbench traces this binding)
 from .operads import FiniteOperad
 from .trees import HornSpec, Tree, Vertex, classify_horn, faces
@@ -48,59 +47,52 @@ def _horns(shape: CompiledShape):
         yield f, kept, [ids[k] for k in kept]
 
 
-def _horn_maps(shape: CompiledShape, slots: list[int], visit) -> None:
-    """The enumerator of maps into the nerve out of the subcomplex that the
-    cells `slots` generate (a horn's kept faces, say): backtracking over
-    the cells in the order given, it calls `visit(chosen)` once per map,
-    where `chosen[k]` is the id of the dendrex on cell `slots[k]`.
-    `chosen` is reused between calls.
+def _horn_maps(shape: CompiledShape, slots: list[int]) -> list[tuple[int, ...]]:
+    """The maps into the nerve out of the subcomplex that the cells `slots`
+    generate (a horn's kept faces, say), in the order of backtracking over
+    the cells in the order given: the k-th id of a map is the dendrex on
+    cell `slots[k]`.
 
-    A candidate joins the partial family when its closure exists and agrees
-    with the closures already chosen on every shared slot, which decides
-    compatibility on all shared subtrees.  Which slots are shared at each
-    depth does not depend on the choices, so `merged` holds each slot at a
-    position fixed for the list, the slots a depth adds being contiguous;
-    a depth reads the colours of its fixed edges and its shared slots from
-    it and writes its new slots into it, with nothing to undo.
+    It is one `grow` level per cell.  A partial family is the tuple of the
+    ids on its slots, the cells of the closures chosen so far; which slots
+    are shared at each level does not depend on the choices, so each slot
+    has a position fixed for the list.  A candidate joins the family when
+    its closure exists and agrees with it on every shared slot, which
+    decides compatibility on all shared subtrees, and appends the ids on
+    its new slots.
     """
     index = shape.cells.index    # edge set -> slot
-    at: dict[int, int] = {}      # slot -> position in merged
-    steps = []
+    at: dict[int, int] = {}      # slot -> position in a partial family
+    levels = []
     for slot in slots:
         node = shape.nodes[slot]
         fixed = tuple(e for e in node.edges if index[frozenset([e])] in at)
         shared = [k for k, s in enumerate(node.slots) if s in at]
         new = [k for k, s in enumerate(node.slots) if s not in at]
+        levels.append(_cell_level(shape, shape.candidates(node, fixed),
+                                  tuple_getter([at[index[frozenset([e])]] for e in fixed]),
+                                  tuple_getter(shared), tuple_getter(new),
+                                  tuple_getter([at[node.slots[k]] for k in shared])))
         start = len(at)
-        steps.append((shape.candidates(node, fixed),
-                      tuple_getter([at[index[frozenset([e])]] for e in fixed]),
-                      tuple_getter(shared), tuple_getter([at[node.slots[k]] for k in shared]),
-                      tuple_getter(new), start, start + len(new)))
         at.update((node.slots[k], start + n) for n, k in enumerate(new))
-    merged: list = [None] * len(at)
-    chosen: list = [None] * len(steps)
-    values, closures, closure = shape.values, shape.closures, shape.closure
-    last = len(steps) - 1
+    return list(map(tuple_getter([at[s] for s in slots]), grow(levels)))
 
-    def extend(depth: int):
-        found, fixed_at, shared, shared_at, new, start, stop = steps[depth]
-        want = shared_at(merged)
-        for d in found.get(tuple([values[m][0][0] for m in fixed_at(merged)]), ()):
+
+def _cell_level(shape: CompiledShape, found, fixed_at, shared, new, shared_at):
+    """The `_horn_maps` level of one cell: its candidates with the colours
+    `fixed_at` picks for its fixed edges whose closure agrees with `shared_at`
+    on the `shared` slots, as the ids on its `new` slots."""
+    values, closures, closure = shape.values, shape.closures, shape.closure
+
+    def level(t: tuple):
+        want = shared_at(t)
+        for d in found.get(tuple([values[m][0][0] for m in fixed_at(t)]), ()):
             clo = closures[d]
             if clo is PENDING:
                 clo = closure(d)
             if clo is not None and shared(clo) == want:
-                chosen[depth] = d
-                if depth == last:
-                    visit(chosen)
-                else:
-                    merged[start:stop] = new(clo)
-                    extend(depth + 1)
-
-    if steps:
-        extend(0)
-    else:
-        visit(chosen)
+                yield new(clo)
+    return level
 
 
 def _horn_map(shape: CompiledShape, h: HornSpec, kept: list[int], chosen) -> HornMap:
@@ -115,9 +107,7 @@ def enumerate_horn_maps(p: FiniteOperad, h: HornSpec) -> list[HornMap]:
     shape = CompiledShape(p, Complex([h.tree]))
     horns = {f.key: (kept, slots) for f, kept, slots in _horns(shape)}
     kept, slots = horns[h.omitted.key]
-    out: list[HornMap] = []
-    _horn_maps(shape, slots, lambda chosen: out.append(_horn_map(shape, h, kept, chosen)))
-    return out
+    return [_horn_map(shape, h, kept, chosen) for chosen in _horn_maps(shape, slots)]
 
 
 def fillers(p: FiniteOperad, m: HornMap) -> list[Dendrex]:
@@ -167,50 +157,30 @@ class KanReport:
 def tree_shapes(max_vertices: int, max_arity: int = 3) -> list[Tree]:
     """One representative per isomorphism class of trees with 1..max_vertices
     vertices, all arities between 1 and max_arity."""
-
-    @lru_cache(maxsize=None)
-    def shapes(n: int) -> tuple[tuple, ...]:
-        # canonical keys of rooted shapes with exactly n vertices
-        if n == 0:
-            return ((),)
+    shapes: list[list[tuple]] = [[()]]    # n -> canonical keys of shapes with n vertices
+    for n in range(1, max_vertices + 1):
         out = set()
         for arity in range(1, max_arity + 1):
-            for split in _compositions(n - 1, arity):
-                for combo in itertools.product(*[shapes(k) for k in split]):
-                    out.add(tuple(sorted(combo)))
-        return tuple(sorted(out))
-
-    trees = []
-    for n in range(1, max_vertices + 1):
-        for key in shapes(n):
-            if key:
-                trees.append(_tree_from_key(key))
-    return trees
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+            for split in itertools.product(range(n), repeat=arity):
+                if sum(split) == n - 1:
+                    out.update(tuple(sorted(combo))
+                               for combo in itertools.product(*[shapes[k] for k in split]))
+        shapes.append(sorted(out))
+    return [_tree_from_key(key) for keys in shapes[1:] for key in keys]
 
 
 def _tree_from_key(key) -> Tree:
+    """The tree of a canonical key, its edges named in pre-order."""
     counter = itertools.count()
     vertices: list[Vertex] = []
-
-    def build(k, out_edge: str):
-        if not k:
-            return
-        ins = tuple(f"e{next(counter)}" for _ in k)
-        vertices.append(Vertex(ins, out_edge))
-        for sub, e in zip(k, ins):
-            build(sub, e)
-
     root = f"e{next(counter)}"
-    build(key, root)
+    stack = [(key, root)]
+    while stack:
+        k, out_edge = stack.pop()
+        if k:
+            ins = tuple(f"e{next(counter)}" for _ in k)
+            vertices.append(Vertex(ins, out_edge))
+            stack.extend(reversed(list(zip(k, ins))))
     return Tree(tuple(vertices), root)
 
 
@@ -227,10 +197,9 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
             h = HornSpec(tree, f)
             cls = classify_horn(h)
             buckets = Counter(map(tuple_getter(kept), sigs))
-
-            def visit(chosen):
+            for chosen in _horn_maps(shape, slots):
                 rep.horns_checked += 1
-                n = buckets.get(tuple(chosen), 0)
+                n = buckets.get(chosen, 0)
                 if n == 0:
                     rep.fully_kan = False
                     if cls != "root":
@@ -245,6 +214,4 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                         rep.strict = False
                     rep.witnesses.append(HornWitness(tree, f.key, cls, "non_unique",
                                                      _horn_map(shape, h, kept, chosen), n))
-
-            _horn_maps(shape, slots, visit)
     return rep

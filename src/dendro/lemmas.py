@@ -24,7 +24,7 @@ from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
 from .complexes import (Cell, Complex, _cell_key, closure_cells, reject_stumps,
                          representable)
 from .shuffles import filtration_base
-from .trees import (ROOT_FACE, Tree, TreeError, Vertex, branch, faces,
+from .trees import (COROLLA_FACE, ROOT_FACE, Tree, TreeError, Vertex, branch, faces,
                     has_root_horn, is_extended_corolla,
                     stem_edges, walk_up)
 
@@ -254,7 +254,9 @@ def _root_decomposition(tree: Tree):
 
 def root_horn_certificate(tree: Tree,
                           omitted: tuple[str, str] | None = None) -> Certificate:
-    """A certificate of extended-left class for a root horn of the tree.
+    """A certificate of extended-left class for the root horn of the tree,
+    the one omitting its root face (`omitted` None or that face's key) or,
+    on a corolla, the colour of a leaf (`omitted` that face's key).
 
     For extended corollas (every non-root vertex unary, covering corollas
     and linear trees) this is a single generating horn step.  Otherwise the
@@ -263,12 +265,15 @@ def root_horn_certificate(tree: Tree,
     """
     reject_stumps(tree)
     if len(tree.vertices) == 1:
-        if omitted is None or omitted[0] != "colour" or omitted[1] == tree.root:
-            raise TreeError("a corolla root horn omits a leaf colour")
+        if omitted not in [(COROLLA_FACE, e) for e in tree.leaves]:
+            raise TreeError("a corolla root horn omits a leaf colour"
+                            + (f", not {':'.join(omitted)}" if omitted else ""))
         start = [f.subtree.edges for f in faces(tree) if f.key != omitted]
         return build_filtration(representable(tree), start, [tree.edges])
     if not has_root_horn(tree):
         raise TreeError("tree has no root horn")
+    if omitted not in (None, (ROOT_FACE, tree.root)):
+        raise TreeError(f"the root horn omits {ROOT_FACE}:{tree.root}, not {':'.join(omitted)}")
     start = _dedup(f.subtree.edges for f in faces(tree) if f.kind != ROOT_FACE)
     if is_extended_corolla(tree):
         return build_filtration(representable(tree), start, [tree.edges])

@@ -3,9 +3,11 @@
 A dendrex of shape T is a colouring of the edges of T together with an
 operation for each vertex whose profile matches the colours of its attached
 edges.  Faces compose or restrict; degeneracies insert identity-labelled
-unary vertices.  `labellings` is the one dendrex enumerator: `Dendrex`
-objects wrap its tuples, and `CompiledShape`, which compiles a given
-`Complex` for one operad, interns them as they are, cell by cell.
+unary vertices.  `grow` is the one enumeration loop: `labellings` lists
+dendrices through it, one level per vertex, and `kan` lists maps out of a
+complex through it, one level per cell.  `Dendrex` objects wrap the tuples
+of `labellings`, and `CompiledShape`, which compiles a given `Complex` for
+one operad, interns them as they are, cell by cell.
 """
 
 from __future__ import annotations
@@ -84,15 +86,22 @@ def tuple_getter(positions):
     return itemgetter(*positions) if positions else (lambda s: ())
 
 
+def grow(levels) -> list[tuple]:
+    """The one enumeration loop.  Level k maps a partial tuple to the tuples
+    appended to it; growing every partial tuple one level at a time, in the
+    order of the level before, lists them in backtracking order."""
+    partial: list[tuple] = [()]
+    for level in levels:
+        partial = [t + e for t in partial for e in level(t)]
+    return partial
+
+
 def labellings(p: FiniteOperad, shape: Tree) -> list[tuple[tuple, tuple]]:
     """Every dendrex of the shape as a pair (colours by sorted edge,
     operations by sorted vertex output), in the order of backtracking over
     the vertices by output edge: at each, the colours of its edges not
-    coloured yet in `itertools.product` order, then `p.operations`.  All
-    partial labellings (tuples of the values chosen, at positions fixed by
-    the shape) grow one vertex at a time, which keeps that order without
-    recursing; a vertex's extensions are listed once per colouring of its
-    edges coloured before it."""
+    coloured yet in `itertools.product` order, then `p.operations`: one
+    `grow` level per vertex, over the values chosen, at fixed positions."""
     if not shape.vertices:
         return [((c,), ()) for c in p.colours]
     at: dict[str, int] = {}        # edge -> position of its colour
@@ -105,25 +114,26 @@ def labellings(p: FiniteOperad, shape: Tree) -> list[tuple[tuple, tuple]]:
         start = len(at) + len(op_at)
         at.update((e, start + n) for n, e in enumerate(free))
         op_at[v.output] = start + len(free)
-        levels.append((fixed, list(itertools.product(p.colours, repeat=len(free))),
-                       tuple_getter([at[e] for e in v.inputs]), at[v.output]))
-    partial: list[tuple] = [()]
-    for fixed, combos, ins, out in levels:
-        grown: list[tuple] = []
-        extensions: dict[tuple, list[tuple]] = {}    # fixed colours -> extensions
-        for t in partial:
-            key = fixed(t)
-            ext = extensions.get(key)
-            if ext is None:
-                ext = extensions[key] = []
-                for combo in combos:
-                    s = t + combo
-                    ext.extend([combo + (op,) for op in p.operations(ins(s), s[out])])
-            grown.extend([t + e for e in ext])
-        partial = grown
+        levels.append(_vertex_level(p, fixed, list(itertools.product(p.colours, repeat=len(free))),
+                                    tuple_getter([at[e] for e in v.inputs]), at[v.output]))
     colours = tuple_getter([at[e] for e in sorted(shape.edges)])
     ops = tuple_getter([op_at[o] for o in sorted(op_at)])
-    return [(colours(t), ops(t)) for t in partial]
+    return [(colours(t), ops(t)) for t in grow(levels)]
+
+
+def _vertex_level(p: FiniteOperad, fixed, combos: list[tuple], ins, out: int):
+    """The `labellings` level of one vertex: colours of its free edges, then
+    an operation, listed once per colouring `fixed(t)` of its other edges."""
+    extensions: dict[tuple, list[tuple]] = {}
+
+    def level(t: tuple) -> list[tuple]:
+        ext = extensions.get(fixed(t))
+        if ext is None:
+            ext = extensions[fixed(t)] = [combo + (op,) for combo in combos
+                                          for s in [t + combo]
+                                          for op in p.operations(ins(s), s[out])]
+        return ext
+    return level
 
 
 def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:

@@ -242,6 +242,53 @@ def test_lemma_verify_missing_params(capsys):
     assert "requires" in capsys.readouterr().err
 
 
+@pytest.fixture
+def chain_file(tmp_path):
+    """The tree (l1,l2)->a, (a)->x, (x,b)->c."""
+    path = tmp_path / "chain.json"
+    path.write_text(dumps(tree_to_json(Tree((Vertex(("l1", "l2"), "a"), Vertex(("a",), "x"),
+                                             Vertex(("x", "b"), "c")), "c"))))
+    return str(path)
+
+
+@pytest.mark.parametrize("tree,omit,message", [
+    ("chain", "inner:x", "error: the root horn omits root:c, not inner:x"),
+    ("chain", "top:a", "error: the root horn omits root:c, not top:a"),
+    ("chain", "colour:zz", "error: the root horn omits root:c, not colour:zz"),
+    ("c2", "colour:zz", "error: a corolla root horn omits a leaf colour, not colour:zz"),
+], ids=["inner", "top", "colour", "corolla-unknown-colour"])
+def test_lemma_verify_root_horn_rejects_another_face(capsys, chain_file, c2_file,
+                                                     tree, omit, message):
+    path = {"chain": chain_file, "c2": c2_file}[tree]
+    assert main(["lemma", "verify", "--id", "8.5", "--tree", path, "--omit", omit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_lemma_verify_root_horn_by_root_face(capsys, chain_file):
+    assert main(["lemma", "verify", "--id", "8.5", "--tree", chain_file,
+                 "--omit", "root:c"]) == 0
+    assert capsys.readouterr().out == "valid (binary extended left)\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--id", "6.4", "--n", "1", "--k", "3"], "error: --id 6.4 does not take --k"),
+    (["--id", "7.2", "--n", "1", "--k", "2", "--omit", "root:c"],
+     "error: --id 7.2 does not take --omit"),
+    (["--id", "8.3", "--tree", "{chain}", "--v", "c", "--n", "2", "--omit", "root:c"],
+     "error: --id 8.3 does not take --n, --omit"),
+    (["--id", "8.5", "--tree", "{chain}", "--n", "4"], "error: --id 8.5 does not take --n"),
+], ids=["6.4", "7.2", "8.3", "8.5"])
+def test_lemma_verify_rejects_options_the_lemma_does_not_take(capsys, chain_file,
+                                                              argv, message):
+    argv = [a.format(chain=chain_file) for a in argv]
+    assert main(["lemma", "verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--id", "6.4"], "error: --id 6.4 requires --n"),
     (["--id", "7.2", "--n", "1"], "error: --id 7.2 requires --n and --k"),

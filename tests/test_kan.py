@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dendro
+from dendro.complexes import Complex
 from dendro.jsonio import dumps, kan_report_to_json
 from dendro.kan import (HornMap, _horn_maps, enumerate_horn_maps, fillers,
                         kan_report, tree_shapes)
@@ -191,12 +192,31 @@ def test_maps_out_of_a_complex_equal_the_brute_force_oracle(name, complex_, requ
         amb, cells = base.ambient, base.maximal_cells()
     assert len(cells) == {"c2_tensor": 2, "filtration_base": 4}[complex_]
     shape = CompiledShape(p, amb)
-    got = []
-    _horn_maps(shape, [amb.index[c] for c in cells],
-               lambda chosen: got.append(tuple(map(shape.dendrex, chosen))))
+    got = [tuple(map(shape.dendrex, ids))
+           for ids in _horn_maps(shape, [amb.index[c] for c in cells])]
     want = _brute_force_maps(p, [amb.cells[c] for c in cells])
     assert got == want
     assert want
+
+
+@pytest.mark.parametrize("name,bound", [(name, 2) for name in sorted(CORPUS)]
+                         + [("bz2_nonassociative", 3)])
+def test_maps_out_of_a_representable_are_its_dendrices(name, bound, request):
+    """The maps out of a tree's representable are the dendrices of the tree
+    whose closure exists, in `labellings` order: `_horn_maps` on the top
+    cell alone lists the top node's `CompiledShape.dendrices`."""
+    p = (request.getfixturevalue(name) if name == "bz2_nonassociative"
+         else CORPUS[name]())
+    trees = tree_shapes(bound) if name != "bz2_nonassociative" else [linear(bound)]
+    dropped = 0
+    for tree in trees:
+        shape = CompiledShape(p, Complex([tree]))
+        top = len(shape.nodes) - 1
+        ids = shape.dendrices(shape.nodes[top])
+        want = [(i,) for i in ids if shape.closure(i) is not None]
+        assert _horn_maps(shape, [top]) == want, tree
+        dropped += len(ids) - len(want)
+    assert (dropped > 0) == (name == "bz2_nonassociative")
 
 
 def _with_composition(table, entries):

@@ -83,6 +83,22 @@ def test_root_horn_certificate_corolla():
         root_horn_certificate(c2())
 
 
+@pytest.mark.parametrize("tree,omitted,message", [
+    (three_chain_over_binary(), ("inner", "x"), "the root horn omits root:r, not inner:x"),
+    (three_chain_over_binary(), ("top", "x"), "the root horn omits root:r, not top:x"),
+    (three_chain_over_binary(), ("colour", "zz"), "the root horn omits root:r, not colour:zz"),
+    (c2(), ("colour", "zz"), "a corolla root horn omits a leaf colour, not colour:zz"),
+    (c2(), ("root", "c"), "a corolla root horn omits a leaf colour, not root:c"),
+], ids=["inner", "top", "colour", "corolla-unknown-colour", "corolla-root"])
+def test_root_horn_certificate_rejects_another_face(tree, omitted, message):
+    """Only the root horn is certified: a multi-vertex tree takes None or
+    its root face, a corolla a leaf's colour face; any other face is an
+    error naming it, not a certificate of a horn it was not asked for."""
+    with pytest.raises(TreeError) as exc:
+        root_horn_certificate(tree, omitted)
+    assert str(exc.value) == message
+
+
 def test_root_horn_certificate_extended_corolla():
     cert = root_horn_certificate(extended_corolla(2, 2))
     rep = verify_certificate(cert)
