@@ -9,6 +9,7 @@ counts and the first witness of each failure mode.
 """
 
 import argparse
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -70,4 +71,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)   # a closed stdout ends the run quietly
     sys.exit(main())

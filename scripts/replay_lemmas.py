@@ -10,6 +10,7 @@ and the anodyne class actually used.
 """
 
 import argparse
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -85,4 +86,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)   # a closed stdout ends the run quietly
     sys.exit(main())

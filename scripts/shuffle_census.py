@@ -10,6 +10,7 @@ monotone level functions on the vertices of S.
 
 import argparse
 import itertools
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -77,4 +78,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)   # a closed stdout ends the run quietly
     sys.exit(main())

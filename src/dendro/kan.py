@@ -9,11 +9,12 @@ Each tree shape is compiled once per report, as `Complex([tree])`
 (`nerves.CompiledShape`), whose last cell is the tree: its faces are
 `face_lists[-1]`, so a horn is a list of cells, the faces but one.
 `_horn_maps` lists the maps out of any list of cells into the nerve as
-tuples of ids through `nerves.grow`, the one enumeration loop; `kan_report`
-counts fillers by those tuples and builds `HornMap` objects only for
-witnesses, and `enumerate_horn_maps` builds one for every map.  `fillers`, `face_of`,
-`dendrex_closure` and `Dendrex` are the reference oracle the tests compare
-the compiled path against.
+tuples of ids through `nerves.grow`, the one enumeration loop, one level
+per cell, each level one lookup in the cell's `CompiledShape.groups`;
+`kan_report` counts fillers by those tuples and builds `HornMap` objects
+only for witnesses, and `enumerate_horn_maps` builds one for every map.
+`fillers`, `face_of`, `dendrex_closure` and `Dendrex` are the reference
+oracle the tests compare the compiled path against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .complexes import Complex
-from .nerves import PENDING, CompiledShape, Dendrex, dendrices, face_of, grow, tuple_getter
+from .nerves import CompiledShape, Dendrex, dendrices, face_of, grow, tuple_getter
 from .nerves import dendrices_with_colours  # noqa: F401  (perfbench traces this binding)
 from .operads import FiniteOperad
 from .trees import HornSpec, Tree, Vertex, classify_horn, faces
@@ -56,43 +57,23 @@ def _horn_maps(shape: CompiledShape, slots: list[int]) -> list[tuple[int, ...]]:
     It is one `grow` level per cell.  A partial family is the tuple of the
     ids on its slots, the cells of the closures chosen so far; which slots
     are shared at each level does not depend on the choices, so each slot
-    has a position fixed for the list.  A candidate joins the family when
-    its closure exists and agrees with it on every shared slot, which
-    decides compatibility on all shared subtrees, and appends the ids on
-    its new slots.
+    has a position fixed for the list.  A dendrex of the cell joins the
+    family when its closure exists and agrees with it on every shared slot,
+    which decides compatibility on all shared subtrees (the η cell of an
+    edge already coloured is one of them), and appends the ids on its new
+    slots: a level is one lookup in `CompiledShape.groups`.
     """
-    index = shape.cells.index    # edge set -> slot
     at: dict[int, int] = {}      # slot -> position in a partial family
     levels = []
     for slot in slots:
         node = shape.nodes[slot]
-        fixed = tuple(e for e in node.edges if index[frozenset([e])] in at)
-        shared = [k for k, s in enumerate(node.slots) if s in at]
-        new = [k for k, s in enumerate(node.slots) if s not in at]
-        levels.append(_cell_level(shape, shape.candidates(node, fixed),
-                                  tuple_getter([at[index[frozenset([e])]] for e in fixed]),
-                                  tuple_getter(shared), tuple_getter(new),
-                                  tuple_getter([at[node.slots[k]] for k in shared])))
+        shared = tuple(k for k, s in enumerate(node.slots) if s in at)
+        new = tuple(k for k, s in enumerate(node.slots) if s not in at)
+        levels.append(lambda t, get=shape.groups(node, shared, new).get,
+                      key=tuple_getter([at[node.slots[k]] for k in shared]): get(key(t), ()))
         start = len(at)
         at.update((node.slots[k], start + n) for n, k in enumerate(new))
     return list(map(tuple_getter([at[s] for s in slots]), grow(levels)))
-
-
-def _cell_level(shape: CompiledShape, found, fixed_at, shared, new, shared_at):
-    """The `_horn_maps` level of one cell: its candidates with the colours
-    `fixed_at` picks for its fixed edges whose closure agrees with `shared_at`
-    on the `shared` slots, as the ids on its `new` slots."""
-    values, closures, closure = shape.values, shape.closures, shape.closure
-
-    def level(t: tuple):
-        want = shared_at(t)
-        for d in found.get(tuple([values[m][0][0] for m in fixed_at(t)]), ()):
-            clo = closures[d]
-            if clo is PENDING:
-                clo = closure(d)
-            if clo is not None and shared(clo) == want:
-                yield new(clo)
-    return level
 
 
 def _horn_map(shape: CompiledShape, h: HornSpec, kept: list[int], chosen) -> HornMap:
@@ -192,7 +173,9 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                     strict=True, fully_unique=True)
     for tree in tree_shapes(max_vertices, max_arity):
         shape = CompiledShape(p, Complex([tree]))
-        sigs = [shape.restrictions(i) for i in shape.dendrices(shape.nodes[-1])]
+        ids = shape.dendrices(shape.nodes[-1])
+        shape.restrict(shape.nodes[-1])
+        sigs = list(map(shape.restrictions.__getitem__, ids))
         for f, kept, slots in _horns(shape):
             h = HornSpec(tree, f)
             cls = classify_horn(h)

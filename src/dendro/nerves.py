@@ -7,7 +7,8 @@ unary vertices.  `grow` is the one enumeration loop: `labellings` lists
 dendrices through it, one level per vertex, and `kan` lists maps out of a
 complex through it, one level per cell.  `Dendrex` objects wrap the tuples
 of `labellings`, and `CompiledShape`, which compiles a given `Complex` for
-one operad, interns them as they are, cell by cell.
+one operad, interns them as they are and restricts and closes them a node
+(a cell) at a time.
 """
 
 from __future__ import annotations
@@ -96,14 +97,14 @@ def grow(levels) -> list[tuple]:
     return partial
 
 
-def labellings(p: FiniteOperad, shape: Tree) -> list[tuple[tuple, tuple]]:
-    """Every dendrex of the shape as a pair (colours by sorted edge,
+def labellings(p: FiniteOperad, shape: Tree) -> list[tuple]:
+    """Every dendrex of the shape as one tuple (colours by sorted edge, then
     operations by sorted vertex output), in the order of backtracking over
     the vertices by output edge: at each, the colours of its edges not
     coloured yet in `itertools.product` order, then `p.operations`: one
     `grow` level per vertex, over the values chosen, at fixed positions."""
     if not shape.vertices:
-        return [((c,), ()) for c in p.colours]
+        return [(c,) for c in p.colours]
     at: dict[str, int] = {}        # edge -> position of its colour
     op_at: dict[str, int] = {}     # vertex output -> position of its operation
     levels = []
@@ -116,9 +117,8 @@ def labellings(p: FiniteOperad, shape: Tree) -> list[tuple[tuple, tuple]]:
         op_at[v.output] = start + len(free)
         levels.append(_vertex_level(p, fixed, list(itertools.product(p.colours, repeat=len(free))),
                                     tuple_getter([at[e] for e in v.inputs]), at[v.output]))
-    colours = tuple_getter([at[e] for e in sorted(shape.edges)])
-    ops = tuple_getter([op_at[o] for o in sorted(op_at)])
-    return [(colours(t), ops(t)) for t in grow(levels)]
+    return list(map(tuple_getter([at[e] for e in sorted(shape.edges)]
+                                 + [op_at[o] for o in sorted(op_at)]), grow(levels)))
 
 
 def _vertex_level(p: FiniteOperad, fixed, combos: list[tuple], ins, out: int):
@@ -140,8 +140,8 @@ def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
     """All dendrices of the shape, as `Dendrex` objects in `labellings`
     order."""
     edges, outs = sorted(shape.edges), sorted(shape._vertex_outs)
-    return [Dendrex._unchecked(shape, dict(zip(edges, cols)), dict(zip(outs, ops)))
-            for cols, ops in labellings(p, shape)]
+    return [Dendrex._unchecked(shape, dict(zip(edges, t)), dict(zip(outs, t[len(edges):])))
+            for t in labellings(p, shape)]
 
 
 def dendrices(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
@@ -198,22 +198,36 @@ def dendrex_closure(p: FiniteOperad, d: Dendrex) -> dict[frozenset, Dendrex]:
     return out
 
 
+class _Ids(dict):
+    """A node's interned dendrices, `labellings` tuple -> id, in interning
+    order; looking up a new tuple interns it under the complex's next id."""
+
+    __slots__ = ("slot", "interned")
+
+    def __missing__(self, key):
+        got = self[key] = len(self.interned)
+        self.interned.append((self.slot, key))
+        return got
+
+
 class _Subface:
     """One node of a compiled complex: cell `slot`, with its restriction
     plans and its interned dendrices."""
 
     __slots__ = ("shape", "edges", "outs", "slot", "plans", "slots", "join",
-                 "ids", "found", "groups")
+                 "ids", "restricted", "closed", "found", "groups")
 
-    def __init__(self, shape: Tree, slot: int, slots: tuple[int, ...]):
+    def __init__(self, shape: Tree, slot: int, slots: tuple[int, ...], interned: list):
         self.shape = shape
         self.edges = tuple(sorted(shape.edges))
         self.outs = tuple(sorted(shape._vertex_outs))
         self.slot = slot
         self.slots = slots             # the cells of its closure, ascending
-        self.plans: list[tuple] = []   # per face: (child, colours, operations, site)
-        self.join: tuple = ()          # (pick, repeated, first): see CompiledShape.closure
-        self.ids: dict[tuple, int] = {}       # (colours, operations) -> id
+        self.plans: list[tuple] = []   # per face: (its ids, pick, site)
+        self.join: tuple = ()          # (pick, repeated, first): see CompiledShape.close
+        self.ids = _Ids()    # no cycle back to the node: freed without the collector
+        self.ids.slot, self.ids.interned = slot, interned
+        self.restricted = self.closed = 0   # how many of `ids` are restricted, closed
         self.found: list[int] | None = None
         self.groups: dict[tuple, dict] = {}
 
@@ -224,134 +238,136 @@ class CompiledShape:
 
     Nothing here numbers cells a second time: node i is cell i of
     `cells`, its slot is i and its slots are the indices of its closure
-    mask, ascending.  A node keeps, per codimension-one face, a
-    restriction plan: index maps for colours and operations plus, for an
-    inner face, the one `compose` site (position in the face's operations,
-    lower operation, input index, upper operation).  A dendrex of a node is
-    a pair of `labellings` (colours by sorted edge, operations by sorted
-    vertex output), interned to an id unique across the compiled complex,
-    so two ids are equal exactly when the `Dendrex` objects are.  A node's
-    join plan, compiled from its faces' slots, reads a dendrex's closure
-    off its faces' closures (see `closure`).
+    mask, ascending.  A dendrex of a node is its `labellings` tuple (colours
+    by sorted edge, then operations by sorted vertex output), interned to an
+    id unique across the compiled complex, so two ids are equal exactly when
+    the `Dendrex` objects are.  A node keeps, per codimension-one face, a
+    restriction plan: the face's ids, the index map `pick` from a tuple to
+    the face's tuple and, for an inner face, the one `compose` site
+    (positions of the lower operation, input index, position of the upper
+    operation), whose composite `pick` reads appended to the tuple.  A
+    node's join plan, compiled from its faces' slots, reads a dendrex's
+    closure off its faces' closures (see `close`).
 
-    `restrictions` is `face_of` on ids and `closure` is `dendrex_closure`
-    on ids, both memoised; `face_of`, `dendrex_closure` and `Dendrex` stay
-    the reference they are tested against.  Every cache lives here, for as
-    long as the caller keeps the compiled complex.
+    The work goes a node at a time: `restrict` fills `restrictions`, which
+    is `face_of` on ids, and `close` fills `closures`, which is
+    `dendrex_closure` on ids, for every id of a node not done yet (a node
+    counts how many of its ids are).  `face_of`, `dendrex_closure` and
+    `Dendrex` stay the reference they are tested against.  Every cache
+    lives here, for as long as the caller keeps the compiled complex.
     """
 
     def __init__(self, p: FiniteOperad, cells: Complex):
         self.p = p
         self.cells = cells
-        self.nodes = [_Subface(t, i, tuple(cells.indices(mask)))
+        self.interned: list[tuple] = []   # id -> (its node's slot, its `labellings` tuple)
+        self.restrictions: dict[int, tuple[int, ...]] = {}  # id -> ids of its faces
+        self.closures: dict[int, tuple[int, ...] | None] = {}  # id -> ids per slot
+        self.nodes = [_Subface(t, i, tuple(cells.indices(mask)), self.interned)
                       for i, (t, mask) in enumerate(zip(cells.cell_trees, cells.masks))]
         for node, fs, ids in zip(self.nodes, cells.face_lists, cells.face_ids):
             t = node.shape
+            colour_at = {e: k for k, e in enumerate(node.edges)}
+            op_at = {o: k for k, o in enumerate(node.outs, len(node.edges))}
             for f, j in zip(fs, ids):
-                child, site = self.nodes[j], None
+                child, site, at = self.nodes[j], None, op_at
                 if f.kind == INNER_FACE:
                     upper, lower = t.vertex_above(f.label), t.vertex_below(f.label)
-                    site = (child.outs.index(lower.output), node.outs.index(lower.output),
-                            lower.inputs.index(f.label), node.outs.index(upper.output))
-                node.plans.append((child,
-                                   tuple_getter([node.edges.index(e) for e in child.edges]),
-                                   tuple_getter([node.outs.index(o) for o in child.outs]),
-                                   site))
-            cat = [node.slot] + [s for plan in node.plans for s in plan[0].slots]
-            first = {}
-            for at, s in enumerate(cat):
-                first.setdefault(s, at)
+                    site = (at[lower.output], lower.inputs.index(f.label), at[upper.output])
+                    # the composite, appended to the tuple, stands for the lower operation
+                    at = {**op_at, lower.output: len(node.edges) + len(node.outs)}
+                node.plans.append((child.ids, tuple_getter([colour_at[e] for e in child.edges]
+                                                           + [at[o] for o in child.outs]), site))
+            cat = [node.slot] + [s for j in ids for s in self.nodes[j].slots]
+            first = {s: at for at, s in reversed(list(enumerate(cat)))}   # each slot's first
             repeated = [at for at, s in enumerate(cat) if first[s] != at]
             node.join = (tuple_getter([first[s] for s in node.slots]), tuple_getter(repeated),
                          tuple_getter([first[cat[at]] for at in repeated]))
-        self.values: list[tuple] = []       # id -> (colours, operations)
-        self.node_of: list[_Subface] = []   # id -> its node
-        self._kids: list[tuple | None] = []  # id -> restriction ids per face
-        self.closures: list = []            # id -> closure, None or PENDING
-
-    def _new_id(self, node: _Subface, key: tuple) -> int:
-        got = node.ids[key] = len(self.values)
-        self.values.append(key)
-        self.node_of.append(node)
-        self._kids.append(None)
-        self.closures.append(PENDING)
-        return got
 
     def dendrex(self, i: int) -> Dendrex:
         """The `Dendrex` with id i."""
-        node = self.node_of[i]
-        cols, ops = self.values[i]
-        return Dendrex._unchecked(node.shape, dict(zip(node.edges, cols)),
-                                  dict(zip(node.outs, ops)))
+        slot, key = self.interned[i]
+        node = self.nodes[slot]
+        return Dendrex._unchecked(node.shape, dict(zip(node.edges, key)),
+                                  dict(zip(node.outs, key[len(node.edges):])))
 
     def dendrices(self, node: _Subface) -> list[int]:
         """`labellings` of the node as ids, in its order; run once per
         node."""
         if node.found is None:
-            node.found = []
-            for key in labellings(self.p, node.shape):
-                got = node.ids.get(key)
-                node.found.append(got if got is not None else self._new_id(node, key))
+            node.found = [node.ids[key] for key in labellings(self.p, node.shape)]
         return node.found
 
-    def candidates(self, node: _Subface, fixed: tuple[str, ...]) -> dict[tuple, list[int]]:
-        """The node's dendrices grouped by the colours of the edges `fixed`,
-        each group in `labellings` order."""
-        groups = node.groups.get(fixed)
-        if groups is None:
-            pick = tuple_getter([node.edges.index(e) for e in fixed])
-            groups = node.groups[fixed] = {}
-            values = self.values
-            for i in self.dendrices(node):
-                groups.setdefault(pick(values[i][0]), []).append(i)
-        return groups
+    def restrict(self, node: _Subface) -> None:
+        """Restricts every id of the node not restricted yet along each of
+        its faces, in `cells.face_lists` order, interning what is new in the
+        faces: one pass over those ids per face, with one `compose` per id
+        on an inner face; a `compose` error propagates."""
+        start = node.restricted
+        if start == len(node.ids):
+            return
+        keys = list(itertools.islice(node.ids, start, None))
+        compose = self.p.compose
+        columns = []
+        for ids, pick, site in node.plans:
+            if site is None:
+                columns.append([ids[pick(k)] for k in keys])
+            else:
+                lower, j, upper = site
+                columns.append([ids[pick(k + (compose(k[lower], j, k[upper]),))] for k in keys])
+        self.restrictions.update(zip(itertools.islice(node.ids.values(), start, None),
+                                     zip(*columns) if columns else itertools.repeat(())))
+        node.restricted = start + len(keys)
 
-    def restrictions(self, i: int) -> tuple[int, ...]:
-        """The ids of `face_of` the dendrex with id i along each face of its
-        node, in `cells.face_lists` order; a `compose` error propagates."""
-        got = self._kids[i]
-        if got is None:
-            cols, ops = self.values[i]
-            out = []
-            for child, colours, ops_of, site in self.node_of[i].plans:
-                new_ops = ops_of(ops)
-                if site is not None:
-                    at, lower, j, upper = site
-                    new_ops = (new_ops[:at] + (self.p.compose(ops[lower], j, ops[upper]),)
-                               + new_ops[at + 1:])
-                key = (colours(cols), new_ops)
-                sub = child.ids.get(key)
-                out.append(sub if sub is not None else self._new_id(child, key))
-            got = self._kids[i] = tuple(out)
-        return got
+    def close(self, node: _Subface) -> None:
+        """Computes the closure of every id of the node that has none yet:
+        one id per slot of its node's `slots`, in that order, or None
+        exactly where `dendrex_closure` raises `ValueError`; a `compose`
+        error propagates.
 
-    def closure(self, i: int) -> tuple[int, ...] | None:
-        """The ids of all iterated restrictions of dendrex i, one per slot of
-        `node_of[i].slots` in that order, or None exactly where
-        `dendrex_closure` raises `ValueError`; a `compose` error propagates.
-
-        It joins the memoised closures of the faces by the node's join plan:
-        `(i,)` and the faces' closures laid end to end hold every slot of
-        the node at least once; `pick` takes each slot's first occurrence,
-        in slot order, and the closures agree where they overlap iff each
-        `repeated` position equals its `first` one.  Every path of
-        `dendrex_closure` passes through a face, so a conflict on that walk
-        is a missing or disagreeing face closure here.
+        If one lacks it, every cell of the node's closure is restricted from
+        the top down (descending slot, so a cell comes before its faces),
+        then every id of those cells is closed from the bottom up by its
+        node's join plan: `(i,)` and the faces' closures laid end to end
+        hold every slot of the node at least once; `pick` takes each slot's
+        first occurrence, in slot order, and the closures agree where they
+        overlap iff each `repeated` position equals its `first` one.  Every
+        path of `dendrex_closure` passes through a face, so a conflict on
+        that walk is a missing or disagreeing face closure here.
         """
-        got = self.closures[i]
-        if got is PENDING:
-            kids = [self.closure(sub) for sub in self.restrictions(i)]
-            got = None
-            if None not in kids:
-                cat = (i,) + tuple(itertools.chain.from_iterable(kids))
-                pick, repeated, first = self.node_of[i].join
-                if repeated(cat) == first(cat):
-                    got = pick(cat)
-            self.closures[i] = got
+        if node.closed == len(node.ids):
+            return
+        restrictions, closures = self.restrictions, self.closures
+        for s in reversed(node.slots):
+            self.restrict(self.nodes[s])
+        for s in node.slots:
+            cell = self.nodes[s]
+            pick, repeated, first = cell.join
+            for i in itertools.islice(cell.ids.values(), cell.closed, None):
+                parts = [closures[k] for k in restrictions[i]]
+                closures[i] = None
+                if None not in parts:
+                    cat = (i,) + tuple(itertools.chain.from_iterable(parts))
+                    if repeated(cat) == first(cat):
+                        closures[i] = pick(cat)
+            cell.closed = len(cell.ids)
+
+    def groups(self, node: _Subface, shared: tuple[int, ...],
+               new: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+        """The node's dendrices that have a closure, by their closure's ids
+        at the positions `shared` of `node.slots`: each key lists their ids
+        at the positions `new`, in `labellings` order; memoised per
+        (shared, new)."""
+        got = node.groups.get((shared, new))
+        if got is None:
+            ids = self.dendrices(node)
+            self.close(node)
+            got = node.groups[shared, new] = {}
+            at_shared, at_new = tuple_getter(shared), tuple_getter(new)
+            for clo in map(self.closures.__getitem__, ids):
+                if clo is not None:
+                    got.setdefault(at_shared(clo), []).append(at_new(clo))
         return got
-
-
-PENDING = object()   # a closure not computed yet
 
 
 def degeneracy_of(p: FiniteOperad, d: Dendrex, edge: str, fresh: str) -> Dendrex:

@@ -166,9 +166,14 @@ def _brute_force_horn_maps(p, h):
 
 
 @pytest.mark.parametrize("name,bound", [("z2", 2), ("bz2", 2), ("mult01", 2),
-                                        ("z3", 1)])
+                                        ("z3", 1), ("table:z2", 2), ("table:bz2", 2),
+                                        ("table:mult01", 2)])
 def test_horn_maps_equal_the_brute_force_oracle(name, bound):
-    p = CORPUS[name]()
+    """On corpus operads, and on them as explicit tables (the operads the
+    CLI reads from JSON) up to arity 5, which every face of a tree of
+    `tree_shapes(2)` fits."""
+    table = name.startswith("table:")
+    p = table_operad_from(CORPUS[name[6:]](), 5) if table else CORPUS[name]()
     for tree in tree_shapes(bound):
         for f in faces(tree):
             h = horn(tree, f)
@@ -213,7 +218,8 @@ def test_maps_out_of_a_representable_are_its_dendrices(name, bound, request):
         shape = CompiledShape(p, Complex([tree]))
         top = len(shape.nodes) - 1
         ids = shape.dendrices(shape.nodes[top])
-        want = [(i,) for i in ids if shape.closure(i) is not None]
+        shape.close(shape.nodes[top])
+        want = [(i,) for i in ids if shape.closures[i] is not None]
         assert _horn_maps(shape, [top]) == want, tree
         dropped += len(ids) - len(want)
     assert (dropped > 0) == (name == "bz2_nonassociative")

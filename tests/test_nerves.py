@@ -8,7 +8,7 @@ from dendro.complexes import Complex
 from dendro.kan import tree_shapes
 from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, degeneracy_of,
                            dendrex_closure, dendrices, dendrices_with_colours,
-                           face_of, is_degenerate, underlying_sset)
+                           face_of, is_degenerate, labellings, underlying_sset)
 from dendro.operads import CORPUS, table_operad_from
 from dendro.trees import (COROLLA_FACE, INNER_FACE, Tree, Vertex, c2, eta,
                           face, faces, linear)
@@ -208,11 +208,13 @@ def test_dendrices_match_brute_force(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS) + [_TABLE + "bz2"])
 def test_candidate_groups_keep_the_backtracking_order(name):
-    """A node's ids list `dendrices_with_colours` in its order, and each group
-    of `CompiledShape.candidates` lists the ids with that colouring of the
-    fixed edges in that order, the witness order of the Kan-report JSON
-    (tried for every set of at most two fixed edges).  Every output is a
-    valid dendrex: the enumerator builds them unchecked.  Shapes as in the
+    """A node's ids list `dendrices_with_colours` in its order, and a group
+    of `CompiledShape.groups` is what filtering them by their ids on the
+    shared slots leaves, as their ids on the new slots, in that order: the
+    witness order of the Kan-report JSON.  Tried with no slot and with each
+    η slot (the colour of one edge) shared, on the closures that
+    `test_compiled_shape_matches_reference` checks.  Every output is a valid
+    dendrex: the enumerator builds them unchecked.  Shapes as in the
     brute-force test above."""
     p = _operad(name)
     for tree in _small_shapes(name, p):
@@ -223,41 +225,61 @@ def test_candidate_groups_keep_the_backtracking_order(name):
                 check_dendrex(p, d)
             ids = shape.dendrices(node)
             assert [shape.dendrex(i) for i in ids] == every, node.shape
-            for size in range(min(2, len(node.edges)) + 1):
-                for fixed in itertools.combinations(node.edges, size):
-                    at = [node.edges.index(e) for e in fixed]
-                    want: dict[tuple, list[int]] = {}
-                    for i in ids:
-                        want.setdefault(tuple(shape.values[i][0][k] for k in at),
-                                        []).append(i)
-                    assert shape.candidates(node, fixed) == want, (node.shape, fixed)
+            etas = [k for k, s in enumerate(node.slots) if len(shape.cells.order[s]) == 1]
+            for shared in [()] + [(k,) for k in etas]:
+                new = tuple(k for k in range(len(node.slots)) if k not in shared)
+                got = shape.groups(node, shared, new)
+                pairs = [(tuple(map(clo.__getitem__, shared)), tuple(map(clo.__getitem__, new)))
+                         for clo in map(shape.closures.__getitem__, ids) if clo is not None]
+                assert got == {key: [n for s, n in pairs if s == key]
+                               for key in dict(pairs)}, (node.shape, shared)
 
 
 # -- compiled shapes against the reference -----------------------------------
 
-def _compiled_conflicts(p, tree) -> int:
-    """Checks every dendrex of every iterated face of the compiled tree: its
+def _reference_closure(p, d):
+    """`dendrex_closure`, or None where it raises."""
+    try:
+        return dendrex_closure(p, d)
+    except ValueError:
+        return None
+
+
+def _check_done(shape) -> int:
+    """Checks every id a node counts as restricted or closed: its
     restrictions are `face_of` along each face, and its closure is
-    `dendrex_closure` keyed by edge set, None exactly where that raises.
-    Returns the number of dendrices whose closure is None."""
-    shape = CompiledShape(p, Complex([tree]))
-    conflicts = 0
+    `dendrex_closure` keyed by edge set, None exactly where that raises; an
+    id not counted has none yet.  Returns the number of closures that are
+    None."""
+    p, conflicts = shape.p, 0
     for node in shape.nodes:
         fs = faces(node.shape) if node.shape.vertices else []
-        for i in shape.dendrices(node):
+        for n, i in enumerate(node.ids.values()):
             d = shape.dendrex(i)
-            assert [shape.dendrex(k) for k in shape.restrictions(i)] \
-                == [face_of(p, d, f) for f in fs], d
-            try:
-                want = dendrex_closure(p, d)
-            except ValueError:
-                want = None
-            clo = shape.closure(i)
-            got = None if clo is None else {shape.cells.order[s]: shape.dendrex(k)
-                                            for s, k in zip(node.slots, clo)}
-            assert got == want, d
-            conflicts += clo is None
+            assert (i in shape.restrictions) == (n < node.restricted), d
+            assert (i in shape.closures) == (n < node.closed), d
+            if n < node.restricted:
+                assert [shape.dendrex(k) for k in shape.restrictions[i]] \
+                    == [face_of(p, d, f) for f in fs], d
+            if n < node.closed:
+                clo = shape.closures[i]
+                got = None if clo is None else {shape.cells.order[s]: shape.dendrex(k)
+                                                for s, k in zip(node.slots, clo)}
+                assert got == _reference_closure(p, d), d
+                conflicts += clo is None
     return conflicts
+
+
+def _compiled_conflicts(p, tree) -> int:
+    """Lists the dendrices of every node of the compiled tree, closes the
+    tree and checks every id (`_check_done`), returning the number of
+    closures that are None."""
+    shape = CompiledShape(p, Complex([tree]))
+    for node in shape.nodes:
+        shape.dendrices(node)
+    shape.close(shape.nodes[-1])
+    assert all(node.closed == len(node.ids) for node in shape.nodes)
+    return _check_done(shape)
 
 
 @pytest.mark.parametrize("name,bound", [
@@ -274,3 +296,49 @@ def test_compiled_shape_matches_reference(name, bound):
 def test_compiled_closure_fails_where_reference_raises(bz2_nonassociative):
     assert _compiled_conflicts(bz2_nonassociative, linear(3)) > 0
     assert _compiled_conflicts(bz2_nonassociative, linear(4)) > 0
+
+
+def _out_of_order(p, tree) -> tuple[int, int]:
+    """Compiles the tree and, for each face of it in turn, interns the face's
+    last dendrex alone and closes the face; then restricts the tree, which
+    interns more ids in those closed faces, closes each face again and
+    closes the tree, checking every id after each step (`_check_done`).
+    Returns the number of ids the restriction added to closed faces and
+    the number of closures that are None."""
+    shape = CompiledShape(p, Complex([tree]))
+    top, faces_ = shape.nodes[-1], [shape.nodes[j] for j in shape.cells.face_ids[-1]]
+    for node in faces_:
+        node.ids[labellings(p, node.shape)[-1]]    # looking a tuple up interns it
+        shape.close(node)
+        _check_done(shape)
+    before = sum(len(node.ids) for node in faces_)
+    shape.dendrices(top)
+    shape.restrict(top)
+    _check_done(shape)
+    added = sum(len(node.ids) for node in faces_) - before
+    for node in faces_:
+        shape.close(node)
+        _check_done(shape)
+    shape.close(top)
+    assert all(node.closed == len(node.ids) for node in shape.nodes)
+    return added, _check_done(shape)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_batched_bookkeeping_in_any_order(name):
+    """Ids interned in a face after it was closed are restricted and closed
+    when it is closed again, on every corpus operad at bound 2."""
+    p = _operad(name)
+    added = 0
+    for tree in tree_shapes(2):
+        more, conflicts = _out_of_order(p, tree)
+        assert conflicts == 0, tree
+        added += more
+    assert added > 0
+
+
+def test_batched_bookkeeping_keeps_conflicts(bz2_nonassociative):
+    """Closures that raise come out None in that order too."""
+    for tree in (linear(3), linear(4)):
+        added, conflicts = _out_of_order(bz2_nonassociative, tree)
+        assert added > 0 and conflicts > 0, tree

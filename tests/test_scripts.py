@@ -10,20 +10,38 @@ import pytest
 import dendro
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = str(Path(dendro.__file__).resolve().parent.parent)
+
+_PRINTING = {
+    "kan_survey": ["kan_survey.py", "--bound", "1"],
+    "replay_lemmas": ["replay_lemmas.py", "--tensor-n", "1", "--tree-bound", "2"],
+    "shuffle_census": ["shuffle_census.py", "--max-n", "1", "--check"],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["kan_survey.py", "--bound", "1"],
-    ["replay_lemmas.py", "--tensor-n", "1", "--tree-bound", "2"],
-    ["shuffle_census.py", "--max-n", "1", "--check"],
-    ["src_lines.py"],
-], ids=["kan_survey", "replay_lemmas", "shuffle_census", "src_lines"])
+@pytest.mark.parametrize("argv", [*_PRINTING.values(), ["src_lines.py"]],
+                         ids=[*_PRINTING, "src_lines"])
 def test_script_runs(argv):
     """The scripts import the library API directly, so a renamed or removed
     name shows here as a nonzero exit."""
-    src = str(Path(dendro.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("argv", _PRINTING.values(), ids=_PRINTING)
+def test_script_stops_quietly_on_a_closed_pipe(argv):
+    """A reader that stops after the first line (`| head -1`) closes the
+    script's stdout while it still prints: the script stops without a
+    traceback.  Unbuffered, its later lines meet the closed pipe."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    proc.wait()
+    assert "Traceback" not in stderr, stderr
