@@ -440,11 +440,15 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
     """Depth-first search for a filtration from start to target using horn
     attachments of class <= allowed.  Deterministic: candidate cells are
     tried in (size, name) order.  `budget` bounds candidate evaluations.
+    Whether a cell attaches, and along which face, depends only on its
+    closure's meet with the current subcomplex, so each (cell, meet) is
+    tested once per call; `examined` still counts every evaluation.
     """
     goal, start_mask = target.mask, start.mask
     todo_all = amb.indices(goal & ~start_mask)       # in (size, name) order
     examined = 0
     out_of_budget = False
+    attachable: dict[tuple[int, int], HornStep | None] = {}
 
     def moves(current: int) -> list[HornStep]:
         nonlocal examined, out_of_budget
@@ -456,9 +460,14 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
                 out_of_budget = True
                 break
             examined += 1
-            missing, is_horn = amb.attachment(i, current)
-            if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed:
-                found.append(HornStep(amb.order[i], missing[0]))
+            key = (i, current & amb.masks[i])
+            step = attachable.get(key, _UNSET)
+            if step is _UNSET:
+                missing, is_horn = amb.attachment(i, current)
+                ok = is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed
+                step = attachable[key] = HornStep(amb.order[i], missing[0]) if ok else None
+            if step is not None:
+                found.append(step)
         return found
 
     def dfs(current: int, steps: list) -> bool:

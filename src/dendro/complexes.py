@@ -129,11 +129,11 @@ class Complex:
 
     def horn_mask(self, i: int, omitted_key: tuple[str, str]) -> int:
         """The closure of every face of cell i but the omitted one."""
-        keys = [f.key for f in self.face_lists[i]]
-        if omitted_key not in keys:
-            raise TreeError(f"no face {omitted_key} on cell {sorted(self.order[i])}"
-                            if keys else "eta has no faces")
-        return self._kept_closure(i, keys.index(omitted_key))
+        for k, f in enumerate(self.face_lists[i]):
+            if f.key == omitted_key:
+                return self._kept_closure(i, k)
+        raise TreeError(f"no face {omitted_key} on cell {sorted(self.order[i])}"
+                        if self.face_lists[i] else "eta has no faces")
 
     def _kept_closure(self, i: int, omitted: int | None) -> int:
         """The closure of the faces of cell i but its face number `omitted`

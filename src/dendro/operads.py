@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Hashable, Sequence
 
 Profile = tuple[tuple[str, ...], str]
@@ -269,15 +269,12 @@ class SMCOperad(FiniteOperad):
         self.smc = smc
         self.name = name
         self.colours = tuple(smc.objects)
-        self._perm_iso = lru_cache(maxsize=None)(smc.permutation_iso)
-        self.operations = lru_cache(maxsize=None)(self._operations)
-        self.compose = lru_cache(maxsize=None)(self._compose)
-        self.permute = lru_cache(maxsize=None)(self._permute)
-
-    def _operations(self, inputs, output):
-        inputs = tuple(inputs)
-        dom = self.smc.tensor_objects(inputs)
-        return tuple((inputs, output, m) for m in self.smc.homs(dom, output))
+        # caches of functions of the SMC: caches of the operad's own bound
+        # methods would make each operad a reference cycle
+        cache = lru_cache(maxsize=None)
+        self.operations = cache(partial(_smc_operations, smc))
+        self.compose = cache(partial(_smc_compose, smc))
+        self.permute = cache(partial(_smc_permute, smc, cache(smc.permutation_iso)))
 
     def op_profile(self, op):
         return (op[0], op[1])
@@ -285,28 +282,36 @@ class SMCOperad(FiniteOperad):
     def identity(self, colour):
         return ((colour,), colour, self.smc.identities[colour])
 
-    def _compose(self, f, i, g):
-        fin, fout, fm = f
-        gin, gout, gm = g
-        if not 0 <= i < len(fin) or fin[i] != gout:
-            raise ValueError(f"cannot plug {g} into input {i} of {f}")
-        left = self.smc.identities[self.smc.tensor_objects(fin[:i])]
-        right = self.smc.identities[self.smc.tensor_objects(fin[i + 1:])]
-        whisk = self.smc.tensor_mor[(self.smc.tensor_mor[(left, gm)], right)]
-        new_in = fin[:i] + gin + fin[i + 1:]
-        return (new_in, fout, self.smc.compose[(fm, whisk)])
-
-    def _permute(self, f, sigma):
-        fin, fout, fm = f
-        sigma = tuple(sigma)
-        if sorted(sigma) != list(range(len(fin))):
-            raise ValueError(f"{sigma} is not a permutation of the inputs of {f}")
-        new_in = tuple(fin[s] for s in sigma)
-        iso = self._perm_iso(fin, sigma)   # tensor(new_in) -> tensor(fin)
-        return (new_in, fout, self.smc.compose[(fm, iso)])
-
     def __repr__(self):
         return f"SMCOperad({self.name})"
+
+
+def _smc_operations(smc: FiniteSMC, inputs, output):
+    inputs = tuple(inputs)
+    dom = smc.tensor_objects(inputs)
+    return tuple((inputs, output, m) for m in smc.homs(dom, output))
+
+
+def _smc_compose(smc: FiniteSMC, f, i, g):
+    fin, fout, fm = f
+    gin, gout, gm = g
+    if not 0 <= i < len(fin) or fin[i] != gout:
+        raise ValueError(f"cannot plug {g} into input {i} of {f}")
+    left = smc.identities[smc.tensor_objects(fin[:i])]
+    right = smc.identities[smc.tensor_objects(fin[i + 1:])]
+    whisk = smc.tensor_mor[(smc.tensor_mor[(left, gm)], right)]
+    new_in = fin[:i] + gin + fin[i + 1:]
+    return (new_in, fout, smc.compose[(fm, whisk)])
+
+
+def _smc_permute(smc: FiniteSMC, perm_iso, f, sigma):
+    fin, fout, fm = f
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(len(fin))):
+        raise ValueError(f"{sigma} is not a permutation of the inputs of {f}")
+    new_in = tuple(fin[s] for s in sigma)
+    iso = perm_iso(fin, sigma)   # tensor(new_in) -> tensor(fin)
+    return (new_in, fout, smc.compose[(fm, iso)])
 
 
 # ---------------------------------------------------------------------------

@@ -35,38 +35,42 @@ class Tree:
 
     def __init__(self, vertices: Iterable[Vertex], root: str):
         vertices = tuple(vertices)
-        above: dict[str, Vertex] = {}   # edge -> vertex whose output it is
-        below: dict[str, Vertex] = {}   # edge -> vertex having it as input
-        edges = {root}
+        above, below, edges = set(), set(), {root}
         for v in vertices:
             if v.output in above:
                 raise TreeError(f"edge {v.output!r} is the output of two vertices")
-            above[v.output] = v
+            above.add(v.output)
             edges.add(v.output)
             for e in v.inputs:
                 if e in below:
                     raise TreeError(f"edge {e!r} is the input of two vertices")
-                below[e] = v
+                below.add(e)
                 edges.add(e)
-            if len(set(v.inputs)) != len(v.inputs):
-                raise TreeError(f"vertex at {v.output!r} repeats an input edge")
         if root in below:
             raise TreeError(f"root {root!r} is the input of a vertex")
         for e in edges:
             if e != root and e not in below:
                 raise TreeError(f"edge {e!r} is attached to no vertex below and is not the root")
-        object.__setattr__(self, "_above", above)
+        self._fill(vertices, root)
         seen = set(walk_up(self, [root])[0])
         if seen != edges:
             raise TreeError(f"disconnected edges: {sorted(edges - seen)}")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_below", below)
-        object.__setattr__(self, "_edges", frozenset(edges))
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_norm", None)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_vertex_outs", frozenset(above))
+
+    @classmethod
+    def _unchecked(cls, vertices: tuple[Vertex, ...], root: str) -> "Tree":
+        """Internal fast path for faces of a checked tree: no validation."""
+        t = object.__new__(cls)
+        t._fill(vertices, root)
+        return t
+
+    def _fill(self, vertices: tuple[Vertex, ...], root: str) -> None:
+        above = {v.output: v for v in vertices}
+        below = {e: v for v in vertices for e in v.inputs}
+        for name, value in (("vertices", vertices), ("root", root), ("_above", above),
+                            ("_below", below), ("_edges", frozenset(below.keys() | {root})),
+                            ("_key", None), ("_norm", None), ("_hash", None),
+                            ("_vertex_outs", frozenset(above))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -240,8 +244,8 @@ def _inner_face(tree: Tree, e: str) -> Tree:
     lower = tree.vertex_below(e)
     i = lower.inputs.index(e)
     merged = Vertex(lower.inputs[:i] + upper.inputs + lower.inputs[i + 1:], lower.output)
-    vs = tuple(v for v in tree.vertices if v not in (upper, lower)) + (merged,)
-    return Tree(vs, tree.root)
+    vs = tuple(v for v in tree.vertices if v is not upper and v is not lower) + (merged,)
+    return Tree._unchecked(vs, tree.root)
 
 
 # Module-wide, not a Tree slot: equal trees rebuilt in one process share faces.
@@ -262,7 +266,8 @@ def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
     if not tree.vertices:
         raise TreeError("eta has no faces")
     if len(tree.vertices) == 1:
-        return [FaceDescriptor(COROLLA_FACE, e, eta(e)) for e in sorted(tree.edges)]
+        return [FaceDescriptor(COROLLA_FACE, e, Tree._unchecked((), e))
+                for e in sorted(tree.edges)]
     out = []
     inner = tree.inner_edges
     for e in sorted(inner):
@@ -273,11 +278,10 @@ def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
             continue
         # an outer vertex: the root vertex on one inner input, or a vertex
         # whose inputs are all leaves
-        rest = tuple(w for w in tree.vertices if w != v)
-        if v.output == tree.root:
-            out.append(FaceDescriptor(ROOT_FACE, v.output, Tree(rest, attached[0])))
-        else:
-            out.append(FaceDescriptor(TOP_FACE, v.output, Tree(rest, tree.root)))
+        rest = tuple(w for w in tree.vertices if w is not v)
+        kind = ROOT_FACE if v.output == tree.root else TOP_FACE
+        root = attached[0] if kind == ROOT_FACE else tree.root
+        out.append(FaceDescriptor(kind, v.output, Tree._unchecked(rest, root)))
     return out
 
 

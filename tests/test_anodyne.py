@@ -6,11 +6,11 @@ import random
 import pytest
 
 from dendro.anodyne import (AnodyneClass, BuildError, Certificate, HornStep,
-                            NestedStep, build_filtration, certificate_class,
-                            class_phrase, generator_class, parse_class,
-                            search_certificate, verify_certificate)
+                            NestedStep, SearchResult, build_filtration,
+                            certificate_class, class_phrase, generator_class,
+                            parse_class, search_certificate, verify_certificate)
 from dendro.complexes import representable
-from dendro.lemmas import (binary_tensor_certificate,
+from dendro.lemmas import (binary_tensor_certificate, codim_base_cells,
                            extended_corolla_split_certificate,
                            root_horn_certificate)
 from dendro.shuffles import c2_shuffle
@@ -381,3 +381,87 @@ def test_search_budget_exhaustion(two_vertex_tree):
     res = search_certificate(amb, start, amb.full(), budget=0)
     assert res.certificate is None
     assert res.exhausted_budget
+
+
+# -- the attachability memo against the unmemoised search -------------------
+
+def unmemoised_search(amb, start, target, allowed=AnodyneClass.INNER,
+                      budget=100_000) -> SearchResult:
+    """Reference oracle: `search_certificate` asking `Complex.attachment`
+    about every candidate cell at every node, with nothing remembered."""
+    goal, start_mask = target.mask, start.mask
+    todo_all = amb.indices(goal & ~start_mask)
+    examined = 0
+    out_of_budget = False
+
+    def moves(current):
+        nonlocal examined, out_of_budget
+        found = []
+        for i in todo_all:
+            if current >> i & 1:
+                continue
+            if examined >= budget:
+                out_of_budget = True
+                break
+            examined += 1
+            missing, is_horn = amb.attachment(i, current)
+            if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed:
+                found.append(HornStep(amb.order[i], missing[0]))
+        return found
+
+    def dfs(current, steps):
+        if current & goal == goal:
+            return True
+        for step in moves(current):
+            steps.append(step)
+            if dfs(current | amb.masks[amb.index[step.cell]], steps):
+                return True
+            steps.pop()
+            if out_of_budget:
+                break
+        return False
+
+    steps = []
+    if not dfs(start_mask, steps):
+        return SearchResult(None, examined, out_of_budget)
+    cert = Certificate(ambient_generators=amb.generators,
+                       start=tuple(sorted(start.cells, key=sorted)),
+                       target=tuple(sorted(target.cells, key=sorted)),
+                       kind="filtration", steps=tuple(steps))
+    return SearchResult(cert, examined, out_of_budget)
+
+
+T5 = Tree((Vertex(("u", "v"), "p"), Vertex(("p",), "q"), Vertex(("q",), "r"),
+           Vertex(("w",), "x"), Vertex(("r", "x"), "c")), "c")
+SIX = Tree((Vertex(("e1", "e2"), "e0"), Vertex(("e3",), "e1"), Vertex(("e4",), "e2"),
+            Vertex(("e5", "e6"), "e4"), Vertex(("e7",), "e6"),
+            Vertex(("e8", "e9"), "e7")), "e0")
+
+
+def _t5_inner_horn():
+    amb = representable(T5)
+    return amb, amb.horn_subcomplex(T5.edges, ("inner", "r"))
+
+
+def _six_vertex_codim():
+    amb = representable(SIX)
+    return amb, amb.closure_subcomplex(codim_base_cells(SIX, SIX.root))
+
+
+@pytest.mark.parametrize("inputs", [_t5_inner_horn, _six_vertex_codim],
+                         ids=["t5-inner-r", "codim-six-vertex"])
+def test_memoised_search_equals_unmemoised_at_every_budget(inputs):
+    """The same certificate, `examined` and `exhausted_budget` at every
+    budget from 1 to the unbudgeted count (an even sample of at least 50 of
+    them when there are more), and just past it."""
+    amb, start = inputs()
+    full = unmemoised_search(amb, start, amb.full())
+    assert full.certificate is not None and not full.exhausted_budget
+    assert search_certificate(amb, start, amb.full()) == full
+    n = full.examined
+    budgets = sorted(set(range(1, n + 1, max(1, n // 60))) | {n - 1, n, n + 1} - {0})
+    assert len(budgets) >= min(n + 1, 50)
+    for b in budgets:
+        res = search_certificate(amb, start, amb.full(), budget=b)
+        assert res == unmemoised_search(amb, start, amb.full(), budget=b), b
+        assert res.exhausted_budget == (b < n)

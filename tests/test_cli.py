@@ -1,5 +1,6 @@
 """The command-line surface, driven through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,11 @@ from dendro.jsonio import (certificate_to_json, dumps, operad_to_json,
 from dendro.lemmas import binary_tensor_certificate
 from dendro.operads import CORPUS, cyclic_group_smc, table_operad_from
 from dendro.trees import Tree, Vertex, c2, linear
+
+
+T5 = Tree((Vertex(("u", "v"), "p"), Vertex(("p",), "q"),
+           Vertex(("q",), "r"), Vertex(("w",), "x"),
+           Vertex(("r", "x"), "c")), "c")
 
 
 @pytest.fixture
@@ -462,13 +468,10 @@ def test_deep_tree_dendrices_need_no_recursion(capsys, tmp_path):
 def test_codim_certificate_json_independent_of_hash_seed(tmp_path):
     """`lemma verify --id 8.3` prints the same bytes whatever the string
     hash seed of the process, for every vertex of the tree."""
-    t5 = Tree((Vertex(("u", "v"), "p"), Vertex(("p",), "q"),
-               Vertex(("q",), "r"), Vertex(("w",), "x"),
-               Vertex(("r", "x"), "c")), "c")
     path = tmp_path / "t5.json"
-    path.write_text(dumps(tree_to_json(t5)))
+    path.write_text(dumps(tree_to_json(T5)))
     src = str(Path(dendro.__file__).resolve().parent.parent)
-    for v in sorted(w.output for w in t5.vertices):
+    for v in sorted(w.output for w in T5.vertices):
         outputs = set()
         for seed in ("1", "2", "3", "4"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
@@ -478,3 +481,18 @@ def test_codim_certificate_json_independent_of_hash_seed(tmp_path):
                 capture_output=True, text=True, env=env, check=True)
             outputs.add(proc.stdout)
         assert len(outputs) == 1, v
+
+
+def test_anodyne_search_t5_inner_horn_stdout(capsys, tmp_path):
+    """The exact stdout of the search, with its count of candidates
+    examined, in both formats."""
+    path = tmp_path / "t5.json"
+    path.write_text(dumps(tree_to_json(T5)))
+    argv = ["anodyne", "search", "--tree", str(path), "--omit", "inner:r",
+            "--class", "inner"]
+    assert main(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out == "found: 1 steps (2 candidates examined)\n"
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f6e6bbb90d12d834127b0c5e151336c32b4b204785c50a245ce2ef59ae6b4312"

@@ -162,3 +162,24 @@ def test_homs_lookup():
     smc = b_z2_smc()
     assert smc.homs("*", "*") == ("g0", "g1")
     assert smc.tensor_objects([]) == smc.unit
+
+
+def test_smc_operad_is_freed_without_the_cyclic_collector():
+    """The operad's caches hold functions of its SMC, not its own bound
+    methods, so dropping the last reference frees it at once."""
+    import gc
+    import weakref
+
+    from dendro.kan import kan_report
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        op = CORPUS["z2"]()
+        ref = weakref.ref(op)
+        kan_report(op, 2)
+        del op
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

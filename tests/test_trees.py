@@ -5,15 +5,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dendro.complexes import Complex
+from dendro.complexes import Complex, closure_cells
 from dendro.kan import tree_shapes
 from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
                           Tree, TreeError, Vertex, branch,
                           build_standard, c2, classify_edges, classify_horn,
                           corolla, eta, extended_corolla, face, faces, graft,
-                          has_root_horn, horn, isomorphic,
+                          has_root_horn, horn, is_extended_corolla, isomorphic,
                           isomorphisms, linear,
-                          stem, stem_edges, subtree_from_edges)
+                          stem, stem_edges, subtree_from_edges, _faces_uncached)
+from dendro.lemmas import root_horn_certificate
 
 SHAPES4 = tree_shapes(4)
 
@@ -384,3 +385,67 @@ def test_stem_of_extended_corolla():
     top = branch(t, stem_edges(t)[0])
     assert top == t
 
+
+
+
+# -- faces built without checks ---------------------------------------------
+
+def _split_tree(tree):
+    """The split tree W of the `8.5` root-horn certificate: a fresh edge a'
+    between the stem above the root vertex and the vertex on top of it."""
+    r = next(e for e in tree.vertex_above(tree.root).inputs
+             if tree.vertex_above(e) is not None)
+    a0 = stem_edges(branch(tree, r))[0]
+    v = tree.vertex_above(a0)
+    vs = [Vertex(x.inputs, "a'") if x is v else x for x in tree.vertices]
+    return Tree(tuple(vs) + (Vertex(("a'",), a0),), tree.root)
+
+
+def _has_retract_root_horn(tree):
+    return (len(tree.vertices) >= 2 and has_root_horn(tree)
+            and not is_extended_corolla(tree))
+
+
+def test_split_tree_is_the_root_horn_certificate_ambient():
+    tree = graft(c2(), "a", corolla(2, leaves=("p", "q"), root="a"))
+    assert _has_retract_root_horn(tree)
+    sub = root_horn_certificate(tree).sub
+    assert sub.ambient_generators == (_split_tree(tree),)
+
+
+def _assert_same_tree(built, checked):
+    assert built.vertices == checked.vertices
+    assert built.root == checked.root
+    assert built.edges == checked.edges
+    assert built._vertex_outs == checked._vertex_outs
+    # vertex_above and vertex_below agree on every edge
+    assert built._above == checked._above and built._below == checked._below
+    assert built == checked and hash(built) == hash(checked)
+
+
+def test_unchecked_faces_equal_checked_trees():
+    """Every face of every iterated face (`closure_cells`) of the shapes
+    with at most five vertices, and of the `8.5` split trees of the shapes
+    with at most four whose root horn is certified through a retract, is
+    the tree that the checked constructor builds from its vertices and
+    root.  A face is a function of its vertex tuple and root, so each such
+    pair is checked once."""
+    trees = tree_shapes(5) + [_split_tree(t) for t in SHAPES4 if _has_retract_root_horn(t)]
+    built = {}
+    for tree in trees:
+        for cell in closure_cells(tree).values():
+            for f in faces(cell) if cell.vertices else ():
+                built.setdefault((f.subtree.vertices, f.subtree.root), f.subtree)
+    assert len(built) > 30_000
+    for (vertices, root), face_tree in built.items():
+        _assert_same_tree(face_tree, Tree(vertices, root))
+
+
+def test_faces_build_no_checked_tree(monkeypatch):
+    def refuse(self, vertices, root):
+        raise AssertionError("a face was built through the checked constructor")
+
+    shapes = [t for t in tree_shapes(4) if t.vertices]
+    monkeypatch.setattr(Tree, "__init__", refuse)
+    for t in shapes:
+        assert [f.key for f in _faces_uncached(t)] == [f.key for f in faces(t)]
