@@ -57,26 +57,58 @@ class FiniteSMC:
         """The symmetry isomorphism tensor(objs permuted by sigma) ->
         tensor(objs), where the permuted list is objs[sigma[0]], ...
 
-        Built from adjacent braidings; strictness makes the result
+        Built from adjacent braidings; coherence makes the result
         independent of the chosen decomposition.
         """
-        objs = list(objs)
-        word = list(sigma)
-        current = self.identities[self.tensor_objects([objs[i] for i in word])]
-        # bubble-sort `word` to the identity; each swap composes a braiding
-        changed = True
-        while changed:
-            changed = False
-            for p in range(len(word) - 1):
-                if word[p] > word[p + 1]:
-                    left = self.identities[self.tensor_objects([objs[i] for i in word[:p]])]
-                    right = self.identities[self.tensor_objects([objs[i] for i in word[p + 2:]])]
-                    swap = self.braiding[(objs[word[p]], objs[word[p + 1]])]
-                    step = self.tensor_mor[(self.tensor_mor[(left, swap)], right)]
-                    current = self.compose[(step, current)]
-                    word[p], word[p + 1] = word[p + 1], word[p]
-                    changed = True
-        return current
+        objs, sigma = tuple(objs), tuple(sigma)
+        if sorted(sigma) != list(range(len(objs))):
+            raise ValueError(f"{sigma} is not a permutation of range({len(objs)})")
+        return _permutation_iso(self, {}, objs, sigma)
+
+
+def _permutation_iso(smc: FiniteSMC, memo: dict, objs: tuple, sigma: tuple) -> str:
+    """`FiniteSMC.permutation_iso` for a valid `sigma`, sharing sub-results
+    through `memo`.
+
+    The object that ends up last, objs[-1], moves from its place in the
+    permuted word past the objects after it; the shorter word is then put
+    in order the same way.  `memo` holds the iso of each (objs[:k], word of
+    range(k)) met on the way and, under (object, objects passed), each block
+    of braidings that moves one object to the end, so all permutations of
+    one word share their sub-results.
+    """
+    chain = []
+    n, word = len(sigma), sigma
+    while (iso := memo.get((objs[:n], word))) is None:
+        if not n:
+            iso = smc.identities[smc.unit]
+            break
+        p = word.index(n - 1)
+        chain.append((n, word, p))
+        n, word = n - 1, word[:p] + word[p + 1:]
+    for n, word, p in reversed(chain):
+        x = objs[n - 1]
+        permuted = [objs[s] for s in word]
+        left = smc.identities[smc.tensor_objects(permuted[:p])]
+        move = _move_last(smc, memo, x, tuple(permuted[p + 1:]))
+        iso = smc.compose[(smc.tensor_mor[(iso, smc.identities[x])],
+                           smc.tensor_mor[(left, move)])]
+        memo[(objs[:n], word)] = iso
+    return iso
+
+
+def _move_last(smc: FiniteSMC, memo: dict, x: str, passed: tuple) -> str:
+    """The iso x (x) passed -> passed (x) x made of adjacent braidings of x
+    with each object it passes, memoised under (x, passed)."""
+    iso = memo.get((x, passed))
+    if iso is None:
+        iso = smc.identities[x]
+        for j, y in enumerate(passed):
+            before = smc.identities[smc.tensor_objects(passed[:j])]
+            iso = smc.compose[(smc.tensor_mor[(before, smc.braiding[(x, y)])],
+                               smc.tensor_mor[(iso, smc.identities[y])])]
+        memo[(x, passed)] = iso
+    return iso
 
 
 def validate_smc(c: FiniteSMC) -> list[str]:
@@ -151,6 +183,14 @@ def validate_smc(c: FiniteSMC) -> list[str]:
         rhs = c.compose[(c.tensor_mor[(g, f)], c.braiding[(a, b)])]
         if lhs != rhs:
             bad.append(f"braiding not natural at ({f},{g})")
+    # hexagon: braiding past b (x) d is braiding past b, then past d; the
+    # other hexagon follows from this one and the involution
+    for a, b, d in itertools.product(c.objects, repeat=3):
+        lhs = c.braiding[(a, c.tensor_obj[(b, d)])]
+        rhs = c.compose[(c.tensor_mor[(c.identities[b], c.braiding[(a, d)])],
+                         c.tensor_mor[(c.braiding[(a, b)], c.identities[d])])]
+        if lhs != rhs:
+            bad.append(f"hexagon fails at ({a},{b},{d})")
     return bad
 
 
@@ -274,7 +314,7 @@ class SMCOperad(FiniteOperad):
         cache = lru_cache(maxsize=None)
         self.operations = cache(partial(_smc_operations, smc))
         self.compose = cache(partial(_smc_compose, smc))
-        self.permute = cache(partial(_smc_permute, smc, cache(smc.permutation_iso)))
+        self.permute = cache(partial(_smc_permute, smc, {}))
 
     def op_profile(self, op):
         return (op[0], op[1])
@@ -304,13 +344,13 @@ def _smc_compose(smc: FiniteSMC, f, i, g):
     return (new_in, fout, smc.compose[(fm, whisk)])
 
 
-def _smc_permute(smc: FiniteSMC, perm_iso, f, sigma):
+def _smc_permute(smc: FiniteSMC, memo: dict, f, sigma):
     fin, fout, fm = f
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(len(fin))):
         raise ValueError(f"{sigma} is not a permutation of the inputs of {f}")
-    new_in = tuple(fin[s] for s in sigma)
-    iso = perm_iso(fin, sigma)   # tensor(new_in) -> tensor(fin)
+    new_in = tuple([fin[s] for s in sigma])
+    iso = _permutation_iso(smc, memo, fin, sigma)   # tensor(new_in) -> tensor(fin)
     return (new_in, fout, smc.compose[(fm, iso)])
 
 

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from dendro.operads import (CORPUS, FiniteSMC, TableOperad, b_z2_smc,
-                            cyclic_group_smc, discrete_abelian_smc,
+from dendro.operads import (CORPUS, FiniteSMC, TableOperad, _permutation_iso,
+                            b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
                             picard_check, table_operad_from,
                             validate_operad, validate_smc)
@@ -18,6 +18,36 @@ ALL_SMCS = {
     "bz2": b_z2_smc(),
     "mult01": mult_01_monoid_smc(),
 }
+
+
+def sign_groupoid_smc(sign) -> FiniteSMC:
+    """Objects Z/2 (tensor is addition), automorphism group Z/2 at each
+    object, and braiding (a, b) the automorphism sign(a, b) of a + b.  With
+    sign(a, b) = a * b it is the sign groupoid sZ/2, whose braiding on 1 (x) 1
+    is not an identity."""
+    objs = ("0", "1")
+
+    def mor(o, u):
+        return f"{'s' if u % 2 else 'id'}_{o}"
+
+    def add(a, b):
+        return str((int(a) + int(b)) % 2)
+
+    signs = (0, 1)
+    return FiniteSMC(
+        objects=objs, unit="0",
+        profile={mor(o, u): (o, o) for o in objs for u in signs},
+        compose={(mor(o, u), mor(o, v)): mor(o, u + v)
+                 for o in objs for u in signs for v in signs},
+        identities={o: mor(o, 0) for o in objs},
+        tensor_obj={(a, b): add(a, b) for a in objs for b in objs},
+        tensor_mor={(mor(a, u), mor(b, v)): mor(add(a, b), u + v)
+                    for a in objs for b in objs for u in signs for v in signs},
+        braiding={(a, b): mor(add(a, b), sign(int(a), int(b)))
+                  for a in objs for b in objs})
+
+
+SZ2 = sign_groupoid_smc(lambda a, b: a * b)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SMCS))
@@ -148,14 +178,63 @@ def test_validate_operad_detects_corrupted_composition(bz2):
     assert violations
 
 
+def bubble_sort_iso(smc: FiniteSMC, objs, sigma) -> str:
+    """The reference oracle for `FiniteSMC.permutation_iso`: bubble-sort
+    the word sigma, composing one whiskered adjacent braiding per swap."""
+    objs = list(objs)
+    word = list(sigma)
+    current = smc.identities[smc.tensor_objects([objs[i] for i in word])]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(len(word) - 1):
+            if word[p] > word[p + 1]:
+                left = smc.identities[smc.tensor_objects([objs[i] for i in word[:p]])]
+                right = smc.identities[smc.tensor_objects([objs[i] for i in word[p + 2:]])]
+                swap = smc.braiding[(objs[word[p]], objs[word[p + 1]])]
+                step = smc.tensor_mor[(smc.tensor_mor[(left, swap)], right)]
+                current = smc.compose[(step, current)]
+                word[p], word[p + 1] = word[p + 1], word[p]
+                changed = True
+    return current
+
+
 def test_permutation_iso_strict_coherence():
+    """Every symmetry iso has the permuted profile and equals the bubble
+    sort, on every object word up to arity 5 (4 with four objects), through
+    one memo shared by all words, as `SMCOperad` shares it, and up to arity 4
+    from a fresh memo; sZ/2 makes some of them non-identities."""
+    non_identity = 0
+    for name, smc in [*ALL_SMCS.items(), ("sz2", SZ2)]:
+        assert validate_smc(smc) == []
+        memo: dict = {}
+        for n in range(5 if len(smc.objects) == 4 else 6):
+            for objs in itertools.product(smc.objects, repeat=n):
+                for sigma in itertools.permutations(range(n)):
+                    want = bubble_sort_iso(smc, objs, sigma)
+                    assert _permutation_iso(smc, memo, objs, sigma) == want, (name, objs, sigma)
+                    if n <= 4:
+                        assert smc.permutation_iso(objs, sigma) == want, (name, objs, sigma)
+                    assert smc.profile[want] == (
+                        smc.tensor_objects([objs[i] for i in sigma]),
+                        smc.tensor_objects(objs))
+                    non_identity += want not in smc.identities.values()
+    assert non_identity == 1705
+
+
+def test_permutation_iso_rejects_non_permutation():
     smc = cyclic_group_smc(3)
-    objs = ("1", "2", "0")
-    for sigma in itertools.permutations(range(3)):
-        iso = smc.permutation_iso(objs, sigma)
-        dom, cod = smc.profile[iso]
-        assert cod == smc.tensor_objects(objs)
-        assert dom == smc.tensor_objects([objs[i] for i in sigma])
+    for sigma in [(0, 0), (0,), (2, 0), (0, 1, 2)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            smc.permutation_iso(("1", "2"), sigma)
+
+
+def test_validate_smc_checks_the_hexagon():
+    """Braiding with the unit 0 as the non-identity automorphism of 1 keeps
+    the involution and naturality but breaks the hexagon."""
+    bad = sign_groupoid_smc(lambda a, b: a | b)
+    assert validate_smc(bad) == [f"hexagon fails at (1,{b},{d})"
+                                 for b in "01" for d in "01"]
 
 
 def test_homs_lookup():
