@@ -189,29 +189,23 @@ def _carries(tree: Tree, m: dict[str, str], image: Tree) -> bool:
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Replay and check every step; all failures are reported, pinpointed by
     their step path."""
-    return _verify(cert, (), {})
+    return _verify(cert, (), None, -1)
 
 
-def _ambient(cert: Certificate, ambients: dict) -> Complex:
-    """The certificate's ambient, built once per generator tuple within one
-    top-level verification."""
-    amb = ambients.get(cert.ambient_generators)
-    if amb is None:
-        amb = ambients[cert.ambient_generators] = cert.ambient()
-    return amb
-
-
-def _verify(cert: Certificate, path: tuple[int, ...], ambients: dict) -> VerificationReport:
+def _verify(cert: Certificate, path: tuple[int, ...], amb: Complex | None,
+            within: int) -> VerificationReport:
+    """Check `cert` on the cells in the mask `within` (-1: all) of `amb`, or
+    of its own ambient for None; nested steps are checked in the same one."""
     rep = VerificationReport(valid=True, classes_used=[], step_count=0)
     try:
-        amb = _ambient(cert, ambients)
-        start = amb.closure_mask(cert.start)
-        target = amb.closure_mask(cert.target)
+        amb = cert.ambient() if amb is None else amb
+        start = _closure_within(amb, within, cert.start)
+        target = _closure_within(amb, within, cert.target)
     except (ValueError, KeyError, TreeError) as exc:
         rep.fail(path, f"malformed certificate: {exc}")
         return rep
     if cert.kind == "retract":
-        _verify_retract(cert, amb, start, target, rep, path, ambients)
+        _verify_retract(cert, amb, start, target, rep, path)
         return rep
     if cert.kind != "filtration":
         rep.fail(path, f"unknown kind {cert.kind!r}")
@@ -220,12 +214,16 @@ def _verify(cert: Certificate, path: tuple[int, ...], ambients: dict) -> Verific
     for i, step in enumerate(cert.steps):
         here = path + (i,)
         rep.step_count += 1
-        if isinstance(step, HornStep):
-            current = _verify_horn_step(step, amb, current, rep, here)
-        elif isinstance(step, NestedStep):
-            current = _verify_nested_step(step, amb, current, rep, here, ambients)
-        else:
+        if not isinstance(step, (HornStep, NestedStep)):
             rep.fail(here, f"unknown step type {type(step).__name__}")
+            continue
+        j = _index_within(amb, within, step.cell)
+        if j is None:
+            rep.fail(here, f"not an ambient cell: {sorted(step.cell)}")
+        elif isinstance(step, HornStep):
+            current = _verify_horn_step(step, amb, j, current, rep, here)
+        else:
+            current = _verify_nested_step(step, amb, j, current, rep, here)
     if target != current:
         missing = _first_cells(amb, target & ~current)
         extra = _first_cells(amb, current & ~target)
@@ -239,20 +237,25 @@ def _first_cells(amb: Complex, mask: int) -> list[Cell]:
     return sorted(amb.cells_of(mask), key=sorted)[:3]
 
 
-def _cell_index(step, amb: Complex, rep, here) -> int | None:
-    """The index of the step's cell, or None after reporting that it is not
-    an ambient cell."""
-    i = amb.index.get(frozenset(step.cell))
-    if i is None:
-        rep.fail(here, f"not an ambient cell: {sorted(step.cell)}")
-    return i
+def _index_within(amb: Complex, within: int, cell) -> int | None:
+    """The index of a cell of `amb` in the mask `within`, else None."""
+    i = amb.index.get(frozenset(cell))
+    return i if i is not None and within >> i & 1 else None
 
 
-def _verify_horn_step(step: HornStep, amb: Complex, current: int, rep, here) -> int:
-    """Check one horn step; returns the subcomplex after it."""
-    i = _cell_index(step, amb, rep, here)
-    if i is None:
-        return current
+def _closure_within(amb: Complex, within: int, cells) -> int:
+    """The closure of cells that must lie in the mask `within`."""
+    mask = 0
+    for c in cells:
+        i = _index_within(amb, within, c)
+        if i is None:
+            raise KeyError(f"not a cell of the complex: {sorted(c)}")
+        mask |= amb.masks[i]
+    return mask
+
+
+def _verify_horn_step(step: HornStep, amb: Complex, i: int, current: int, rep, here) -> int:
+    """Check one horn step on cell i; returns the subcomplex after it."""
     if current >> i & 1:
         rep.fail(here, f"cell already present: {sorted(step.cell)}")
         return current
@@ -272,43 +275,40 @@ def _verify_horn_step(step: HornStep, amb: Complex, current: int, rep, here) -> 
     return current | amb.masks[i]
 
 
-def _verify_nested_step(step: NestedStep, amb: Complex, current: int, rep, here,
-                        ambients: dict) -> int:
-    """Check one nested step; returns the subcomplex after it."""
-    i = _cell_index(step, amb, rep, here)
-    if i is None:
-        return current
+def _verify_nested_step(step: NestedStep, amb: Complex, i: int, current: int,
+                        rep, here) -> int:
+    """Check one nested step on cell i, inside the closure of that cell;
+    returns the subcomplex after it."""
     sub = step.certificate
-    if not _merge(rep, _verify(sub, here, ambients)):
-        return current
-    sub_amb = _ambient(sub, ambients)
-    if sub_amb.cells.keys() != amb.cells_of(amb.masks[i]):
+    if sub.ambient_generators != (amb.cell_trees[i],):
         rep.fail(here, f"nested ambient is not the closure of {sorted(step.cell)}")
         return current
-    sub_start = sub_amb.closure_mask(sub.start)
+    if not _merge(rep, _verify(sub, here, amb, amb.masks[i])):
+        return current
+    sub_start = amb.closure_mask(sub.start)
     met = amb.masks[i] & current
-    if amb.cells_of(met) != sub_amb.cells_of(sub_start):
+    if met != sub_start:
         rep.fail(here, f"nested attachment of {sorted(step.cell)}: current meets its "
                        f"closure in {met.bit_count()} cells but the sub-certificate "
                        f"starts from {sub_start.bit_count()}")
         return current
-    if sub_amb.closure_mask(sub.target) != sub_amb.full_mask:
+    if amb.closure_mask(sub.target) != amb.masks[i]:
         rep.fail(here, "nested certificate does not reach the full cell")
         return current
     return current | amb.masks[i]
 
 
 def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
-                    rep, path, ambients: dict) -> None:
+                    rep, path) -> None:
     sub = cert.sub
     if sub is None:
         rep.fail(path, "retract certificate without sub-certificate")
         return
-    if not _merge(rep, _verify(sub, path + (0,), ambients)):
+    if not _merge(rep, _verify(sub, path + (0,), None, -1)):
         return
     s = dict(cert.section)
     r = dict(cert.retraction)
-    sub_amb = _ambient(sub, ambients)
+    sub_amb = sub.ambient()
     my_edges = set().union(*[g.edges for g in cert.ambient_generators])
     sub_edges = set().union(*[g.edges for g in sub.ambient_generators])
     if set(s) != my_edges or not set(s.values()) <= sub_edges:

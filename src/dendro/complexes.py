@@ -1,8 +1,8 @@
 """Cell complexes of subtrees.
 
 A complex is generated by finitely many trees sharing an ambient edge
-alphabet; its cells are all iterated faces of the generators.  In the
-regimes handled here a cell is determined by its edge set.
+alphabet; its cells are all iterated faces of the generators.  Within one
+ambient complex a cell is determined by its edge set.
 
 A `Complex` numbers its cells once, in (size, sorted edges) order, so that
 every face of a cell comes before it.  Bottom-up it stores each cell's face

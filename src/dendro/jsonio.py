@@ -16,7 +16,7 @@ from .anodyne import (Certificate, HornStep, NestedStep, certificate_class,
 from .kan import KanReport
 from .nerves import Dendrex, tuple_getter
 from .operads import (CORPUS, FiniteOperad, FiniteSMC, SMCOperad, TableOperad,
-                      table_operad_from)
+                      table_operad_from, validate_smc)
 from .trees import FACE_KINDS, Tree, TreeError, Vertex
 
 
@@ -302,8 +302,8 @@ def smc_from_json(data, path: str = "$") -> FiniteSMC:
 
 
 def load_operad(data, path: str = "$") -> FiniteOperad:
-    """Accepts an explicit operad table, a monoidal category (yielding its
-    operad), or {"corpus": name} naming a built-in example."""
+    """Accepts an explicit operad table, a monoidal category that passes
+    `validate_smc` (its operad), or {"corpus": name} naming a built-in example."""
     _as(data, dict, path)
     if "corpus" in data:
         name = _as(data["corpus"], str, f"{path}.corpus")
@@ -313,7 +313,10 @@ def load_operad(data, path: str = "$") -> FiniteOperad:
                               f"choices: {', '.join(sorted(CORPUS))}")
         return CORPUS[name]()
     if "objects" in data:
-        return SMCOperad(smc_from_json(data, path))
+        smc = smc_from_json(data, path)
+        for violation in validate_smc(smc):
+            raise SchemaError(path, violation)
+        return SMCOperad(smc)
     if "colours" in data:
         return operad_from_json(data, path)
     raise SchemaError(path, "expected an operad table ('colours'), a monoidal "
@@ -354,12 +357,10 @@ def _cell_from_json(value, path: str) -> frozenset:
 
 
 def _omit_from_json(value, path: str) -> tuple[str, str]:
-    parts = _string_list(value, path)
-    if len(parts) != 2:
-        raise SchemaError(path, "expected a [kind, label] pair")
-    if parts[0] not in FACE_KINDS:
-        raise SchemaError(f"{path}[0]", f"unknown face kind {parts[0]!r}")
-    return (parts[0], parts[1])
+    kind, label = _pair_from_json(value, path, "a [kind, label]")
+    if kind not in FACE_KINDS:
+        raise SchemaError(f"{path}[0]", f"unknown face kind {kind!r}")
+    return kind, label
 
 
 def certificate_from_json(data, path: str = "$") -> Certificate:
@@ -410,10 +411,10 @@ def certificate_from_json(data, path: str = "$") -> Certificate:
                        target=target, kind="filtration", steps=tuple(steps))
 
 
-def _pair_from_json(value, path: str) -> tuple[str, str]:
+def _pair_from_json(value, path: str, what: str = "an [edge, edge]") -> tuple[str, str]:
     parts = _string_list(value, path)
     if len(parts) != 2:
-        raise SchemaError(path, "expected an [edge, edge] pair")
+        raise SchemaError(path, f"expected {what} pair")
     return (parts[0], parts[1])
 
 

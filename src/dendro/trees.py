@@ -3,7 +3,8 @@
 Edges point towards the root: every vertex has an ordered tuple of input
 edges (above it) and a single output edge (below it).  The tree eta has a
 single edge and no vertices.  Input order is presentation-only; equality and
-isomorphism quotient by reordering.
+isomorphism quotient by reordering, but faces keep the order they are
+given and are cached per tree as written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Tree:
     """A finite rooted tree with pairwise distinct edge names."""
 
     __slots__ = ("vertices", "root", "_above", "_below", "_edges", "_key",
-                 "_norm", "_hash", "_vertex_outs")
+                 "_norm", "_hash", "_vertex_outs", "_faces")
 
     def __init__(self, vertices: Iterable[Vertex], root: str):
         vertices = tuple(vertices)
@@ -69,7 +70,7 @@ class Tree:
         for name, value in (("vertices", vertices), ("root", root), ("_above", above),
                             ("_below", below), ("_edges", frozenset(below.keys() | {root})),
                             ("_key", None), ("_norm", None), ("_hash", None),
-                            ("_vertex_outs", frozenset(above))):
+                            ("_vertex_outs", frozenset(above)), ("_faces", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -248,17 +249,20 @@ def _inner_face(tree: Tree, e: str) -> Tree:
     return Tree._unchecked(vs, tree.root)
 
 
-# Module-wide, not a Tree slot: equal trees rebuilt in one process share faces.
-_FACES_CACHE: dict[Tree, list[FaceDescriptor]] = {}
+# Keyed by the tree as written, as `Tree` equality ignores input order; a
+# tree also keeps its list, so asking it again is one slot read.
+_FACES_CACHE: dict[tuple, list[FaceDescriptor]] = {}
 
 
 def faces(tree: Tree) -> list[FaceDescriptor]:
     """All codimension-one faces.  Raises for eta, which has none."""
-    cached = _FACES_CACHE.get(tree)
-    if cached is not None:
-        return cached
-    out = _faces_uncached(tree)
-    _FACES_CACHE[tree] = out
+    out = tree._faces
+    if out is None:
+        key = (tree.root, tuple((v.inputs, v.output) for v in tree.vertices))
+        out = _FACES_CACHE.get(key)
+        if out is None:
+            out = _FACES_CACHE[key] = _faces_uncached(tree)
+        object.__setattr__(tree, "_faces", out)
     return out
 
 
@@ -473,8 +477,3 @@ def stem_edges(tree: Tree) -> list[str]:
         chain.append(v.inputs[0])
     chain.reverse()
     return chain
-
-
-def stem(tree: Tree) -> Tree:
-    names = stem_edges(tree)
-    return linear(len(names) - 1, edges=names)

@@ -190,6 +190,55 @@ def test_verify_detects_bad_nested_ambient():
     assert any("nested" in str(v) for v in rep.violations)
 
 
+def test_nested_ambient_must_be_the_cells_own_tree():
+    """The re-rooted corolla (a, c) -> b has the cells of C2's closure, edge
+    set for edge set, but it is another tree: omitting colour b is a leaf
+    horn there and a root horn in C2, so a nested certificate over it is
+    rejected before it is replayed."""
+    rerooted = corolla(2, leaves=("a", "c"), root="b")
+    forged = build_filtration(representable(rerooted), [{"a"}, {"c"}],
+                              [rerooted.edges])
+    assert verify_certificate(forged).overall_class is AnodyneClass.LEFT
+    cell = c2().edges
+    bad = Certificate(ambient_generators=(c2(),),
+                      start=(frozenset({"a"}), frozenset({"c"})),
+                      target=(cell,), steps=(NestedStep(cell, forged),))
+    rep = verify_certificate(bad)
+    assert not rep.valid
+    assert rep.classes_used == []
+    assert str(rep.violations[0]) == \
+        "step 0: nested ambient is not the closure of ['a', 'b', 'c']"
+    honest = root_horn_certificate(c2(), ("colour", "b"))
+    assert verify_certificate(honest).summary() == \
+        "valid: 1 steps, class BINARY_EXTENDED_LEFT"
+
+
+def test_nested_certificate_sees_only_the_closure_of_its_cell(two_vertex_tree):
+    """A nested certificate is checked in its parent's complex, on the
+    closure of its cell: cells of the parent outside it are reported as
+    they are for a certificate over that closure alone."""
+    amb = representable(two_vertex_tree)
+    corolla_cell = frozenset({"a", "b", "c"})
+    inner = build_filtration(representable(amb.tree_of(corolla_cell)),
+                             [{"a"}, {"c"}], [corolla_cell])
+    outer = build_filtration(amb, [{"x", "a"}, {"c"}], [corolla_cell, amb.order[-1]],
+                             nested={corolla_cell: inner})
+    assert verify_certificate(outer).valid
+    foreign_start = dataclasses.replace(inner, start=(frozenset({"x"}), frozenset({"c"})))
+    foreign_step = dataclasses.replace(
+        inner, steps=(HornStep(frozenset({"x", "a"}), ("colour", "x")),))
+    for sub, text in [
+            (foreign_start, "step 0: malformed certificate: "
+                            "\"not a cell of the complex: ['x']\""),
+            (foreign_step, "step 0.0: not an ambient cell: ['a', 'x']")]:
+        bad = dataclasses.replace(outer, steps=(NestedStep(corolla_cell, sub),)
+                                  + outer.steps[1:])
+        assert str(verify_certificate(bad).violations[0]) == text
+        alone = verify_certificate(dataclasses.replace(sub, ambient_generators=(
+            amb.tree_of(corolla_cell),)))
+        assert str(alone.violations[0]).split(": ", 1)[1] == text.split(": ", 1)[1]
+
+
 # -- retract certificates ---------------------------------------------------
 
 def test_retract_certificate_verifies(retract_tree):

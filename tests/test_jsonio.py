@@ -18,7 +18,7 @@ from dendro.jsonio import (SchemaError, certificate_from_json,
                            tree_to_json)
 from dendro.kan import kan_report, tree_shapes
 from dendro.lemmas import binary_tensor_certificate, root_horn_certificate
-from dendro.operads import CORPUS, table_operad_from, validate_operad
+from dendro.operads import CORPUS, b_z2_smc, table_operad_from, validate_operad
 from dendro.trees import (Tree, Vertex, c2, corolla, extended_corolla, graft,
                           has_root_horn)
 
@@ -167,6 +167,7 @@ _DROP = object()
 _OPERAD_DOC = operad_to_json(CORPUS["bz2"]())
 _SMC_DOC = smc_to_json(CORPUS["z2"]().smc)
 _Z2_A5_DOC = operad_to_json(table_operad_from(CORPUS["z2"](), 5))
+_BZ2_SMC_DOC = smc_to_json(b_z2_smc())
 
 
 def _changed(doc, keys, value):
@@ -191,6 +192,8 @@ def _changed(doc, keys, value):
 # (composition: f, g, result, i; symmetry: f, result, sigma; SMC tables:
 # result, then the two keys).  Table "op" is bz2 up to arity 3 and "z2a5"
 # is z2 up to arity 5, where o0 is (0, 0) -> 0 and o15 is (0, 1) -> 1.
+# Kind "bz2smc" loads bZ/2 through `load_operad`, which also checks the SMC
+# laws: braiding * (x) * by the generator g1 breaks the hexagon.
 LOADER_ERRORS = [
     ('op', (), [], '$',
      '$: expected object, got list'),
@@ -302,6 +305,8 @@ LOADER_ERRORS = [
      '$.symmetry[1071].result',
      "$.symmetry[1071].result: profile of 'o0' is (('0', '0'), '0'), "
      "not the permuted (('1', '0'), '1')"),
+    ('bz2smc', ('braiding', 0, 'result'), 'g1', '$',
+     '$: hexagon fails at (*,*,*)'),
 ]
 
 
@@ -309,7 +314,8 @@ LOADER_ERRORS = [
 def test_loader_reports_first_error(kind, keys, value, path, text):
     load, doc = {"op": (operad_from_json, _OPERAD_DOC),
                  "z2a5": (operad_from_json, _Z2_A5_DOC),
-                 "smc": (smc_from_json, _SMC_DOC)}[kind]
+                 "smc": (smc_from_json, _SMC_DOC),
+                 "bz2smc": (load_operad, _BZ2_SMC_DOC)}[kind]
     with pytest.raises(SchemaError) as exc:
         load(_changed(doc, keys, value))
     assert exc.value.path == path
@@ -444,6 +450,44 @@ def test_certificate_json_builds_one_complex_per_node(monkeypatch):
         assert len(classified) <= horns, tree
         largest = max(largest, nodes)
     assert largest >= 4
+
+
+def _retract_nodes(cert) -> int:
+    if cert.kind == "retract":
+        return 1 + _retract_nodes(cert.sub)
+    return sum(_retract_nodes(s.certificate) for s in cert.steps
+               if isinstance(s, NestedStep))
+
+
+def test_nested_nodes_build_no_complex_in_verify(monkeypatch):
+    """Every multi-vertex root-horn certificate on at most 4 vertices gives
+    the same report after a JSON round trip.  A nested step's certificate
+    is checked in its parent's complex, so verifying builds a complex only
+    for the top node and for each retract's sub-certificate, and for none
+    of them when the builder already handed its ambient over."""
+    built = []
+    init = Complex.__init__
+
+    def counting_init(self, generators):
+        built.append(1)
+        init(self, generators)
+
+    monkeypatch.setattr(Complex, "__init__", counting_init)
+    checked = 0
+    for tree in tree_shapes(4):
+        if len(tree.vertices) < 2 or not has_root_horn(tree):
+            continue
+        cert = root_horn_certificate(tree)
+        built.clear()
+        summary = verify_certificate(cert).summary()
+        assert summary.startswith("valid"), tree
+        assert len(built) == (cert.kind == "retract"), tree
+        back = certificate_from_json(certificate_to_json(cert))
+        built.clear()
+        assert verify_certificate(back).summary() == summary, tree
+        assert len(built) == 1 + _retract_nodes(back), tree
+        checked += 1
+    assert checked == 153
 
 
 def test_certificate_schema_bad_omit_kind():

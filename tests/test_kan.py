@@ -284,6 +284,31 @@ def test_kan_report_matches_golden(key):
     assert _report_digest(rep) == _GOLDENS[key]
 
 
+def test_kan_reports_do_not_depend_on_trees_written_before():
+    """In a fresh process, closing every 3-vertex shape written with
+    reversed inputs first leaves the reports of z2 and mult01 at bound 3 as
+    recorded: the faces of a tree are cached for the tree as written, not
+    for an equal one written otherwise."""
+    src = str(Path(dendro.__file__).resolve().parent.parent)
+    code = ("import hashlib, json\n"
+            "from dendro.complexes import closure_cells\n"
+            "from dendro.jsonio import kan_report_to_json\n"
+            "from dendro.kan import kan_report, tree_shapes\n"
+            "from dendro.operads import CORPUS\n"
+            "from dendro.trees import Tree, Vertex\n"
+            "for t in tree_shapes(3):\n"
+            "    closure_cells(Tree([Vertex(v.inputs[::-1], v.output)\n"
+            "                        for v in t.vertices], t.root))\n"
+            "for name in ('z2', 'mult01'):\n"
+            "    rep = kan_report_to_json(kan_report(CORPUS[name](), 3, name=name))\n"
+            "    text = json.dumps(rep, sort_keys=True, separators=(',', ':'))\n"
+            "    print(hashlib.sha256(text.encode()).hexdigest())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [_GOLDENS["z2@3"], _GOLDENS["mult01@3"]]
+
+
 def test_kan_report_json_independent_of_hash_seed():
     """Compiled shapes key subfaces by edge sets; the report must not follow
     the string hash order of the process."""

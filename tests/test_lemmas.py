@@ -1,8 +1,16 @@
 """Built-in certificate families."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dendro
 from dendro.anodyne import AnodyneClass, HornStep, verify_certificate
+from dendro.kan import tree_shapes
 from dendro.lemmas import (LEMMA_IDS, binary_tensor_certificate,
                            build_lemma_certificate, codim_base_cells,
                            codim_certificate,
@@ -131,3 +139,40 @@ def test_build_lemma_certificate_dispatch():
     assert verify_certificate(c2_).valid
     c3 = build_lemma_certificate("8.5", tree=c2(), omitted=("colour", "b"))
     assert verify_certificate(c3).valid
+
+
+def test_root_horn_certificates_do_not_depend_on_earlier_builds():
+    """The split trees of these two trees share faces that are equal as
+    trees but written with other input orders.  Built one after the other
+    in a fresh process, each certificate still verifies."""
+    src = str(Path(dendro.__file__).resolve().parent.parent)
+    code = ("from dendro.anodyne import verify_certificate\n"
+            "from dendro.lemmas import root_horn_certificate\n"
+            "from dendro.trees import Tree, Vertex as V\n"
+            "first = Tree([V(('e1', 'e2', 'e3'), 'e0'), V(('e4', 'e5', 'e6'), 'e3'),\n"
+            "              V(('e7',), 'e5'), V(('e8',), 'e6')], 'e0')\n"
+            "second = Tree([V(('e1', 'e2', 'e3'), 'e0'), V(('e4', 'e5'), 'e3'),\n"
+            "               V(('e6', 'e7'), 'e5'), V(('e8',), 'e6'), V(('e9',), 'e7')],\n"
+            "              'e0')\n"
+            "for tree in (first, second):\n"
+            "    print(verify_certificate(root_horn_certificate(tree)).summary())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["valid: 261 steps, class EXTENDED_LEFT",
+                                        "valid: 2523 steps, class EXTENDED_LEFT"]
+
+
+def test_shuffled_five_vertex_root_horns_build_in_one_process():
+    """A seeded sample of five-vertex root horns, each written with its
+    vertices and every vertex's inputs shuffled, builds and verifies one
+    tree after another in one process."""
+    rng = random.Random(5)
+    five = [t for t in tree_shapes(5) if len(t.vertices) == 5 and has_root_horn(t)]
+    for tree in rng.sample(five, 12):
+        vertices = [Vertex(tuple(rng.sample(v.inputs, len(v.inputs))), v.output)
+                    for v in tree.vertices]
+        rng.shuffle(vertices)
+        rep = verify_certificate(root_horn_certificate(Tree(vertices, tree.root)))
+        assert rep.valid, tree
+        assert rep.overall_class <= AnodyneClass.EXTENDED_LEFT

@@ -1,9 +1,12 @@
 """Operads and symmetric monoidal categories: axioms, corpus, fault detection."""
 
 import itertools
+import json
 
 import pytest
 
+from dendro.cli import main
+from dendro.jsonio import smc_to_json
 from dendro.operads import (CORPUS, FiniteSMC, TableOperad, _permutation_iso,
                             b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
@@ -235,6 +238,17 @@ def test_validate_smc_checks_the_hexagon():
     bad = sign_groupoid_smc(lambda a, b: a | b)
     assert validate_smc(bad) == [f"hexagon fails at (1,{b},{d})"
                                  for b in "01" for d in "01"]
+
+
+def test_kan_check_refuses_an_smc_that_fails_the_hexagon(tmp_path, capsys):
+    """An SMC document is checked against the SMC laws when it loads: no
+    Kan verdict for one that fails them, exit 2 and one stderr line."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(smc_to_json(sign_groupoid_smc(lambda a, b: a | b))))
+    assert main(["kan", "check", "--operad", str(path), "--bound", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: $: hexagon fails at (1,0,0)\n"
 
 
 def test_homs_lookup():

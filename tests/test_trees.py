@@ -13,7 +13,7 @@ from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
                           corolla, eta, extended_corolla, face, faces, graft,
                           has_root_horn, horn, is_extended_corolla, isomorphic,
                           isomorphisms, linear,
-                          stem, stem_edges, subtree_from_edges, _faces_uncached)
+                          stem_edges, subtree_from_edges, _faces_uncached)
 from dendro.lemmas import root_horn_certificate
 
 SHAPES4 = tree_shapes(4)
@@ -242,8 +242,8 @@ def test_graft_rejects_name_collision():
 
 def test_graft_stem_top_roundtrip():
     for t in (extended_corolla(2, 2), c2_over_chain()):
-        top_edge = stem_edges(t)[0]
-        assert graft(stem(t), top_edge, branch(t, top_edge)) == t
+        es = stem_edges(t)
+        assert graft(linear(len(es) - 1, edges=es), es[0], branch(t, es[0])) == t
 
 
 def c2_over_chain():
@@ -369,8 +369,9 @@ def test_deep_trees_need_no_recursion():
     upper.append(Vertex((f"u{n}", "b"), "m0"))
     lower = [Vertex((f"m{i}",), f"m{i + 1}") for i in range(n)]
     t = Tree(upper + lower, f"m{n}")
-    assert branch(t, stem_edges(t)[0]) == Tree(upper, "m0")
-    assert graft(stem(t), "m0", Tree(upper, "m0")) == t
+    es = stem_edges(t)
+    assert branch(t, es[0]) == Tree(upper, "m0")
+    assert graft(linear(len(es) - 1, edges=es), "m0", Tree(upper, "m0")) == t
 
 
 def test_stem_and_top_of_linear_tree():
@@ -449,3 +450,13 @@ def test_faces_build_no_checked_tree(monkeypatch):
     monkeypatch.setattr(Tree, "__init__", refuse)
     for t in shapes:
         assert [f.key for f in _faces_uncached(t)] == [f.key for f in faces(t)]
+
+
+def test_faces_follow_the_tree_as_written():
+    """Equal trees written with other input orders get faces of their own:
+    an inner face keeps the input order of the tree it was asked for."""
+    t = Tree([Vertex(("a", "b"), "c"), Vertex(("x", "y"), "a")], "c")
+    r = Tree([Vertex(("b", "a"), "c"), Vertex(("y", "x"), "a")], "c")
+    assert t == r
+    assert face(t, INNER_FACE, "a").subtree.vertices == (Vertex(("x", "y", "b"), "c"),)
+    assert face(r, INNER_FACE, "a").subtree.vertices == (Vertex(("b", "y", "x"), "c"),)
