@@ -14,13 +14,15 @@ one operad, interns them as they are and restricts and closes them a node
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .complexes import Complex
 from .operads import FiniteOperad
 from .trees import (COROLLA_FACE, INNER_FACE, ROOT_FACE, TOP_FACE,
-                    FaceDescriptor, Tree, TreeError, faces, insert_unary, linear)
+                    FaceDescriptor, Tree, TreeError, faces, insert_unary, linear,
+                    walk_up)
 
 
 class Dendrex:
@@ -134,6 +136,27 @@ def _vertex_level(p: FiniteOperad, fixed, combos: list[tuple], ins, out: int):
                                           for op in p.operations(ins(s), s[out])]
         return ext
     return level
+
+
+def count_dendrices(p: FiniteOperad, shape: Tree) -> int:
+    """`len(labellings(p, shape))`, listing nothing: a product over the
+    edges, from the leaves down.  Per colour, an edge counts the labellings
+    of the subtree above it: 1 on a leaf, and below a vertex the sum, over
+    the colourings of its inputs, of the operations of that profile times
+    the product of the inputs' counts."""
+    above: dict[str, dict[str, int]] = {}     # edge -> colour -> labellings
+    for e in reversed(walk_up(shape, [shape.root])[0]):
+        v = shape.vertex_above(e)
+        if v is None:
+            above[e] = dict.fromkeys(p.colours, 1)
+            continue
+        n = above[e] = dict.fromkeys(p.colours, 0)
+        for ins in itertools.product(p.colours, repeat=len(v.inputs)):
+            below = math.prod(above[i][c] for i, c in zip(v.inputs, ins))
+            if below:
+                for c in p.colours:
+                    n[c] += below * len(p.operations(ins, c))
+    return sum(above[shape.root].values())
 
 
 def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:

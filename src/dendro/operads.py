@@ -112,15 +112,23 @@ def _move_last(smc: FiniteSMC, memo: dict, x: str, passed: tuple) -> str:
 
 
 def validate_smc(c: FiniteSMC) -> list[str]:
-    """Exhaustively check the axioms; returns human-readable violations."""
+    """Exhaustively check the axioms; returns human-readable violations.
+
+    A missing row, or a row of the wrong profile, ends the check once its
+    table is checked: the laws that read that table are not, so a broken
+    table gives violations, never a `KeyError`.
+    """
     bad: list[str] = []
     mors = sorted(c.profile)
     if c.unit not in c.objects:
         bad.append(f"unit {c.unit!r} is not an object")
+    found = len(bad)
     for o in c.objects:
         i = c.identities.get(o)
         if i is None or c.profile.get(i) != (o, o):
             bad.append(f"identity of {o!r} missing or has wrong profile")
+    if len(bad) > found:
+        return bad
     for (g, f), h in c.compose.items():
         df, cf = c.profile[f]
         dg, cg = c.profile[g]
@@ -128,6 +136,10 @@ def validate_smc(c: FiniteSMC) -> list[str]:
             bad.append(f"compose({g},{f}) defined but profiles do not match")
         elif c.profile[h] != (df, cg):
             bad.append(f"compose({g},{f})={h} has wrong profile")
+    bad.extend(f"compose missing at ({g},{f})" for g in mors for f in mors
+               if c.profile[f][1] == c.profile[g][0] and (g, f) not in c.compose)
+    if len(bad) > found:
+        return bad
     for f in mors:
         d, cod = c.profile[f]
         if c.compose.get((f, c.identities[d])) != f:
@@ -143,15 +155,20 @@ def validate_smc(c: FiniteSMC) -> list[str]:
                     continue
                 if c.compose[(c.compose[(h, g)], f)] != c.compose[(h, c.compose[(g, f)])]:
                     bad.append(f"associativity fails at ({h},{g},{f})")
+    whole = True
     for a in c.objects:
         for b in c.objects:
             if (a, b) not in c.tensor_obj:
                 bad.append(f"tensor_obj missing at ({a},{b})")
+                whole = False
         if c.tensor_obj.get((c.unit, a)) != a or c.tensor_obj.get((a, c.unit)) != a:
             bad.append(f"tensor unit law fails on object {a!r}")
+    if not whole:
+        return bad
     for a, b, d in itertools.product(c.objects, repeat=3):
         if c.tensor_obj[(c.tensor_obj[(a, b)], d)] != c.tensor_obj[(a, c.tensor_obj[(b, d)])]:
             bad.append(f"tensor associativity fails on objects ({a},{b},{d})")
+    found = len(bad)
     for f in mors:
         for g in mors:
             fg = c.tensor_mor.get((f, g))
@@ -159,6 +176,8 @@ def validate_smc(c: FiniteSMC) -> list[str]:
                     c.tensor_obj[(c.profile[f][1], c.profile[g][1])])
             if fg is None or c.profile[fg] != want:
                 bad.append(f"tensor_mor missing or wrong profile at ({f},{g})")
+    if len(bad) > found:
+        return bad
     # interchange / functoriality of the tensor
     for f, f2, g, g2 in itertools.product(mors, repeat=4):
         if c.profile[f][1] != c.profile[f2][0] or c.profile[g][1] != c.profile[g2][0]:
@@ -167,14 +186,17 @@ def validate_smc(c: FiniteSMC) -> list[str]:
         rhs = c.compose[(c.tensor_mor[(f2, g2)], c.tensor_mor[(f, g)])]
         if lhs != rhs:
             bad.append(f"tensor interchange fails at ({f2},{f},{g2},{g})")
+    broken = {(a, b) for a, b in itertools.product(c.objects, repeat=2)
+              if c.profile.get(c.braiding.get((a, b)))
+              != (c.tensor_obj[(a, b)], c.tensor_obj[(b, a)])}
     for a, b in itertools.product(c.objects, repeat=2):
-        s = c.braiding.get((a, b))
-        if s is None or c.profile[s] != (c.tensor_obj[(a, b)], c.tensor_obj[(b, a)]):
+        if (a, b) in broken:
             bad.append(f"braiding missing or wrong profile at ({a},{b})")
-            continue
-        back = c.braiding[(b, a)]
-        if c.compose[(back, s)] != c.identities[c.tensor_obj[(a, b)]]:
+        elif (b, a) not in broken and (c.compose[(c.braiding[(b, a)], c.braiding[(a, b)])]
+                                       != c.identities[c.tensor_obj[(a, b)]]):
             bad.append(f"braiding is not an involution at ({a},{b})")
+    if broken:
+        return bad
     # naturality of the braiding
     for f, g in itertools.product(mors, repeat=2):
         a, a2 = c.profile[f]
@@ -248,6 +270,13 @@ class FiniteOperad:
     def permute(self, f, sigma: tuple[int, ...]):
         raise NotImplementedError
 
+    def cancellative(self) -> bool:
+        """Whether the operad is known to satisfy its laws and to cancel:
+        `f o_i g` determines f given g, and g given f and the profile of g.
+        Then every horn of a tree with >= 3 vertices fills uniquely (see
+        `kan`).  False unless a subclass proves it."""
+        return False
+
 
 @dataclass(frozen=True)
 class TableOperad(FiniteOperad):
@@ -315,6 +344,16 @@ class SMCOperad(FiniteOperad):
         self.operations = cache(partial(_smc_operations, smc))
         self.compose = cache(partial(_smc_compose, smc))
         self.permute = cache(partial(_smc_permute, smc, {}))
+        self._cancellative: bool | None = None
+
+    def cancellative(self) -> bool:
+        """The SMC passes `validate_smc`, and for all objects L, R and every
+        morphism g, with W = (1_L (x) g) (x) 1_R (the morphism of `o_i`),
+        w -> w W is injective on each hom set and, for each w, g -> w W is
+        injective on each Hom(a, b).  Computed on the first call."""
+        if self._cancellative is None:
+            self._cancellative = not validate_smc(self.smc) and _smc_cancels(self.smc)
+        return self._cancellative
 
     def op_profile(self, op):
         return (op[0], op[1])
@@ -324,6 +363,23 @@ class SMCOperad(FiniteOperad):
 
     def __repr__(self):
         return f"SMCOperad({self.name})"
+
+
+def _smc_cancels(smc: FiniteSMC) -> bool:
+    """The two injectivity conditions of `SMCOperad.cancellative`."""
+    out_of: dict[str, list[str]] = {}
+    for m in sorted(smc.profile):
+        out_of.setdefault(smc.profile[m][0], []).append(m)
+    by_w: dict[tuple, list[str]] = {}    # (L, R, w, profile of g) -> w W over g
+    for left, right, g in itertools.product(smc.objects, smc.objects, smc.profile):
+        W = smc.tensor_mor[(smc.tensor_mor[(smc.identities[left], g)], smc.identities[right])]
+        ws = out_of[smc.profile[W][1]]
+        composites = [smc.compose[(w, W)] for w in ws]
+        if len(set(composites)) < len(composites):
+            return False
+        for w, h in zip(ws, composites):
+            by_w.setdefault((left, right, w, smc.profile[g]), []).append(h)
+    return all(len(set(hs)) == len(hs) for hs in by_w.values())
 
 
 def _smc_operations(smc: FiniteSMC, inputs, output):

@@ -14,7 +14,7 @@ from dendro.cli import main
 from dendro.jsonio import (certificate_to_json, dumps, operad_to_json,
                            smc_to_json, tree_to_json)
 from dendro.lemmas import binary_tensor_certificate
-from dendro.operads import CORPUS, cyclic_group_smc, table_operad_from
+from dendro.operads import CORPUS, b_z2_smc, cyclic_group_smc, table_operad_from
 from dendro.trees import Tree, Vertex, c2, linear
 
 
@@ -399,6 +399,12 @@ def _object_twice():
     return doc
 
 
+def _braiding_emptied():
+    doc = smc_to_json(b_z2_smc())
+    doc["braiding"] = []
+    return doc
+
+
 def _misprofiled_composite():
     doc = _z2_table()
     doc["composition"].append({"f": "o0", "i": 0, "g": "o0", "result": "o2"})
@@ -434,12 +440,15 @@ def _misprofiled_symmetry():
     (_misprofiled_symmetry, ["kan", "check", "--bound", "2", "--format", "text"],
      "error: $.symmetry[1071].result: profile of 'o0' is (('0', '0'), '0'), "
      "not the permuted (('1', '0'), '1')\n"),
+    (_braiding_emptied, ["kan", "check", "--bound", "2"],
+     "error: $: braiding missing or wrong profile at (*,*)\n"),
 ], ids=["colour-twice", "object-twice", "misprofiled-composite",
-        "misprofiled-identity", "misprofiled-symmetry"])
+        "misprofiled-identity", "misprofiled-symmetry", "braiding-emptied"])
 def test_table_that_is_not_an_operad_is_input_error(capsys, tmp_path, c2_file,
                                                     make, argv, message):
     """Tables with a name listed twice, or a composite, identity or permuted
-    operation of the wrong profile, get no verdict (they used to get one):
+    operation of the wrong profile, get no verdict (they used to get one),
+    nor does an SMC with missing rows (it used to get a bare `KeyError`):
     the command exits 2 with one stderr line."""
     path = tmp_path / "table.json"
     path.write_text(dumps(make()))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from dendro.kan import (HornMap, _horn_maps, enumerate_horn_maps, fillers,
                         kan_report, tree_shapes)
 from dendro.nerves import (CompiledShape, dendrex_closure, dendrices,
                            dendrices_with_colours, face_of)
-from dendro.operads import CORPUS, TableOperad, table_operad_from
+from dendro.operads import CORPUS, SMCOperad, TableOperad, table_operad_from
 from dendro.shuffles import c2_tensor_complex, filtration_base
 from dendro.trees import (COROLLA_FACE, Tree, Vertex, c2, corolla, face,
                           faces, horn, isomorphic, linear)
@@ -278,7 +279,9 @@ _GOLDENS = json.loads((Path(__file__).parent / "kan_goldens.json")
 @pytest.mark.parametrize("key", sorted(_GOLDENS))
 def test_kan_report_matches_golden(key):
     """The report's JSON is byte-identical to the one recorded by
-    `scripts/kan_goldens.py` before horn maps ran on compiled shapes."""
+    `scripts/kan_goldens.py` before horn maps ran on compiled shapes, or,
+    for z4 and z2xz2 at bound 3 and every report at bound 4, by the
+    enumerator before cancellative operads skipped it."""
     name, bound = key.split("@")
     rep = kan_report(CORPUS[name](), int(bound), name=name)
     assert _report_digest(rep) == _GOLDENS[key]
@@ -288,9 +291,12 @@ def test_kan_reports_do_not_depend_on_trees_written_before():
     """In a fresh process, closing every 3-vertex shape written with
     reversed inputs first leaves the reports of z2 and mult01 at bound 3 as
     recorded: the faces of a tree are cached for the tree as written, not
-    for an equal one written otherwise."""
+    for an equal one written otherwise.  The reports run the enumerator on
+    the 3-vertex shapes, through `Enumerated` (conftest)."""
     src = str(Path(dendro.__file__).resolve().parent.parent)
-    code = ("import hashlib, json\n"
+    code = ("import hashlib, json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import Enumerated\n"
             "from dendro.complexes import closure_cells\n"
             "from dendro.jsonio import kan_report_to_json\n"
             "from dendro.kan import kan_report, tree_shapes\n"
@@ -300,13 +306,41 @@ def test_kan_reports_do_not_depend_on_trees_written_before():
             "    closure_cells(Tree([Vertex(v.inputs[::-1], v.output)\n"
             "                        for v in t.vertices], t.root))\n"
             "for name in ('z2', 'mult01'):\n"
-            "    rep = kan_report_to_json(kan_report(CORPUS[name](), 3, name=name))\n"
+            "    p = Enumerated(CORPUS[name]())\n"
+            "    rep = kan_report_to_json(kan_report(p, 3, name=name))\n"
             "    text = json.dumps(rep, sort_keys=True, separators=(',', ':'))\n"
             "    print(hashlib.sha256(text.encode()).hexdigest())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [_GOLDENS["z2@3"], _GOLDENS["mult01@3"]]
+
+
+# -- the cancellative shortcut against the enumerator ------------------------
+
+@pytest.mark.parametrize("name", ["z2", "bz2", "mult01", "z3", "sz2"])
+def test_shortcut_equals_the_enumerator(name, enumerated, sz2_smc):
+    """On a cancellative operad the trees with >= 3 vertices take the
+    shortcut; through `Enumerated` they take the enumerator, and the report
+    JSON is the same at bound 3."""
+    p = SMCOperad(sz2_smc, "sZ/2") if name == "sz2" else CORPUS[name]()
+    assert p.cancellative()
+    assert _report_digest(kan_report(p, 3)) == _report_digest(kan_report(enumerated(p), 3))
+
+
+@pytest.mark.parametrize("fixture,witnesses", [
+    ("monoid_smc", {("leaf", "unfillable"): 204, ("root", "unfillable"): 108}),
+    ("unfaithful_groupoid_smc", {("root", "unfillable"): 900}),
+])
+def test_operads_that_do_not_cancel_keep_their_three_vertex_witnesses(fixture, witnesses,
+                                                                       request):
+    """SMCs whose operads do not cancel take the enumerator on every tree
+    and keep the witnesses on their 3-vertex trees at bound 3."""
+    p = SMCOperad(request.getfixturevalue(fixture))
+    assert not p.cancellative()
+    rep = kan_report(p, 3)
+    got = Counter((w.horn_class, w.issue) for w in rep.witnesses if len(w.tree.vertices) == 3)
+    assert dict(got) == witnesses
 
 
 def test_kan_report_json_independent_of_hash_seed():

@@ -6,8 +6,8 @@ import pytest
 
 from dendro.complexes import Complex
 from dendro.kan import tree_shapes
-from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, degeneracy_of,
-                           dendrex_closure, dendrices, dendrices_with_colours,
+from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, count_dendrices,
+                           degeneracy_of, dendrex_closure, dendrices, dendrices_with_colours,
                            face_of, is_degenerate, labellings, underlying_sset)
 from dendro.operads import CORPUS, table_operad_from
 from dendro.trees import (COROLLA_FACE, INNER_FACE, Tree, Vertex, c2, eta,
@@ -342,3 +342,12 @@ def test_batched_bookkeeping_keeps_conflicts(bz2_nonassociative):
     for tree in (linear(3), linear(4)):
         added, conflicts = _out_of_order(bz2_nonassociative, tree)
         assert added > 0 and conflicts > 0, tree
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_count_dendrices_is_the_number_listed(name):
+    """The bottom-up product counts exactly the `labellings` of every shape
+    with at most 4 vertices, and of eta."""
+    p = CORPUS[name]()
+    for shape in tree_shapes(4) + [eta()]:
+        assert count_dendrices(p, shape) == len(labellings(p, shape)), shape

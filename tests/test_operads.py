@@ -1,5 +1,6 @@
 """Operads and symmetric monoidal categories: axioms, corpus, fault detection."""
 
+import dataclasses
 import itertools
 import json
 
@@ -7,8 +8,8 @@ import pytest
 
 from dendro.cli import main
 from dendro.jsonio import smc_to_json
-from dendro.operads import (CORPUS, FiniteSMC, TableOperad, _permutation_iso,
-                            b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
+from dendro.operads import (CORPUS, FiniteSMC, SMCOperad, TableOperad,
+                            _permutation_iso, b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
                             picard_check, table_operad_from,
                             validate_operad, validate_smc)
@@ -21,36 +22,6 @@ ALL_SMCS = {
     "bz2": b_z2_smc(),
     "mult01": mult_01_monoid_smc(),
 }
-
-
-def sign_groupoid_smc(sign) -> FiniteSMC:
-    """Objects Z/2 (tensor is addition), automorphism group Z/2 at each
-    object, and braiding (a, b) the automorphism sign(a, b) of a + b.  With
-    sign(a, b) = a * b it is the sign groupoid sZ/2, whose braiding on 1 (x) 1
-    is not an identity."""
-    objs = ("0", "1")
-
-    def mor(o, u):
-        return f"{'s' if u % 2 else 'id'}_{o}"
-
-    def add(a, b):
-        return str((int(a) + int(b)) % 2)
-
-    signs = (0, 1)
-    return FiniteSMC(
-        objects=objs, unit="0",
-        profile={mor(o, u): (o, o) for o in objs for u in signs},
-        compose={(mor(o, u), mor(o, v)): mor(o, u + v)
-                 for o in objs for u in signs for v in signs},
-        identities={o: mor(o, 0) for o in objs},
-        tensor_obj={(a, b): add(a, b) for a in objs for b in objs},
-        tensor_mor={(mor(a, u), mor(b, v)): mor(add(a, b), u + v)
-                    for a in objs for b in objs for u in signs for v in signs},
-        braiding={(a, b): mor(add(a, b), sign(int(a), int(b)))
-                  for a in objs for b in objs})
-
-
-SZ2 = sign_groupoid_smc(lambda a, b: a * b)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SMCS))
@@ -202,13 +173,13 @@ def bubble_sort_iso(smc: FiniteSMC, objs, sigma) -> str:
     return current
 
 
-def test_permutation_iso_strict_coherence():
+def test_permutation_iso_strict_coherence(sz2_smc):
     """Every symmetry iso has the permuted profile and equals the bubble
     sort, on every object word up to arity 5 (4 with four objects), through
     one memo shared by all words, as `SMCOperad` shares it, and up to arity 4
     from a fresh memo; sZ/2 makes some of them non-identities."""
     non_identity = 0
-    for name, smc in [*ALL_SMCS.items(), ("sz2", SZ2)]:
+    for name, smc in [*ALL_SMCS.items(), ("sz2", sz2_smc)]:
         assert validate_smc(smc) == []
         memo: dict = {}
         for n in range(5 if len(smc.objects) == 4 else 6):
@@ -232,23 +203,66 @@ def test_permutation_iso_rejects_non_permutation():
             smc.permutation_iso(("1", "2"), sigma)
 
 
-def test_validate_smc_checks_the_hexagon():
+def test_validate_smc_checks_the_hexagon(hexagon_failing_smc):
     """Braiding with the unit 0 as the non-identity automorphism of 1 keeps
     the involution and naturality but breaks the hexagon."""
-    bad = sign_groupoid_smc(lambda a, b: a | b)
-    assert validate_smc(bad) == [f"hexagon fails at (1,{b},{d})"
-                                 for b in "01" for d in "01"]
+    assert validate_smc(hexagon_failing_smc) == [f"hexagon fails at (1,{b},{d})"
+                                                 for b in "01" for d in "01"]
 
 
-def test_kan_check_refuses_an_smc_that_fails_the_hexagon(tmp_path, capsys):
+def test_kan_check_refuses_an_smc_that_fails_the_hexagon(tmp_path, capsys,
+                                                         hexagon_failing_smc):
     """An SMC document is checked against the SMC laws when it loads: no
     Kan verdict for one that fails them, exit 2 and one stderr line."""
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(smc_to_json(sign_groupoid_smc(lambda a, b: a | b))))
+    path.write_text(json.dumps(smc_to_json(hexagon_failing_smc)))
     assert main(["kan", "check", "--operad", str(path), "--bound", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: $: hexagon fails at (1,0,0)\n"
+
+
+def _without_row(smc, table, key):
+    """The SMC with the row `key` of one of its tables removed."""
+    rows = getattr(smc, table)
+    return dataclasses.replace(smc, **{table: {k: v for k, v in rows.items() if k != key}})
+
+
+@pytest.mark.parametrize("smc,table,key,violation", [
+    ("bz2", "identities", "*", "identity of '*' missing or has wrong profile"),
+    ("bz2", "compose", ("g0", "g1"), "compose missing at (g0,g1)"),
+    ("z2", "tensor_obj", ("1", "1"), "tensor_obj missing at (1,1)"),
+    ("bz2", "tensor_mor", ("g1", "g0"), "tensor_mor missing or wrong profile at (g1,g0)"),
+    ("bz2", "braiding", ("*", "*"), "braiding missing or wrong profile at (*,*)"),
+    ("z2", "braiding", ("1", "0"), "braiding missing or wrong profile at (1,0)"),
+])
+def test_validate_smc_reports_a_missing_row(smc, table, key, violation):
+    """A missing row is a violation, never a `KeyError`: the check stops
+    after the table that lacks it, and checks an involution only where both
+    braidings are there."""
+    assert validate_smc(_without_row(ALL_SMCS[smc], table, key)) == [violation]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["sz2"])
+def test_corpus_and_sign_groupoid_are_cancellative(name, sz2_smc):
+    p = SMCOperad(sz2_smc) if name == "sz2" else CORPUS[name]()
+    assert p.cancellative()
+
+
+@pytest.mark.parametrize("fixture,valid", [("monoid_smc", True),
+                                           ("unfaithful_groupoid_smc", True),
+                                           ("hexagon_failing_smc", False)])
+def test_smcs_that_do_not_cancel(fixture, valid, request):
+    """The monoid ({0, 1}, x) on one object and the groupoid whose tensor
+    is not faithful are SMCs whose operads do not cancel; the sZ/2 that
+    fails the hexagon is no SMC."""
+    smc = request.getfixturevalue(fixture)
+    assert (validate_smc(smc) == []) == valid
+    assert not SMCOperad(smc).cancellative()
+
+
+def test_tables_are_not_known_to_cancel(z2):
+    assert not table_operad_from(z2, 2).cancellative()
 
 
 def test_homs_lookup():
