@@ -9,12 +9,12 @@ Each tree shape is compiled once per report, as `Complex([tree])`
 (`nerves.CompiledShape`), whose last cell is the tree: its faces are
 `face_lists[-1]`, so a horn is a list of cells, the faces but one.
 `_horn_maps` lists the maps out of any list of cells into the nerve as
-tuples of ids through `nerves.grow`, the one enumeration loop, one level
-per cell, each level one lookup in the cell's `CompiledShape.groups`;
-`kan_report` counts fillers by those tuples and builds `HornMap` objects
-only for witnesses, and `enumerate_horn_maps` builds one for every map.
-`fillers`, `face_of`, `dendrex_closure` and `Dendrex` are the reference
-oracle the tests compare the compiled path against.
+tuples of ids through `nerves.grow`, one level per cell, each level one
+lookup in the cell's `CompiledShape.groups`.  `kan_report` counts each
+map's fillers among the tree's dendrices by their compiled restrictions,
+so it never closes the tree's cell, and builds `HornMap` objects only for
+witnesses; `enumerate_horn_maps` builds one for every map.  `fillers`,
+`face_of`, `dendrex_closure` and `Dendrex` are the reference oracle.
 
 On a cancellative operad (`FiniteOperad.cancellative`: its laws hold, and
 `f o_i g` determines f given g, and g given f), a tree with >= 3 vertices
@@ -220,9 +220,7 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
             rep.horns_checked += len(faces(tree)) * count_dendrices(p, tree)
             continue
         shape = CompiledShape(p, Complex([tree]))
-        ids = shape.dendrices(shape.nodes[-1])
-        shape.restrict(shape.nodes[-1])
-        sigs = list(map(shape.restrictions.__getitem__, ids))
+        sigs = list(map(shape.restrictions.__getitem__, shape.nodes[-1].ids))
         for f, kept, slots in _horns(shape):
             h = HornSpec(tree, f)
             cls = classify_horn(h)

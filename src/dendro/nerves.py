@@ -6,9 +6,8 @@ edges.  Faces compose or restrict; degeneracies insert identity-labelled
 unary vertices.  `grow` is the one enumeration loop: `labellings` lists
 dendrices through it, one level per vertex, and `kan` lists maps out of a
 complex through it, one level per cell.  `Dendrex` objects wrap the tuples
-of `labellings`, and `CompiledShape`, which compiles a given `Complex` for
-one operad, interns them as they are and restricts and closes them a node
-(a cell) at a time.
+of `labellings`; `CompiledShape` numbers them, compiling a given `Complex`
+for one operad in one pass over its cells, faces first.
 """
 
 from __future__ import annotations
@@ -221,37 +220,18 @@ def dendrex_closure(p: FiniteOperad, d: Dendrex) -> dict[frozenset, Dendrex]:
     return out
 
 
-class _Ids(dict):
-    """A node's interned dendrices, `labellings` tuple -> id, in interning
-    order; looking up a new tuple interns it under the complex's next id."""
-
-    __slots__ = ("slot", "interned")
-
-    def __missing__(self, key):
-        got = self[key] = len(self.interned)
-        self.interned.append((self.slot, key))
-        return got
-
-
 class _Subface:
-    """One node of a compiled complex: cell `slot`, with its restriction
-    plans and its interned dendrices."""
+    """One node of a compiled complex: a cell, its ids and its join plan."""
 
-    __slots__ = ("shape", "edges", "outs", "slot", "plans", "slots", "join",
-                 "ids", "restricted", "closed", "found", "groups")
+    __slots__ = ("shape", "edges", "outs", "slots", "ids", "join", "groups")
 
-    def __init__(self, shape: Tree, slot: int, slots: tuple[int, ...], interned: list):
+    def __init__(self, shape: Tree, slots: tuple[int, ...], ids: range):
         self.shape = shape
         self.edges = tuple(sorted(shape.edges))
         self.outs = tuple(sorted(shape._vertex_outs))
-        self.slot = slot
         self.slots = slots             # the cells of its closure, ascending
-        self.plans: list[tuple] = []   # per face: (its ids, pick, site)
+        self.ids = ids                 # its `labellings`, in their order, as consecutive ids
         self.join: tuple = ()          # (pick, repeated, first): see CompiledShape.close
-        self.ids = _Ids()    # no cycle back to the node: freed without the collector
-        self.ids.slot, self.ids.interned = slot, interned
-        self.restricted = self.closed = 0   # how many of `ids` are restricted, closed
-        self.found: list[int] | None = None
         self.groups: dict[tuple, dict] = {}
 
 
@@ -259,49 +239,62 @@ class CompiledShape:
     """A `Complex` compiled for one operad: every dendrex of every cell is an
     int.
 
-    Nothing here numbers cells a second time: node i is cell i of
-    `cells`, its slot is i and its slots are the indices of its closure
-    mask, ascending.  A dendrex of a node is its `labellings` tuple (colours
-    by sorted edge, then operations by sorted vertex output), interned to an
-    id unique across the compiled complex, so two ids are equal exactly when
-    the `Dendrex` objects are.  A node keeps, per codimension-one face, a
-    restriction plan: the face's ids, the index map `pick` from a tuple to
-    the face's tuple and, for an inner face, the one `compose` site
-    (positions of the lower operation, input index, position of the upper
-    operation), whose composite `pick` reads appended to the tuple.  A
-    node's join plan, compiled from its faces' slots, reads a dendrex's
-    closure off its faces' closures (see `close`).
-
-    The work goes a node at a time: `restrict` fills `restrictions`, which
-    is `face_of` on ids, and `close` fills `closures`, which is
-    `dendrex_closure` on ids, for every id of a node not done yet (a node
-    counts how many of its ids are).  `face_of`, `dendrex_closure` and
-    `Dendrex` stay the reference they are tested against.  Every cache
-    lives here, for as long as the caller keeps the compiled complex.
+    Node i is cell i of `cells`; its slots are the indices of its closure
+    mask, ascending.  One pass over the cells in order, faces first, gives
+    each node its `labellings` tuples as consecutive ids, unique across the
+    complex (two ids are equal exactly when the `Dendrex` objects are), and
+    per face, in `cells.face_lists` order, a column of `restrictions`
+    (`face_of` on ids): the face's id of the index map `pick` of each tuple,
+    on an inner face with the one `compose` at the face's site appended for
+    the lower operation.  A node's join plan reads a dendrex's closure off
+    its faces' closures; `close` fills `closures` (`dendrex_closure` on ids)
+    on demand, and `kan_report` never closes a tree's top cell, its largest.
+    `face_of`, `dendrex_closure` and `Dendrex` stay the reference they are
+    tested against.  Every cache lives here, as long as the caller keeps
+    the compiled complex.
     """
 
     def __init__(self, p: FiniteOperad, cells: Complex):
         self.p = p
         self.cells = cells
         self.interned: list[tuple] = []   # id -> (its node's slot, its `labellings` tuple)
-        self.restrictions: dict[int, tuple[int, ...]] = {}  # id -> ids of its faces
+        self.restrictions: list[tuple[int, ...]] = []   # id -> ids of its faces
         self.closures: dict[int, tuple[int, ...] | None] = {}  # id -> ids per slot
-        self.nodes = [_Subface(t, i, tuple(cells.indices(mask)), self.interned)
-                      for i, (t, mask) in enumerate(zip(cells.cell_trees, cells.masks))]
-        for node, fs, ids in zip(self.nodes, cells.face_lists, cells.face_ids):
-            t = node.shape
+        self.nodes: list[_Subface] = []
+        index: list[dict[tuple, int]] = []   # per node: `labellings` tuple -> id
+        compose = p.compose
+        for slot, t in enumerate(cells.cell_trees):
+            keys, start = labellings(p, t), len(self.interned)
+            node = _Subface(t, tuple(cells.indices(cells.masks[slot])),
+                            range(start, start + len(keys)))
+            self.nodes.append(node)
+            self.interned.extend((slot, key) for key in keys)
+            index.append(dict(zip(keys, node.ids)))
             colour_at = {e: k for k, e in enumerate(node.edges)}
             op_at = {o: k for k, o in enumerate(node.outs, len(node.edges))}
-            for f, j in zip(fs, ids):
-                child, site, at = self.nodes[j], None, op_at
+            columns = []
+            for f, j in zip(cells.face_lists[slot], cells.face_ids[slot]):
+                child, ids, at = self.nodes[j], index[j], op_at
                 if f.kind == INNER_FACE:
                     upper, lower = t.vertex_above(f.label), t.vertex_below(f.label)
-                    site = (at[lower.output], lower.inputs.index(f.label), at[upper.output])
+                    lo, up = op_at[lower.output], op_at[upper.output]
+                    i = lower.inputs.index(f.label)
                     # the composite, appended to the tuple, stands for the lower operation
                     at = {**op_at, lower.output: len(node.edges) + len(node.outs)}
-                node.plans.append((child.ids, tuple_getter([colour_at[e] for e in child.edges]
-                                                           + [at[o] for o in child.outs]), site))
-            cat = [node.slot] + [s for j in ids for s in self.nodes[j].slots]
+                pick = tuple_getter([colour_at[e] for e in child.edges]
+                                    + [at[o] for o in child.outs])
+                if f.kind != INNER_FACE:
+                    columns.append([ids[pick(key)] for key in keys])
+                    continue
+                column = [ids.get(pick(key + (compose(key[lo], i, key[up]),))) for key in keys]
+                if None in column:     # a table whose composite has another profile
+                    key = keys[column.index(None)]
+                    raise ValueError(f"face {f.key} of {t}: composite "
+                                     f"{compose(key[lo], i, key[up])!r} does not have "
+                                     f"the profile of the merged vertex")
+                columns.append(column)
+            self.restrictions.extend(zip(*columns) if columns else [()] * len(keys))
+            cat = [slot] + [s for j in cells.face_ids[slot] for s in self.nodes[j].slots]
             first = {s: at for at, s in reversed(list(enumerate(cat)))}   # each slot's first
             repeated = [at for at, s in enumerate(cat) if first[s] != at]
             node.join = (tuple_getter([first[s] for s in node.slots]), tuple_getter(repeated),
@@ -314,66 +307,30 @@ class CompiledShape:
         return Dendrex._unchecked(node.shape, dict(zip(node.edges, key)),
                                   dict(zip(node.outs, key[len(node.edges):])))
 
-    def dendrices(self, node: _Subface) -> list[int]:
-        """`labellings` of the node as ids, in its order; run once per
-        node."""
-        if node.found is None:
-            node.found = [node.ids[key] for key in labellings(self.p, node.shape)]
-        return node.found
-
-    def restrict(self, node: _Subface) -> None:
-        """Restricts every id of the node not restricted yet along each of
-        its faces, in `cells.face_lists` order, interning what is new in the
-        faces: one pass over those ids per face, with one `compose` per id
-        on an inner face; a `compose` error propagates."""
-        start = node.restricted
-        if start == len(node.ids):
-            return
-        keys = list(itertools.islice(node.ids, start, None))
-        compose = self.p.compose
-        columns = []
-        for ids, pick, site in node.plans:
-            if site is None:
-                columns.append([ids[pick(k)] for k in keys])
-            else:
-                lower, j, upper = site
-                columns.append([ids[pick(k + (compose(k[lower], j, k[upper]),))] for k in keys])
-        self.restrictions.update(zip(itertools.islice(node.ids.values(), start, None),
-                                     zip(*columns) if columns else itertools.repeat(())))
-        node.restricted = start + len(keys)
-
     def close(self, node: _Subface) -> None:
-        """Computes the closure of every id of the node that has none yet:
-        one id per slot of its node's `slots`, in that order, or None
-        exactly where `dendrex_closure` raises `ValueError`; a `compose`
-        error propagates.
-
-        If one lacks it, every cell of the node's closure is restricted from
-        the top down (descending slot, so a cell comes before its faces),
-        then every id of those cells is closed from the bottom up by its
-        node's join plan: `(i,)` and the faces' closures laid end to end
-        hold every slot of the node at least once; `pick` takes each slot's
-        first occurrence, in slot order, and the closures agree where they
-        overlap iff each `repeated` position equals its `first` one.  Every
+        """Closes each cell of the node's closure not closed yet, whole and
+        in ascending slot order, so faces come first.  An id's closure is
+        one id per slot of its node's `slots`, or None exactly where
+        `dendrex_closure` raises `ValueError`: `(i,)` and the faces'
+        closures laid end to end hold every slot at least once, the join
+        plan's `pick` takes each slot's first occurrence, and the closures
+        agree iff each `repeated` position equals its `first` one.  Every
         path of `dendrex_closure` passes through a face, so a conflict on
-        that walk is a missing or disagreeing face closure here.
+        that walk is a missing or disagreeing face closure.
         """
-        if node.closed == len(node.ids):
-            return
         restrictions, closures = self.restrictions, self.closures
-        for s in reversed(node.slots):
-            self.restrict(self.nodes[s])
         for s in node.slots:
             cell = self.nodes[s]
+            if not cell.ids or cell.ids[0] in closures:    # nothing to close, or closed
+                continue
             pick, repeated, first = cell.join
-            for i in itertools.islice(cell.ids.values(), cell.closed, None):
+            for i in cell.ids:
                 parts = [closures[k] for k in restrictions[i]]
                 closures[i] = None
                 if None not in parts:
                     cat = (i,) + tuple(itertools.chain.from_iterable(parts))
                     if repeated(cat) == first(cat):
                         closures[i] = pick(cat)
-            cell.closed = len(cell.ids)
 
     def groups(self, node: _Subface, shared: tuple[int, ...],
                new: tuple[int, ...]) -> dict[tuple, list[tuple]]:
@@ -383,11 +340,10 @@ class CompiledShape:
         (shared, new)."""
         got = node.groups.get((shared, new))
         if got is None:
-            ids = self.dendrices(node)
             self.close(node)
             got = node.groups[shared, new] = {}
             at_shared, at_new = tuple_getter(shared), tuple_getter(new)
-            for clo in map(self.closures.__getitem__, ids):
+            for clo in map(self.closures.__getitem__, node.ids):
                 if clo is not None:
                     got.setdefault(at_shared(clo), []).append(at_new(clo))
         return got

@@ -114,9 +114,9 @@ def _move_last(smc: FiniteSMC, memo: dict, x: str, passed: tuple) -> str:
 def validate_smc(c: FiniteSMC) -> list[str]:
     """Exhaustively check the axioms; returns human-readable violations.
 
-    A missing row, or a row of the wrong profile, ends the check once its
-    table is checked: the laws that read that table are not, so a broken
-    table gives violations, never a `KeyError`.
+    A row that is missing, of the wrong profile or names what the SMC
+    lacks ends the check once its table is checked; the laws that read it
+    are not, so a broken table gives violations, never a `KeyError`.
     """
     bad: list[str] = []
     mors = sorted(c.profile)
@@ -130,6 +130,9 @@ def validate_smc(c: FiniteSMC) -> list[str]:
     if len(bad) > found:
         return bad
     for (g, f), h in c.compose.items():
+        if not {g, f, h} <= c.profile.keys():
+            bad.append(f"compose({g},{f})={h} names an unknown morphism")
+            continue
         df, cf = c.profile[f]
         dg, cg = c.profile[g]
         if cf != dg:
@@ -161,6 +164,9 @@ def validate_smc(c: FiniteSMC) -> list[str]:
             if (a, b) not in c.tensor_obj:
                 bad.append(f"tensor_obj missing at ({a},{b})")
                 whole = False
+            elif c.tensor_obj[(a, b)] not in c.objects:
+                bad.append(f"tensor_obj({a},{b})={c.tensor_obj[(a, b)]} names an unknown object")
+                whole = False
         if c.tensor_obj.get((c.unit, a)) != a or c.tensor_obj.get((a, c.unit)) != a:
             bad.append(f"tensor unit law fails on object {a!r}")
     if not whole:
@@ -174,7 +180,7 @@ def validate_smc(c: FiniteSMC) -> list[str]:
             fg = c.tensor_mor.get((f, g))
             want = (c.tensor_obj[(c.profile[f][0], c.profile[g][0])],
                     c.tensor_obj[(c.profile[f][1], c.profile[g][1])])
-            if fg is None or c.profile[fg] != want:
+            if c.profile.get(fg) != want:
                 bad.append(f"tensor_mor missing or wrong profile at ({f},{g})")
     if len(bad) > found:
         return bad
@@ -556,9 +562,9 @@ def klein_four_smc() -> FiniteSMC:
 
 
 def one_object_abelian_group_smc(elements: Sequence[Hashable], add) -> FiniteSMC:
-    """One object *, hom set a finite abelian group, tensor = group law on
-    morphisms and the identity symmetry.  Symmetric monoidal because the
-    group is abelian."""
+    """One object *, hom set a finite commutative monoid, composition and
+    tensor its law and the identity symmetry: symmetric monoidal because the
+    law commutes.  A group gives a Picard groupoid; any other monoid does not."""
     obj = "*"
     names = {e: f"g{e}" for e in elements}
     zero = next(e for e in elements if all(add(e, x) == x for x in elements))

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -46,23 +47,18 @@ def test_acceptance_2_shuffle_counts():
 
 # -- 3: discrete abelian groups are fully Kan with unique fillers -----------
 
-# sha256 of the canonical `kan_report_to_json` at bound 3, recorded before
-# horn maps ran on compiled shapes (the smaller reports are in kan_goldens.json)
-BOUND_3_DIGESTS = {
-    "z4": "49be6b859a88df791276123b8216523150d395b11fea8f18d0046645a7af52f3",
-    "z2xz2": "83ec93939880f85dbe2c0d7b6e39630c602f11eaecee4fb2f3eeb1bd833aa959",
-}
+_GOLDENS = json.loads((Path(__file__).parent / "kan_goldens.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "z2xz2"])
 def test_acceptance_3_discrete_groups_fully_kan(name):
+    """Fully Kan with unique fillers at bound 3, and the report's JSON is
+    the one recorded in kan_goldens.json."""
     rep = kan_report(CORPUS[name](), 3, name=name)
     assert rep.fully_kan, rep.witnesses
     assert rep.fully_unique, rep.witnesses
-    if name in BOUND_3_DIGESTS:
-        text = json.dumps(kan_report_to_json(rep), sort_keys=True,
-                          separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == BOUND_3_DIGESTS[name]
+    text = json.dumps(kan_report_to_json(rep), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDENS[f"{name}@3"]
 
 
 # -- 4: the one-object groupoid is fully Kan but not uniquely so ------------

@@ -210,7 +210,7 @@ def test_maps_out_of_a_complex_equal_the_brute_force_oracle(name, complex_, requ
 def test_maps_out_of_a_representable_are_its_dendrices(name, bound, request):
     """The maps out of a tree's representable are the dendrices of the tree
     whose closure exists, in `labellings` order: `_horn_maps` on the top
-    cell alone lists the top node's `CompiledShape.dendrices`."""
+    cell alone lists the top node's ids."""
     p = (request.getfixturevalue(name) if name == "bz2_nonassociative"
          else CORPUS[name]())
     trees = tree_shapes(bound) if name != "bz2_nonassociative" else [linear(bound)]
@@ -218,7 +218,7 @@ def test_maps_out_of_a_representable_are_its_dendrices(name, bound, request):
     for tree in trees:
         shape = CompiledShape(p, Complex([tree]))
         top = len(shape.nodes) - 1
-        ids = shape.dendrices(shape.nodes[top])
+        ids = shape.nodes[top].ids
         shape.close(shape.nodes[top])
         want = [(i,) for i in ids if shape.closures[i] is not None]
         assert _horn_maps(shape, [top]) == want, tree
@@ -265,6 +265,22 @@ def test_missing_composition_propagates(bz2):
         enumerate_horn_maps(p, horn(tree, faces(tree)[0]))
     with pytest.raises(KeyError, match="no entry"):
         kan_report(p, 2, max_arity=1)
+
+
+def test_composite_of_another_profile_gets_no_verdict(z2):
+    """A table whose 12 binary composites with output 0 are sent to output 1
+    is not an operad: `kan_report` raises one `ValueError` naming the face
+    and the composite, and gives no verdict.  JSON cannot reach this:
+    `operad_from_json` rejects such rows."""
+    table = table_operad_from(z2, 3)
+    wrong = {k: (ins, "1", m) for k, (ins, out, m) in table.composition.items()
+             if len(ins) == 2 and out == "0"}
+    assert len(wrong) == 12
+    with pytest.raises(ValueError) as exc:
+        kan_report(_with_composition(table, wrong), 2, max_arity=2)
+    assert str(exc.value) == (
+        "face ('inner', 'e2') of Tree([(e1,e2)->e0, (e3)->e2], root='e0'): composite "
+        "(('0', '0'), '1', 'id_0') does not have the profile of the merged vertex")
 
 
 def _report_digest(rep) -> str:

@@ -223,7 +223,7 @@ def test_candidate_groups_keep_the_backtracking_order(name):
             every = dendrices_with_colours(p, node.shape)
             for d in every:
                 check_dendrex(p, d)
-            ids = shape.dendrices(node)
+            ids = node.ids
             assert [shape.dendrex(i) for i in ids] == every, node.shape
             etas = [k for k, s in enumerate(node.slots) if len(shape.cells.order[s]) == 1]
             for shared in [()] + [(k,) for k in etas]:
@@ -246,22 +246,18 @@ def _reference_closure(p, d):
 
 
 def _check_done(shape) -> int:
-    """Checks every id a node counts as restricted or closed: its
-    restrictions are `face_of` along each face, and its closure is
-    `dendrex_closure` keyed by edge set, None exactly where that raises; an
-    id not counted has none yet.  Returns the number of closures that are
-    None."""
+    """Checks every id of every node: its restrictions are `face_of` along
+    each face and, once its node is closed, its closure is
+    `dendrex_closure` keyed by edge set, None exactly where that raises.
+    Returns the number of closures that are None."""
     p, conflicts = shape.p, 0
     for node in shape.nodes:
         fs = faces(node.shape) if node.shape.vertices else []
-        for n, i in enumerate(node.ids.values()):
+        for i in node.ids:
             d = shape.dendrex(i)
-            assert (i in shape.restrictions) == (n < node.restricted), d
-            assert (i in shape.closures) == (n < node.closed), d
-            if n < node.restricted:
-                assert [shape.dendrex(k) for k in shape.restrictions[i]] \
-                    == [face_of(p, d, f) for f in fs], d
-            if n < node.closed:
+            assert [shape.dendrex(k) for k in shape.restrictions[i]] \
+                == [face_of(p, d, f) for f in fs], d
+            if i in shape.closures:
                 clo = shape.closures[i]
                 got = None if clo is None else {shape.cells.order[s]: shape.dendrex(k)
                                                 for s, k in zip(node.slots, clo)}
@@ -271,14 +267,11 @@ def _check_done(shape) -> int:
 
 
 def _compiled_conflicts(p, tree) -> int:
-    """Lists the dendrices of every node of the compiled tree, closes the
-    tree and checks every id (`_check_done`), returning the number of
-    closures that are None."""
+    """Compiles the tree, closes it and checks every id (`_check_done`),
+    returning the number of closures that are None."""
     shape = CompiledShape(p, Complex([tree]))
-    for node in shape.nodes:
-        shape.dendrices(node)
     shape.close(shape.nodes[-1])
-    assert all(node.closed == len(node.ids) for node in shape.nodes)
+    assert all(i in shape.closures for node in shape.nodes for i in node.ids)
     return _check_done(shape)
 
 
@@ -296,52 +289,6 @@ def test_compiled_shape_matches_reference(name, bound):
 def test_compiled_closure_fails_where_reference_raises(bz2_nonassociative):
     assert _compiled_conflicts(bz2_nonassociative, linear(3)) > 0
     assert _compiled_conflicts(bz2_nonassociative, linear(4)) > 0
-
-
-def _out_of_order(p, tree) -> tuple[int, int]:
-    """Compiles the tree and, for each face of it in turn, interns the face's
-    last dendrex alone and closes the face; then restricts the tree, which
-    interns more ids in those closed faces, closes each face again and
-    closes the tree, checking every id after each step (`_check_done`).
-    Returns the number of ids the restriction added to closed faces and
-    the number of closures that are None."""
-    shape = CompiledShape(p, Complex([tree]))
-    top, faces_ = shape.nodes[-1], [shape.nodes[j] for j in shape.cells.face_ids[-1]]
-    for node in faces_:
-        node.ids[labellings(p, node.shape)[-1]]    # looking a tuple up interns it
-        shape.close(node)
-        _check_done(shape)
-    before = sum(len(node.ids) for node in faces_)
-    shape.dendrices(top)
-    shape.restrict(top)
-    _check_done(shape)
-    added = sum(len(node.ids) for node in faces_) - before
-    for node in faces_:
-        shape.close(node)
-        _check_done(shape)
-    shape.close(top)
-    assert all(node.closed == len(node.ids) for node in shape.nodes)
-    return added, _check_done(shape)
-
-
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_batched_bookkeeping_in_any_order(name):
-    """Ids interned in a face after it was closed are restricted and closed
-    when it is closed again, on every corpus operad at bound 2."""
-    p = _operad(name)
-    added = 0
-    for tree in tree_shapes(2):
-        more, conflicts = _out_of_order(p, tree)
-        assert conflicts == 0, tree
-        added += more
-    assert added > 0
-
-
-def test_batched_bookkeeping_keeps_conflicts(bz2_nonassociative):
-    """Closures that raise come out None in that order too."""
-    for tree in (linear(3), linear(4)):
-        added, conflicts = _out_of_order(bz2_nonassociative, tree)
-        assert added > 0 and conflicts > 0, tree
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -243,6 +243,23 @@ def test_validate_smc_reports_a_missing_row(smc, table, key, violation):
     assert validate_smc(_without_row(ALL_SMCS[smc], table, key)) == [violation]
 
 
+@pytest.mark.parametrize("smc,table,key,value,violation", [
+    ("bz2", "compose", ("g1", "g1"), "zz", "compose(g1,g1)=zz names an unknown morphism"),
+    ("bz2", "compose", ("zz", "g0"), "g0", "compose(zz,g0)=g0 names an unknown morphism"),
+    ("bz2", "tensor_mor", ("g1", "g0"), "zz", "tensor_mor missing or wrong profile at (g1,g0)"),
+    ("bz2", "braiding", ("*", "*"), "zz", "braiding missing or wrong profile at (*,*)"),
+    ("bz2", "identities", "*", "zz", "identity of '*' missing or has wrong profile"),
+    ("z2", "tensor_obj", ("1", "1"), "7", "tensor_obj(1,1)=7 names an unknown object"),
+])
+def test_validate_smc_reports_an_unknown_name(smc, table, key, value, violation):
+    """A row naming a morphism or object the SMC lacks is a violation, never
+    a `KeyError`, and its operad does not cancel."""
+    smc = ALL_SMCS[smc]
+    smc = dataclasses.replace(smc, **{table: {**getattr(smc, table), key: value}})
+    assert validate_smc(smc) == [violation]
+    assert not SMCOperad(smc).cancellative()
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["sz2"])
 def test_corpus_and_sign_groupoid_are_cancellative(name, sz2_smc):
     p = SMCOperad(sz2_smc) if name == "sz2" else CORPUS[name]()
