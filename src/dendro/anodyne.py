@@ -49,12 +49,23 @@ def parse_class(text: str) -> AnodyneClass:
 def generator_class(tree: Tree, omitted_key: tuple[str, str]) -> AnodyneClass:
     """The smallest anodyne class containing the horn of `tree` omitting the
     given face."""
-    cls = classify_horn(HornSpec(tree, face(tree, *omitted_key)))
+    return _horn_class(HornSpec(tree, face(tree, *omitted_key)))
+
+
+def _cell_class(amb: Complex, i: int, omitted_key: tuple[str, str]) -> AnodyneClass:
+    """`generator_class` of cell i of `amb`, its face read from the complex."""
+    return _horn_class(HornSpec(amb.cell_trees[i],
+                                amb.face_lists[i][amb.face_number(i, omitted_key)]))
+
+
+def _horn_class(h: HornSpec) -> AnodyneClass:
+    cls = classify_horn(h)
     if cls == "inner":
         return AnodyneClass.INNER
     if cls == "leaf":
         return AnodyneClass.LEFT
     # root horn: a generator iff the tree is an extended corolla
+    tree = h.tree
     if not is_extended_corolla(tree):
         return AnodyneClass.OUTER
     if tree.vertex_above(tree.root).arity == 2:
@@ -271,7 +282,7 @@ def _verify_horn_step(step: HornStep, amb: Complex, i: int, current: int, rep, h
         rep.fail(here, f"attachment of {sorted(step.cell)} along {step.omitted} is not a "
                        f"horn pushout (horn cells missing: {missing}; excess: {extra})")
         return current
-    rep.classes_used.append(generator_class(amb.cell_trees[i], step.omitted))
+    rep.classes_used.append(_cell_class(amb, i, step.omitted))
     return current | amb.masks[i]
 
 
@@ -368,7 +379,7 @@ def certificate_class(cert: Certificate) -> AnodyneClass | None:
         classes: list[AnodyneClass] = []
         for step in cert.steps:
             if isinstance(step, HornStep):
-                classes.append(generator_class(amb.tree_of(step.cell), step.omitted))
+                classes.append(_cell_class(amb, amb.index_of(step.cell), step.omitted))
             elif isinstance(step, NestedStep):
                 sub = certificate_class(step.certificate)
                 if sub is not None:
@@ -464,7 +475,7 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
             step = attachable.get(key, _UNSET)
             if step is _UNSET:
                 missing, is_horn = amb.attachment(i, current)
-                ok = is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed
+                ok = is_horn and _cell_class(amb, i, missing[0]) <= allowed
                 step = attachable[key] = HornStep(amb.order[i], missing[0]) if ok else None
             if step is not None:
                 found.append(step)

@@ -2,7 +2,9 @@
 
 A complex is generated by finitely many trees sharing an ambient edge
 alphabet; its cells are all iterated faces of the generators.  Within one
-ambient complex a cell is determined by its edge set.
+ambient complex a cell is determined by its edge set.  `closure_cells`
+builds each cell once: a face whose edge set it holds, written the same
+way, is the tree it holds (see `trees`).
 
 A `Complex` numbers its cells once, in (size, sorted edges) order, so that
 every face of a cell comes before it.  Bottom-up it stores each cell's face
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .trees import FaceDescriptor, Tree, TreeError, faces
+from .trees import FaceDescriptor, Tree, TreeError, _faces_reusing, faces
 
 Cell = frozenset
 
@@ -32,7 +34,7 @@ def closure_cells(tree: Tree) -> dict[Cell, Tree]:
         t = frontier.pop()
         if not t.vertices:
             continue
-        for f in faces(t):
+        for f in _faces_reusing(t, out):
             if f.subtree.edges not in out:
                 out[f.subtree.edges] = f.subtree
                 frontier.append(f.subtree)
@@ -127,13 +129,17 @@ class Complex:
     def cells_of(self, mask: int) -> frozenset[Cell]:
         return frozenset(compress(self.order, map("1".__eq__, bin(mask)[:1:-1])))
 
+    def face_number(self, i: int, key: tuple[str, str]) -> int:
+        """The position of the face with the given key in `face_lists[i]`."""
+        for k, f in enumerate(self.face_lists[i]):
+            if f.key == key:
+                return k
+        raise TreeError(f"no face {key} on cell {sorted(self.order[i])}"
+                        if self.face_lists[i] else "eta has no faces")
+
     def horn_mask(self, i: int, omitted_key: tuple[str, str]) -> int:
         """The closure of every face of cell i but the omitted one."""
-        for k, f in enumerate(self.face_lists[i]):
-            if f.key == omitted_key:
-                return self._kept_closure(i, k)
-        raise TreeError(f"no face {omitted_key} on cell {sorted(self.order[i])}"
-                        if self.face_lists[i] else "eta has no faces")
+        return self._kept_closure(i, self.face_number(i, omitted_key))
 
     def _kept_closure(self, i: int, omitted: int | None) -> int:
         """The closure of the faces of cell i but its face number `omitted`

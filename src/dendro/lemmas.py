@@ -19,10 +19,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
-                      generator_class)
-from .complexes import (Cell, Complex, _cell_key, closure_cells, reject_stumps,
-                         representable)
+from .anodyne import (AnodyneClass, BuildError, Certificate, _cell_class,
+                      build_filtration)
+from .complexes import Cell, Complex, _cell_key, reject_stumps, representable
 from .shuffles import filtration_base
 from .trees import (COROLLA_FACE, ROOT_FACE, Tree, TreeError, Vertex, branch, faces,
                     has_root_horn, is_extended_corolla,
@@ -52,7 +51,7 @@ def _attach_pass(amb: Complex, present: int, order: list,
     subcomplex."""
     for i in amb.indices(amb.full_mask & ~present):
         missing, is_horn = amb.attachment(i, present)
-        if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= ceiling:
+        if is_horn and _cell_class(amb, i, missing[0]) <= ceiling:
             order.append(amb.order[i])
             present |= amb.masks[i]
             if first_only:
@@ -280,9 +279,12 @@ def root_horn_certificate(tree: Tree,
     w_cert, a_prime, a0 = _root_horn_through_split(tree, start)
     section = tuple((e, e) for e in sorted(tree.edges))
     retraction = tuple(sorted([(a_prime, a0)] + [(e, e) for e in tree.edges]))
+    # the tree is W's inner face at a', so W's complex holds its closure
+    w = w_cert.ambient()
     return Certificate(ambient_generators=(tree,),
                        start=tuple(start),
-                       target=tuple(sorted(closure_cells(tree), key=sorted)),
+                       target=tuple(sorted(w.cells_of(w.masks[w.index[tree.edges]]),
+                                           key=sorted)),
                        kind="retract", sub=w_cert,
                        section=section, retraction=retraction)
 

@@ -5,13 +5,24 @@ edges (above it) and a single output edge (below it).  The tree eta has a
 single edge and no vertices.  Input order is presentation-only; equality and
 isomorphism quotient by reordering, but faces keep the order they are
 given and are cached per tree as written.
+
+A face's edge set is computed from its tree's before the face is built: an
+inner face drops its edge, a top face the inputs of its vertex, the root
+face the root and the root vertex's other inputs, and a colour face is its
+one edge.  A closure (`complexes.closure_cells`) passes the cells it holds,
+and a face written exactly like the one held for its edge set is that
+object.  The edge set alone would not do: two paths to one cell can list
+its vertices in other orders, and removing a vertex without inputs keeps
+the edge set.  Faces are built unchecked, and a tree builds its
+`vertex_above`/`vertex_below` indexes when one is first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from types import MappingProxyType
+from typing import Container, Iterable, Iterator, Mapping
 
 
 class TreeError(ValueError):
@@ -31,8 +42,8 @@ class Vertex:
 class Tree:
     """A finite rooted tree with pairwise distinct edge names."""
 
-    __slots__ = ("vertices", "root", "_above", "_below", "_edges", "_key",
-                 "_norm", "_hash", "_vertex_outs", "_faces")
+    __slots__ = ("vertices", "root", "edges", "_above", "_below", "_vertex_outs",
+                 "_key", "_norm", "_hash", "_faces")
 
     def __init__(self, vertices: Iterable[Vertex], root: str):
         vertices = tuple(vertices)
@@ -52,35 +63,41 @@ class Tree:
         for e in edges:
             if e != root and e not in below:
                 raise TreeError(f"edge {e!r} is attached to no vertex below and is not the root")
-        self._fill(vertices, root)
+        self._fill(vertices, root, frozenset(edges))
         seen = set(walk_up(self, [root])[0])
         if seen != edges:
             raise TreeError(f"disconnected edges: {sorted(edges - seen)}")
 
     @classmethod
-    def _unchecked(cls, vertices: tuple[Vertex, ...], root: str) -> "Tree":
-        """Internal fast path for faces of a checked tree: no validation."""
+    def _unchecked(cls, vertices: tuple[Vertex, ...], root: str,
+                   edges: frozenset[str]) -> "Tree":
+        """Internal fast path for faces of a checked tree: no validation,
+        and the caller gives the edge set."""
         t = object.__new__(cls)
-        t._fill(vertices, root)
+        t._fill(vertices, root, edges)
         return t
 
-    def _fill(self, vertices: tuple[Vertex, ...], root: str) -> None:
-        above = {v.output: v for v in vertices}
-        below = {e: v for v in vertices for e in v.inputs}
-        for name, value in (("vertices", vertices), ("root", root), ("_above", above),
-                            ("_below", below), ("_edges", frozenset(below.keys() | {root})),
+    def _fill(self, vertices: tuple[Vertex, ...], root: str, edges: frozenset[str]) -> None:
+        for name, value in (("vertices", vertices), ("root", root), ("edges", edges),
                             ("_key", None), ("_norm", None), ("_hash", None),
-                            ("_vertex_outs", frozenset(above)), ("_faces", None)):
+                            ("_faces", None)):
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # Reached only for a slot not set yet: the vertex indexes `_above`,
+        # `_below` and `_vertex_outs` are built on first use.
+        if name not in ("_above", "_below", "_vertex_outs"):
+            raise AttributeError(f"'Tree' object has no attribute {name!r}")
+        above = {v.output: v for v in self.vertices}
+        object.__setattr__(self, "_above", above)
+        object.__setattr__(self, "_below", {e: v for v in self.vertices for e in v.inputs})
+        object.__setattr__(self, "_vertex_outs", frozenset(above))
+        return object.__getattribute__(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
 
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def edges(self) -> frozenset[str]:
-        return self._edges
 
     def vertex_above(self, edge: str) -> Vertex | None:
         return self._above.get(edge)
@@ -90,11 +107,11 @@ class Tree:
 
     @property
     def leaves(self) -> frozenset[str]:
-        return frozenset(e for e in self._edges if e not in self._above)
+        return frozenset(e for e in self.edges if e not in self._above)
 
     @property
     def inner_edges(self) -> frozenset[str]:
-        return frozenset(e for e in self._edges if e in self._above and e in self._below)
+        return frozenset(e for e in self.edges if e in self._above and e in self._below)
 
     # -- equality up to input reordering -----------------------------------
 
@@ -130,11 +147,18 @@ class Tree:
             object.__setattr__(self, "_key", self._edge_key(self.root))
         return self._key
 
-    def _edge_key(self, edge: str):
-        v = self._above.get(edge)
-        if v is None:
-            return ()
-        return tuple(sorted(self._edge_key(e) for e in v.inputs))
+    def _edge_key(self, edge: str) -> str:
+        """The shape of the branch above `edge` as a word: "." for a leaf,
+        and for a vertex the words of its inputs, sorted, in parentheses.
+        A word ends where its first parenthesis closes, so equal words mean
+        isomorphic branches; built bottom-up, without recursion."""
+        above = self._above
+        words: dict[str, str] = {}
+        for e in reversed(walk_up(self, [edge])[0]):    # inputs before their vertex
+            v = above.get(e)
+            words[e] = ("." if v is None
+                        else "(" + "".join(sorted(words[f] for f in v.inputs)) + ")")
+        return words[edge]
 
 
 ETA_EDGE = "e"
@@ -240,52 +264,71 @@ class FaceDescriptor:
         return (self.kind, self.label)
 
 
-def _inner_face(tree: Tree, e: str) -> Tree:
-    upper = tree.vertex_above(e)
-    lower = tree.vertex_below(e)
-    i = lower.inputs.index(e)
-    merged = Vertex(lower.inputs[:i] + upper.inputs + lower.inputs[i + 1:], lower.output)
-    vs = tuple(v for v in tree.vertices if v is not upper and v is not lower) + (merged,)
-    return Tree._unchecked(vs, tree.root)
-
-
 # Keyed by the tree as written, as `Tree` equality ignores input order; a
 # tree also keeps its list, so asking it again is one slot read.
 _FACES_CACHE: dict[tuple, list[FaceDescriptor]] = {}
+_NO_CELLS: Mapping[frozenset, Tree] = MappingProxyType({})
 
 
 def faces(tree: Tree) -> list[FaceDescriptor]:
     """All codimension-one faces.  Raises for eta, which has none."""
+    return _faces_reusing(tree, _NO_CELLS)
+
+
+def _faces_reusing(tree: Tree, cells: Mapping[frozenset, Tree]) -> list[FaceDescriptor]:
+    """`faces(tree)`; a face not cached yet whose tree, as written, is the
+    one `cells` holds for its edge set is that object, not a copy."""
     out = tree._faces
     if out is None:
         key = (tree.root, tuple((v.inputs, v.output) for v in tree.vertices))
         out = _FACES_CACHE.get(key)
         if out is None:
-            out = _FACES_CACHE[key] = _faces_uncached(tree)
+            out = _FACES_CACHE[key] = _faces_uncached(tree, cells)
         object.__setattr__(tree, "_faces", out)
     return out
 
 
-def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
-    if not tree.vertices:
+def _faces_uncached(tree: Tree, cells: Mapping[frozenset, Tree] = _NO_CELLS
+                    ) -> list[FaceDescriptor]:
+    """The faces, each edge set computed from the tree's own: an inner face
+    drops its edge, a top face the inputs of its vertex, the root face the
+    root and the root vertex's other inputs; a colour face is its edge."""
+    vertices, root, edges = tree.vertices, tree.root, tree.edges
+    if not vertices:
         raise TreeError("eta has no faces")
-    if len(tree.vertices) == 1:
-        return [FaceDescriptor(COROLLA_FACE, e, Tree._unchecked((), e))
-                for e in sorted(tree.edges)]
+
+    def subtree(vs: tuple[Vertex, ...], sub_root: str, sub_edges: frozenset) -> Tree:
+        known = cells.get(sub_edges)
+        if known is not None and known.vertices == vs:
+            return known
+        return Tree._unchecked(vs, sub_root, sub_edges)
+
+    if len(vertices) == 1:
+        return [FaceDescriptor(COROLLA_FACE, e, subtree((), e, frozenset((e,))))
+                for e in sorted(edges)]
+    above, below = tree._above, tree._below
     out = []
-    inner = tree.inner_edges
-    for e in sorted(inner):
-        out.append(FaceDescriptor(INNER_FACE, e, _inner_face(tree, e)))
-    for v in tree.vertices:
-        attached = [e for e in v.inputs + (v.output,) if e in inner]
-        if len(attached) != 1:
-            continue
-        # an outer vertex: the root vertex on one inner input, or a vertex
-        # whose inputs are all leaves
-        rest = tuple(w for w in tree.vertices if w is not v)
-        kind = ROOT_FACE if v.output == tree.root else TOP_FACE
-        root = attached[0] if kind == ROOT_FACE else tree.root
-        out.append(FaceDescriptor(kind, v.output, Tree._unchecked(rest, root)))
+    for e in sorted(above.keys() & below.keys()):       # the inner edges
+        upper, lower = above[e], below[e]
+        i = lower.inputs.index(e)
+        merged = Vertex(lower.inputs[:i] + upper.inputs + lower.inputs[i + 1:], lower.output)
+        vs = tuple([v for v in vertices if v is not upper and v is not lower]) + (merged,)
+        out.append(FaceDescriptor(INNER_FACE, e, subtree(vs, root, edges - {e})))
+    for k, v in enumerate(vertices):
+        # an outer vertex: one whose inputs are all leaves, or the root
+        # vertex on one inner input
+        if v.output != root:
+            if not above.keys().isdisjoint(v.inputs):
+                continue
+            kind, sub_root, sub_edges = TOP_FACE, root, edges.difference(v.inputs)
+        else:
+            inner = [e for e in v.inputs if e in above]
+            if len(inner) != 1:
+                continue
+            kind, sub_root = ROOT_FACE, inner[0]
+            sub_edges = edges.difference(v.inputs, (root,)) | {sub_root}
+        out.append(FaceDescriptor(kind, v.output, subtree(vertices[:k] + vertices[k + 1:],
+                                                          sub_root, sub_edges)))
     return out
 
 

@@ -186,8 +186,10 @@ def _changed(doc, keys, value):
     return doc
 
 
-# (table, keys of the changed field, new value, path, message): each loader
-# reports the first failing check, in the order fields appear in the
+# (number, table, keys of the changed field, new value, path, message): a
+# case keeps the number it was added with, the next unused one, wherever it
+# stands in the list; the number names its test.  Each loader reports the
+# first failing check, in the order fields appear in the
 # document and, within a row, in the order the loader reads them
 # (composition: f, g, result, i; symmetry: f, result, sigma; SMC tables:
 # result, then the two keys).  Table "op" is bz2 up to arity 3 and "z2a5"
@@ -195,122 +197,136 @@ def _changed(doc, keys, value):
 # Kind "bz2smc" loads bZ/2 through `load_operad`, which also checks the SMC
 # laws: braiding * (x) * by the generator g1 breaks the hexagon.
 LOADER_ERRORS = [
-    ('op', (), [], '$',
+    (0, 'op', (), [], '$',
      '$: expected object, got list'),
-    ('op', ('symmetry',), _DROP, '$',
+    (1, 'op', ('symmetry',), _DROP, '$',
      "$: missing field 'symmetry'"),
-    ('op', ('composition',), {}, '$.composition',
+    (2, 'op', ('composition',), {}, '$.composition',
      '$.composition: expected array, got dict'),
-    ('op', ('colours', 0), 1, '$.colours[0]',
+    (3, 'op', ('colours', 0), 1, '$.colours[0]',
      '$.colours[0]: expected string, got int'),
-    ('op', ('operations', 0), 3, '$.operations[0]',
+    (4, 'op', ('operations', 0), 3, '$.operations[0]',
      '$.operations[0]: expected object, got int'),
-    ('op', ('operations', 2, 'inputs'), _DROP, '$.operations[2]',
+    (5, 'op', ('operations', 2, 'inputs'), _DROP, '$.operations[2]',
      "$.operations[2]: missing field 'inputs'"),
-    ('op', ('operations', 1, 'inputs', 1), None, '$.operations[1].inputs[1]',
+    (6, 'op', ('operations', 1, 'inputs', 1), None, '$.operations[1].inputs[1]',
      '$.operations[1].inputs[1]: expected string, got NoneType'),
-    ('op', ('operations', 1, 'output'), 'c', '$.operations[1]',
+    (7, 'op', ('operations', 1, 'output'), 'c', '$.operations[1]',
      "$.operations[1]: unknown colour 'c'"),
-    ('op', ('operations', 1, 'name'), 'o0', '$.operations[1].name',
+    (8, 'op', ('operations', 1, 'name'), 'o0', '$.operations[1].name',
      "$.operations[1].name: duplicate operation name 'o0'"),
-    ('op', ('identities',), {}, '$.identities',
+    (9, 'op', ('identities',), {}, '$.identities',
      "$.identities: no identity for colours ['*']"),
-    ('op', ('identities', 'x'), 'o4', '$.identities.x',
+    (10, 'op', ('identities', 'x'), 'o4', '$.identities.x',
      "$.identities.x: unknown colour 'x'"),
-    ('op', ('identities', '*'), 'zz', '$.identities.*',
+    (11, 'op', ('identities', '*'), 'zz', '$.identities.*',
      "$.identities.*: unknown operation 'zz'"),
-    ('op', ('identities', '*'), 4, '$.identities.*',
+    (12, 'op', ('identities', '*'), 4, '$.identities.*',
      '$.identities.*: expected string, got int'),
-    ('op', ('composition', 4), [], '$.composition[4]',
+    (13, 'op', ('composition', 4), [], '$.composition[4]',
      '$.composition[4]: expected object, got list'),
-    ('op', ('composition', 3, 'g'), _DROP, '$.composition[3]',
+    (14, 'op', ('composition', 3, 'g'), _DROP, '$.composition[3]',
      "$.composition[3]: missing field 'g'"),
-    ('op', ('composition', 3, 'i'), _DROP, '$.composition[3]',
+    (15, 'op', ('composition', 3, 'i'), _DROP, '$.composition[3]',
      "$.composition[3]: missing field 'i'"),
-    ('op', ('composition', 2, 'f'), 7, '$.composition[2].f',
+    (16, 'op', ('composition', 2, 'f'), 7, '$.composition[2].f',
      '$.composition[2].f: expected string, got int'),
-    ('op', ('composition', 5, 'result'), 'zz', '$.composition[5].result',
+    (17, 'op', ('composition', 5, 'result'), 'zz', '$.composition[5].result',
      "$.composition[5].result: unknown operation 'zz'"),
-    ('op', ('composition', 0, 'i'), True, '$.composition[0].i',
+    (18, 'op', ('composition', 0, 'i'), True, '$.composition[0].i',
      '$.composition[0].i: expected integer, got boolean'),
-    ('op', ('composition', 0, 'i'), '0', '$.composition[0].i',
+    (19, 'op', ('composition', 0, 'i'), '0', '$.composition[0].i',
      '$.composition[0].i: expected integer, got str'),
-    ('op', ('composition', 0, 'i'), 2, '$.composition[0].i',
+    (20, 'op', ('composition', 0, 'i'), 2, '$.composition[0].i',
      "$.composition[0].i: input index 2 out of range for 'o0'"),
-    ('op', ('composition', 0, 'i'), -1, '$.composition[0].i',
+    (21, 'op', ('composition', 0, 'i'), -1, '$.composition[0].i',
      "$.composition[0].i: input index -1 out of range for 'o0'"),
-    ('op', ('composition', 6), {'f': 'zz', 'i': 'x', 'g': 1, 'result': 'o0'},
+    (22, 'op', ('composition', 6), {'f': 'zz', 'i': 'x', 'g': 1, 'result': 'o0'},
      '$.composition[6].f',
      "$.composition[6].f: unknown operation 'zz'"),
-    ('op', ('symmetry', 0), 'x', '$.symmetry[0]',
+    (23, 'op', ('symmetry', 0), 'x', '$.symmetry[0]',
      '$.symmetry[0]: expected object, got str'),
-    ('op', ('symmetry', 1, 'sigma'), _DROP, '$.symmetry[1]',
+    (24, 'op', ('symmetry', 1, 'sigma'), _DROP, '$.symmetry[1]',
      "$.symmetry[1]: missing field 'sigma'"),
-    ('op', ('symmetry', 1, 'result'), _DROP, '$.symmetry[1]',
+    (25, 'op', ('symmetry', 1, 'result'), _DROP, '$.symmetry[1]',
      "$.symmetry[1]: missing field 'result'"),
-    ('op', ('symmetry', 1, 'f'), 'zz', '$.symmetry[1].f',
+    (26, 'op', ('symmetry', 1, 'f'), 'zz', '$.symmetry[1].f',
      "$.symmetry[1].f: unknown operation 'zz'"),
-    ('op', ('symmetry', 1, 'sigma'), '10', '$.symmetry[1].sigma',
+    (27, 'op', ('symmetry', 1, 'sigma'), '10', '$.symmetry[1].sigma',
      '$.symmetry[1].sigma: expected array, got str'),
-    ('op', ('symmetry', 1, 'sigma', 1), True, '$.symmetry[1].sigma[1]',
+    (28, 'op', ('symmetry', 1, 'sigma', 1), True, '$.symmetry[1].sigma[1]',
      '$.symmetry[1].sigma[1]: expected integer, got boolean'),
-    ('op', ('symmetry', 1, 'sigma', 0), 1.0, '$.symmetry[1].sigma[0]',
+    (29, 'op', ('symmetry', 1, 'sigma', 0), 1.0, '$.symmetry[1].sigma[0]',
      '$.symmetry[1].sigma[0]: expected integer, got float'),
-    ('op', ('symmetry', 1, 'sigma'), [0, 0], '$.symmetry[1].sigma',
+    (30, 'op', ('symmetry', 1, 'sigma'), [0, 0], '$.symmetry[1].sigma',
      "$.symmetry[1].sigma: not a permutation of the inputs of 'o0'"),
-    ('op', ('symmetry', 1, 'sigma'), [0, 1, 2], '$.symmetry[1].sigma',
+    (31, 'op', ('symmetry', 1, 'sigma'), [0, 1, 2], '$.symmetry[1].sigma',
      "$.symmetry[1].sigma: not a permutation of the inputs of 'o0'"),
-    ('op', ('symmetry', 2), {'f': 'o0', 'result': 'zz', 'sigma': [True]},
+    (32, 'op', ('symmetry', 2), {'f': 'o0', 'result': 'zz', 'sigma': [True]},
      '$.symmetry[2].result',
      "$.symmetry[2].result: unknown operation 'zz'"),
-    ('smc', (), 'x', '$',
+    (33, 'smc', (), 'x', '$',
      '$: expected object, got str'),
-    ('smc', ('unit',), _DROP, '$',
+    (34, 'smc', ('unit',), _DROP, '$',
      "$: missing field 'unit'"),
-    ('smc', ('unit',), '2', '$.unit',
+    (35, 'smc', ('unit',), '2', '$.unit',
      "$.unit: unknown object '2'"),
-    ('smc', ('objects', 1), False, '$.objects[1]',
+    (36, 'smc', ('objects', 1), False, '$.objects[1]',
      '$.objects[1]: expected string, got bool'),
-    ('smc', ('morphisms', 0, 'dom'), True, '$.morphisms[0].dom',
+    (37, 'smc', ('morphisms', 0, 'dom'), True, '$.morphisms[0].dom',
      '$.morphisms[0].dom: expected string, got bool'),
-    ('smc', ('morphisms', 1, 'cod'), '9', '$.morphisms[1]',
+    (38, 'smc', ('morphisms', 1, 'cod'), '9', '$.morphisms[1]',
      "$.morphisms[1]: unknown object '9'"),
-    ('smc', ('morphisms', 1, 'name'), 'id_0', '$.morphisms[1].name',
+    (39, 'smc', ('morphisms', 1, 'name'), 'id_0', '$.morphisms[1].name',
      "$.morphisms[1].name: duplicate morphism name 'id_0'"),
-    ('smc', ('identities', '0'), 'm', '$.identities.0',
+    (40, 'smc', ('identities', '0'), 'm', '$.identities.0',
      "$.identities.0: unknown morphism 'm'"),
-    ('smc', ('compose', 0, 'result'), _DROP, '$.compose[0]',
+    (41, 'smc', ('compose', 0, 'result'), _DROP, '$.compose[0]',
      "$.compose[0]: missing field 'result'"),
-    ('smc', ('compose', 1, 'g'), 'm', '$.compose[1].g',
+    (42, 'smc', ('compose', 1, 'g'), 'm', '$.compose[1].g',
      "$.compose[1].g: unknown morphism 'm'"),
-    ('smc', ('compose', 0), {'g': 'x', 'f': 'id_0', 'result': 'y'},
+    (43, 'smc', ('compose', 0), {'g': 'x', 'f': 'id_0', 'result': 'y'},
      '$.compose[0].result',
      "$.compose[0].result: unknown morphism 'y'"),
-    ('smc', ('tensor_objects', 2, 'b'), 1, '$.tensor_objects[2].b',
+    (44, 'smc', ('tensor_objects', 2, 'b'), 1, '$.tensor_objects[2].b',
      '$.tensor_objects[2].b: expected string, got int'),
-    ('smc', ('tensor_objects', 1, 'result'), '2', '$.tensor_objects[1].result',
+    (45, 'smc', ('tensor_objects', 1, 'result'), '2', '$.tensor_objects[1].result',
      "$.tensor_objects[1].result: unknown object '2'"),
-    ('smc', ('tensor_morphisms', 3), None, '$.tensor_morphisms[3]',
+    (46, 'smc', ('tensor_morphisms', 3), None, '$.tensor_morphisms[3]',
      '$.tensor_morphisms[3]: expected object, got NoneType'),
-    ('smc', ('braiding', 1, 'a'), _DROP, '$.braiding[1]',
+    (47, 'smc', ('braiding', 1, 'a'), _DROP, '$.braiding[1]',
      "$.braiding[1]: missing field 'a'"),
-    ('smc', ('braiding', 0, 'a'), '2', '$.braiding[0].a',
+    (48, 'smc', ('braiding', 0, 'a'), '2', '$.braiding[0].a',
      "$.braiding[0].a: unknown object '2'"),
-    ('smc', ('braiding', 2, 'result'), '1', '$.braiding[2].result',
+    (49, 'smc', ('braiding', 2, 'result'), '1', '$.braiding[2].result',
      "$.braiding[2].result: unknown morphism '1'"),
-    ('z2a5', ('identities', '0'), 'o0', '$.identities.0',
+    (50, 'z2a5', ('identities', '0'), 'o0', '$.identities.0',
      "$.identities.0: profile of 'o0' is (('0', '0'), '0'), "
      "not the identity's (('0',), '0')"),
-    ('z2a5', ('symmetry', 1071), {'f': 'o15', 'sigma': [1, 0], 'result': 'o0'},
+    (51, 'z2a5', ('symmetry', 1071), {'f': 'o15', 'sigma': [1, 0], 'result': 'o0'},
      '$.symmetry[1071].result',
      "$.symmetry[1071].result: profile of 'o0' is (('0', '0'), '0'), "
      "not the permuted (('1', '0'), '1')"),
-    ('bz2smc', ('braiding', 0, 'result'), 'g1', '$',
+    (52, 'bz2smc', ('braiding', 0, 'result'), 'g1', '$',
      '$: hexagon fails at (*,*,*)'),
 ]
 
 
-@pytest.mark.parametrize("kind,keys,value,path,text", LOADER_ERRORS)
+def test_loader_error_numbers_are_unique():
+    numbers = [case[0] for case in LOADER_ERRORS]
+    assert len(set(numbers)) == len(numbers)
+
+
+def _loader_error_id(case) -> str:
+    """The id of a case, from its number: the one pytest once gave it by
+    position, so inserting a case renames no other."""
+    number, kind, _, value, path, text = case
+    shown = value if isinstance(value, (str, int, float, type(None))) else f"value{number}"
+    return f"{kind}-keys{number}-{shown}-{path}-{text}"
+
+
+@pytest.mark.parametrize("kind,keys,value,path,text", [case[1:] for case in LOADER_ERRORS],
+                         ids=map(_loader_error_id, LOADER_ERRORS))
 def test_loader_reports_first_error(kind, keys, value, path, text):
     load, doc = {"op": (operad_from_json, _OPERAD_DOC),
                  "z2a5": (operad_from_json, _Z2_A5_DOC),

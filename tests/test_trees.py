@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dendro import trees as trees_module
 from dendro.complexes import Complex, closure_cells
 from dendro.kan import tree_shapes
 from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
@@ -374,6 +375,23 @@ def test_deep_trees_need_no_recursion():
     assert graft(linear(len(es) - 1, edges=es), "m0", Tree(upper, "m0")) == t
 
 
+def test_canonical_key_of_a_long_chain():
+    """`canonical_key` and `isomorphic` build no recursion as deep as the
+    tree, and compare keys without one either."""
+    chain = linear(5000)
+    assert isomorphic(chain, linear(5000, edges=[f"x{i}" for i in range(5001)]))
+    assert not isomorphic(chain, linear(4999))
+    assert not isomorphic(chain, graft(linear(4999), "0", c2("p", "q", "0")))
+
+
+def test_a_stump_is_not_a_leaf():
+    bare = Tree([Vertex(("a",), "r")], "r")
+    capped = Tree([Vertex(("a",), "r"), Vertex((), "a")], "r")
+    assert not isomorphic(bare, capped)
+    assert isomorphisms(bare, capped) == [] == isomorphisms(capped, bare)
+    assert isomorphisms(capped, capped) == [{"a": "a", "r": "r"}]
+
+
 def test_stem_and_top_of_linear_tree():
     t = linear(2)
     assert stem_edges(t) == ["0", "1", "2"]
@@ -460,3 +478,56 @@ def test_faces_follow_the_tree_as_written():
     assert t == r
     assert face(t, INNER_FACE, "a").subtree.vertices == (Vertex(("x", "y", "b"), "c"),)
     assert face(r, INNER_FACE, "a").subtree.vertices == (Vertex(("b", "y", "x"), "c"),)
+
+
+def _as_written(tree):
+    return tree.root, {v.output: v.inputs for v in tree.vertices}
+
+
+def _face_rows(face_list):
+    return [(f.kind, f.label, f.subtree.edges, f.subtree.vertices) for f in face_list]
+
+
+def test_complex_faces_are_the_subtrees_on_their_edges():
+    """In `Complex([tree])`, for every shape with at most five vertices and
+    its copy with reversed inputs, each face of each cell is the subtree of
+    the tree on the face's edges, with the tree's input order at each
+    vertex; and each face list is, face by face and as written, the one
+    built without the cache or the closure's trees."""
+    shapes = tree_shapes(5)
+    built = {}      # each cell as written -> its face rows, built afresh
+    for tree in shapes + [Tree([Vertex(v.inputs[::-1], v.output) for v in t.vertices],
+                               t.root) for t in shapes]:
+        amb = Complex([tree])
+        expected = {}
+        for cell, face_list in zip(amb.cell_trees, amb.face_lists):
+            key = (cell.root, cell.vertices)
+            if key not in built:
+                built[key] = _face_rows(_faces_uncached(cell)) if cell.vertices else []
+            assert _face_rows(face_list) == built[key]
+            for f in face_list:
+                es = f.subtree.edges
+                if es not in expected:
+                    expected[es] = _as_written(subtree_from_edges(tree, es))
+                assert _as_written(f.subtree) == expected[es], (tree, f.key)
+
+
+def test_stump_faces_do_not_depend_on_a_closure(monkeypatch):
+    """Removing a stump keeps the edge set, so the top face at the stump has
+    the tree's own edges; the faces are the same whether or not a tree
+    written alike was closed first."""
+    monkeypatch.setattr(trees_module, "_FACES_CACHE", {})
+    t = Tree([Vertex(("a", "s"), "r"), Vertex((), "s")], "r")
+    fresh = _face_rows(_faces_uncached(t))
+    closure_cells(Tree(t.vertices, t.root))
+    assert _face_rows(faces(t)) == fresh
+    assert face(t, TOP_FACE, "s").subtree.vertices == (Vertex(("a", "s"), "r"),)
+
+
+def test_face_lists_are_shared_across_complexes():
+    """Complexes of two trees written alike hold the same face list objects."""
+    for tree in SHAPES4:
+        one = Complex([Tree(tree.vertices, tree.root)])
+        other = Complex([Tree(tree.vertices, tree.root)])
+        assert all(a is b for a, b, t in zip(one.face_lists, other.face_lists,
+                                             one.cell_trees) if t.vertices)
