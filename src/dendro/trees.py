@@ -13,8 +13,7 @@ one edge.  A closure (`complexes.closure_cells`) passes the cells it holds,
 and a face written exactly like the one held for its edge set is that
 object.  The edge set alone would not do: two paths to one cell can list
 its vertices in other orders, and removing a vertex without inputs keeps
-the edge set.  Faces are built unchecked, and a tree builds its
-`vertex_above`/`vertex_below` indexes when one is first read.
+the edge set.  Faces are built unchecked.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ class Vertex:
 class Tree:
     """A finite rooted tree with pairwise distinct edge names."""
 
-    __slots__ = ("vertices", "root", "edges", "_above", "_below", "_vertex_outs",
-                 "_key", "_norm", "_hash", "_faces")
+    __slots__ = ("vertices", "root", "_above", "_below", "edges", "_key",
+                 "_norm", "_hash", "_vertex_outs", "_faces")
 
     def __init__(self, vertices: Iterable[Vertex], root: str):
         vertices = tuple(vertices)
@@ -78,21 +77,13 @@ class Tree:
         return t
 
     def _fill(self, vertices: tuple[Vertex, ...], root: str, edges: frozenset[str]) -> None:
-        for name, value in (("vertices", vertices), ("root", root), ("edges", edges),
+        above = {v.output: v for v in vertices}
+        below = {e: v for v in vertices for e in v.inputs}
+        for name, value in (("vertices", vertices), ("root", root), ("_above", above),
+                            ("_below", below), ("edges", edges),
                             ("_key", None), ("_norm", None), ("_hash", None),
-                            ("_faces", None)):
+                            ("_vertex_outs", frozenset(above)), ("_faces", None)):
             object.__setattr__(self, name, value)
-
-    def __getattr__(self, name):
-        # Reached only for a slot not set yet: the vertex indexes `_above`,
-        # `_below` and `_vertex_outs` are built on first use.
-        if name not in ("_above", "_below", "_vertex_outs"):
-            raise AttributeError(f"'Tree' object has no attribute {name!r}")
-        above = {v.output: v for v in self.vertices}
-        object.__setattr__(self, "_above", above)
-        object.__setattr__(self, "_below", {e: v for v in self.vertices for e in v.inputs})
-        object.__setattr__(self, "_vertex_outs", frozenset(above))
-        return object.__getattribute__(self, name)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
