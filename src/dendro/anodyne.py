@@ -455,6 +455,8 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
     closure's meet with the current subcomplex, so each (cell, meet) is
     tested once per call; `examined` still counts every evaluation.
     """
+    for sub in (start, target):
+        amb.full()._same_ambient(sub)
     goal, start_mask = target.mask, start.mask
     todo_all = amb.indices(goal & ~start_mask)       # in (size, name) order
     examined = 0

@@ -2,9 +2,7 @@
 
 A complex is generated by finitely many trees sharing an ambient edge
 alphabet; its cells are all iterated faces of the generators.  Within one
-ambient complex a cell is determined by its edge set.  `closure_cells`
-builds each cell once: a face whose edge set it holds, written the same
-way, is the tree it holds (see `trees`).
+ambient complex a cell is determined by its edge set.
 
 A `Complex` numbers its cells once, in (size, sorted edges) order, so that
 every face of a cell comes before it.  Bottom-up it stores each cell's face
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .trees import FaceDescriptor, Tree, TreeError, _faces_reusing, faces
+from .trees import FaceDescriptor, Tree, TreeError, faces
 
 Cell = frozenset
 
@@ -34,7 +32,7 @@ def closure_cells(tree: Tree) -> dict[Cell, Tree]:
         t = frontier.pop()
         if not t.vertices:
             continue
-        for f in _faces_reusing(t, out):
+        for f in faces(t):
             if f.subtree.edges not in out:
                 out[f.subtree.edges] = f.subtree
                 frontier.append(f.subtree)

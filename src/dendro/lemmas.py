@@ -184,14 +184,16 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
     kept = _base_segment(tree, v_output)
     base_count = len(kept)
     big_n = len(tree.vertices) - base_count + 1
-    kept_others = [w for w in kept if w is not v]
+    # a complex has no stumps, so a vertex is one of a cell exactly when its
+    # output and inputs are edges of the cell
+    kept_edges = frozenset().union(*[(w.output, *w.inputs) for w in kept if w is not v])
     # classify the closure cells that are initial subtrees containing the
     # base segment (the distinguished vertex may be merged upward by
     # contracting its input edges)
     by_nk: dict[tuple[int, int], list[frozenset]] = {}
     for i in amb.indices(amb.masks[amb.index_of(cell)]):    # in cell order
         es, ct = amb.order[i], amb.cell_trees[i]
-        if any(ct.vertex_above(w.output) != w for w in kept_others):
+        if not kept_edges <= es:
             continue
         if ct.vertex_above(v_output) is None:
             continue

@@ -32,7 +32,7 @@ class Dendrex:
     def __init__(self, shape: Tree, edge_colours: dict[str, str], vertex_ops: dict):
         if edge_colours.keys() != shape.edges:
             raise ValueError("edge colouring does not match the shape")
-        if vertex_ops.keys() != shape._vertex_outs:
+        if vertex_ops.keys() != shape._above.keys():
             raise ValueError("vertex labelling does not match the shape")
         self.shape = shape
         self.edge_colours = dict(edge_colours)
@@ -161,7 +161,7 @@ def count_dendrices(p: FiniteOperad, shape: Tree) -> int:
 def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
     """All dendrices of the shape, as `Dendrex` objects in `labellings`
     order."""
-    edges, outs = sorted(shape.edges), sorted(shape._vertex_outs)
+    edges, outs = sorted(shape.edges), sorted(shape._above)
     return [Dendrex._unchecked(shape, dict(zip(edges, t)), dict(zip(outs, t[len(edges):])))
             for t in labellings(p, shape)]
 
@@ -228,7 +228,7 @@ class _Subface:
     def __init__(self, shape: Tree, slots: tuple[int, ...], ids: range):
         self.shape = shape
         self.edges = tuple(sorted(shape.edges))
-        self.outs = tuple(sorted(shape._vertex_outs))
+        self.outs = tuple(sorted(shape._above))
         self.slots = slots             # the cells of its closure, ascending
         self.ids = ids                 # its `labellings`, in their order, as consecutive ids
         self.join: tuple = ()          # (pick, repeated, first): see CompiledShape.close

@@ -4,24 +4,21 @@ Edges point towards the root: every vertex has an ordered tuple of input
 edges (above it) and a single output edge (below it).  The tree eta has a
 single edge and no vertices.  Input order is presentation-only; equality and
 isomorphism quotient by reordering, but faces keep the order they are
-given and are cached per tree as written.
+given.  Trees written alike share their face trees and face lists while
+one of them is alive (`faces`).
 
 A face's edge set is computed from its tree's before the face is built: an
 inner face drops its edge, a top face the inputs of its vertex, the root
 face the root and the root vertex's other inputs, and a colour face is its
-one edge.  A closure (`complexes.closure_cells`) passes the cells it holds,
-and a face written exactly like the one held for its edge set is that
-object.  The edge set alone would not do: two paths to one cell can list
-its vertices in other orders, and removing a vertex without inputs keeps
-the edge set.  Faces are built unchecked.
+one edge.  Faces are built unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator
 
 
 class TreeError(ValueError):
@@ -42,7 +39,7 @@ class Tree:
     """A finite rooted tree with pairwise distinct edge names."""
 
     __slots__ = ("vertices", "root", "_above", "_below", "edges", "_key",
-                 "_norm", "_hash", "_vertex_outs", "_faces")
+                 "_norm", "_hash", "_faces", "__weakref__")
 
     def __init__(self, vertices: Iterable[Vertex], root: str):
         vertices = tuple(vertices)
@@ -82,7 +79,7 @@ class Tree:
         for name, value in (("vertices", vertices), ("root", root), ("_above", above),
                             ("_below", below), ("edges", edges),
                             ("_key", None), ("_norm", None), ("_hash", None),
-                            ("_vertex_outs", frozenset(above)), ("_faces", None)):
+                            ("_faces", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -255,44 +252,45 @@ class FaceDescriptor:
         return (self.kind, self.label)
 
 
-# Keyed by the tree as written, as `Tree` equality ignores input order; a
-# tree also keeps its list, so asking it again is one slot read.
-_FACES_CACHE: dict[tuple, list[FaceDescriptor]] = {}
-_NO_CELLS: Mapping[frozenset, Tree] = MappingProxyType({})
+# The tree as written (its root, then each vertex's inputs and output, in
+# order) -> a live tree written so.  `Tree` equality ignores input order,
+# but faces follow it.
+_LIVE_TREES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _written(vertices: tuple[Vertex, ...], root: str) -> tuple:
+    return root, tuple([(v.inputs, v.output) for v in vertices])
 
 
 def faces(tree: Tree) -> list[FaceDescriptor]:
-    """All codimension-one faces.  Raises for eta, which has none."""
-    return _faces_reusing(tree, _NO_CELLS)
-
-
-def _faces_reusing(tree: Tree, cells: Mapping[frozenset, Tree]) -> list[FaceDescriptor]:
-    """`faces(tree)`; a face not cached yet whose tree, as written, is the
-    one `cells` holds for its edge set is that object, not a copy."""
+    """All codimension-one faces.  Raises for eta, which has none.  A tree
+    keeps its list, and shares it with the live trees written alike."""
     out = tree._faces
     if out is None:
-        key = (tree.root, tuple((v.inputs, v.output) for v in tree.vertices))
-        out = _FACES_CACHE.get(key)
+        twin = _LIVE_TREES.setdefault(_written(tree.vertices, tree.root), tree)
+        out = twin._faces
         if out is None:
-            out = _FACES_CACHE[key] = _faces_uncached(tree, cells)
+            out = _faces_uncached(tree)
+            object.__setattr__(twin, "_faces", out)
         object.__setattr__(tree, "_faces", out)
     return out
 
 
-def _faces_uncached(tree: Tree, cells: Mapping[frozenset, Tree] = _NO_CELLS
-                    ) -> list[FaceDescriptor]:
+def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
     """The faces, each edge set computed from the tree's own: an inner face
     drops its edge, a top face the inputs of its vertex, the root face the
-    root and the root vertex's other inputs; a colour face is its edge."""
+    root and the root vertex's other inputs; a colour face is its edge.
+    A face tree is the live tree written alike, if there is one."""
     vertices, root, edges = tree.vertices, tree.root, tree.edges
     if not vertices:
         raise TreeError("eta has no faces")
 
     def subtree(vs: tuple[Vertex, ...], sub_root: str, sub_edges: frozenset) -> Tree:
-        known = cells.get(sub_edges)
-        if known is not None and known.vertices == vs:
-            return known
-        return Tree._unchecked(vs, sub_root, sub_edges)
+        key = _written(vs, sub_root)
+        t = _LIVE_TREES.get(key)
+        if t is None:
+            t = _LIVE_TREES[key] = Tree._unchecked(vs, sub_root, sub_edges)
+        return t
 
     if len(vertices) == 1:
         return [FaceDescriptor(COROLLA_FACE, e, subtree((), e, frozenset((e,))))

@@ -15,7 +15,7 @@ from dendro.lemmas import (binary_tensor_certificate, codim_base_cells,
                            root_horn_certificate)
 from dendro.shuffles import c2_shuffle
 from dendro.trees import (ROOT_FACE, Tree, TreeError, Vertex, c2, corolla,
-                          extended_corolla, faces, graft)
+                          extended_corolla, faces, graft, linear)
 
 
 @pytest.fixture
@@ -422,6 +422,19 @@ def test_search_definitively_fails_below_class():
                              allowed=AnodyneClass.INNER)
     assert res.certificate is None
     assert not res.exhausted_budget
+
+
+@pytest.mark.parametrize("ambient, other, omitted", [
+    (linear(3), c2(), ("colour", "b")),     # read in the wrong numbering: a false "none"
+    (c2(), linear(2), ("inner", "1")),      # masks past the ambient: an IndexError
+])
+def test_search_rejects_subcomplexes_of_another_ambient(ambient, other, omitted):
+    amb, sub = representable(ambient), representable(other)
+    start = sub.horn_subcomplex(other.edges, omitted)
+    for args in ((start, sub.full()), (amb.full(), sub.full()), (start, amb.full())):
+        with pytest.raises(ValueError, match="^subcomplexes live in different ambient "
+                                             "complexes$"):
+            search_certificate(amb, *args, allowed=AnodyneClass.OUTER)
 
 
 def test_search_budget_exhaustion(two_vertex_tree):

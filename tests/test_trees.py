@@ -1,6 +1,8 @@
 """Trees: construction, faces, horns, grafting, isomorphism, subtrees."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
                           has_root_horn, horn, is_extended_corolla, isomorphic,
                           isomorphisms, linear,
                           stem_edges, subtree_from_edges, _faces_uncached)
+from dendro.anodyne import verify_certificate
 from dendro.lemmas import root_horn_certificate
 
 SHAPES4 = tree_shapes(4)
@@ -436,7 +439,6 @@ def _assert_same_tree(built, checked):
     assert built.vertices == checked.vertices
     assert built.root == checked.root
     assert built.edges == checked.edges
-    assert built._vertex_outs == checked._vertex_outs
     # vertex_above and vertex_below agree on every edge
     assert built._above == checked._above and built._below == checked._below
     assert built == checked and hash(built) == hash(checked)
@@ -488,16 +490,19 @@ def _face_rows(face_list):
     return [(f.kind, f.label, f.subtree.edges, f.subtree.vertices) for f in face_list]
 
 
+def _reversed_inputs(tree):
+    return Tree([Vertex(v.inputs[::-1], v.output) for v in tree.vertices], tree.root)
+
+
 def test_complex_faces_are_the_subtrees_on_their_edges():
     """In `Complex([tree])`, for every shape with at most five vertices and
     its copy with reversed inputs, each face of each cell is the subtree of
     the tree on the face's edges, with the tree's input order at each
     vertex; and each face list is, face by face and as written, the one
-    built without the cache or the closure's trees."""
+    `_faces_uncached` builds."""
     shapes = tree_shapes(5)
     built = {}      # each cell as written -> its face rows, built afresh
-    for tree in shapes + [Tree([Vertex(v.inputs[::-1], v.output) for v in t.vertices],
-                               t.root) for t in shapes]:
+    for tree in shapes + [_reversed_inputs(t) for t in shapes]:
         amb = Complex([tree])
         expected = {}
         for cell, face_list in zip(amb.cell_trees, amb.face_lists):
@@ -512,14 +517,28 @@ def test_complex_faces_are_the_subtrees_on_their_edges():
                 assert _as_written(f.subtree) == expected[es], (tree, f.key)
 
 
+def test_a_complex_holds_one_tree_per_written_form():
+    """In `Complex([tree])`, for every shape with at most five vertices and
+    its copy with reversed inputs, no two distinct tree objects among the
+    cells and their faces are written alike."""
+    shapes = tree_shapes(5)
+    for tree in shapes + [_reversed_inputs(t) for t in shapes]:
+        amb = Complex([tree])
+        seen = {}
+        for t in [*amb.cell_trees, *(f.subtree for fs in amb.face_lists for f in fs)]:
+            assert seen.setdefault((t.root, t.vertices), t) is t, (tree, t)
+
+
 def test_stump_faces_do_not_depend_on_a_closure(monkeypatch):
     """Removing a stump keeps the edge set, so the top face at the stump has
     the tree's own edges; the faces are the same whether or not a tree
     written alike was closed first."""
-    monkeypatch.setattr(trees_module, "_FACES_CACHE", {})
+    monkeypatch.setattr(trees_module, "_LIVE_TREES", weakref.WeakValueDictionary())
     t = Tree([Vertex(("a", "s"), "r"), Vertex((), "s")], "r")
     fresh = _face_rows(_faces_uncached(t))
-    closure_cells(Tree(t.vertices, t.root))
+    twin = Tree(t.vertices, t.root)
+    closure_cells(twin)
+    assert faces(t) is faces(twin)
     assert _face_rows(faces(t)) == fresh
     assert face(t, TOP_FACE, "s").subtree.vertices == (Vertex(("a", "s"), "r"),)
 
@@ -531,3 +550,20 @@ def test_face_lists_are_shared_across_complexes():
         other = Complex([Tree(tree.vertices, tree.root)])
         assert all(a is b for a, b, t in zip(one.face_lists, other.face_lists,
                                              one.cell_trees) if t.vertices)
+
+
+def test_face_trees_go_with_their_certificates(monkeypatch):
+    """Build and verify the root-horn certificates of the shapes with at
+    most four vertices one at a time, dropping each: the table of live
+    trees, empty at the start, is empty again afterwards."""
+    live = weakref.WeakValueDictionary()
+    monkeypatch.setattr(trees_module, "_LIVE_TREES", live)
+    sizes = []
+    for tree in tree_shapes(4):
+        if len(tree.vertices) >= 2 and has_root_horn(tree):
+            assert verify_certificate(root_horn_certificate(tree)).valid
+            sizes.append(len(live))
+    del tree
+    gc.collect()
+    assert len(sizes) == 153 and min(sizes) > 0
+    assert len(live) == 0
