@@ -66,7 +66,7 @@ from .nerves import (CompiledShape, Dendrex, count_dendrices, dendrices, face_of
                      tuple_getter)
 from .nerves import dendrices_with_colours  # noqa: F401  (perfbench traces this binding)
 from .operads import FiniteOperad
-from .trees import HornSpec, Tree, Vertex, classify_horn, faces
+from .trees import HornSpec, Tree, Vertex, classify_horn, face_count, faces
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                     strict=True, fully_unique=True)
     for tree in tree_shapes(max_vertices, max_arity):
         if len(tree.vertices) >= 3 and p.cancellative():
-            rep.horns_checked += len(faces(tree)) * count_dendrices(p, tree)
+            rep.horns_checked += face_count(tree) * count_dendrices(p, tree)
             continue
         shape = CompiledShape(p, Complex([tree]))
         sigs = list(map(shape.restrictions.__getitem__, shape.nodes[-1].ids))

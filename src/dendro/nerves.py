@@ -103,7 +103,9 @@ def labellings(p: FiniteOperad, shape: Tree) -> list[tuple]:
     operations by sorted vertex output), in the order of backtracking over
     the vertices by output edge: at each, the colours of its edges not
     coloured yet in `itertools.product` order, then `p.operations`: one
-    `grow` level per vertex, over the values chosen, at fixed positions."""
+    `grow` level per vertex, over the values chosen, at fixed positions.
+    An output not coloured yet, the last factor, comes with its operations
+    from one `p.operations_from` per colouring of the inputs."""
     if not shape.vertices:
         return [(c,) for c in p.colours]
     at: dict[str, int] = {}        # edge -> position of its colour
@@ -113,26 +115,31 @@ def labellings(p: FiniteOperad, shape: Tree) -> list[tuple]:
         edges = v.inputs + (v.output,)
         fixed = tuple_getter([at[e] for e in edges if e in at])
         free = [e for e in edges if e not in at]
+        out = None if v.output in free else at[v.output]
         start = len(at) + len(op_at)
         at.update((e, start + n) for n, e in enumerate(free))
         op_at[v.output] = start + len(free)
-        levels.append(_vertex_level(p, fixed, list(itertools.product(p.colours, repeat=len(free))),
-                                    tuple_getter([at[e] for e in v.inputs]), at[v.output]))
+        combos = list(itertools.product(p.colours, repeat=len(free) - (out is None)))
+        levels.append(_vertex_level(p, fixed, combos, tuple_getter([at[e] for e in v.inputs]),
+                                    out))
     return list(map(tuple_getter([at[e] for e in sorted(shape.edges)]
                                  + [op_at[o] for o in sorted(op_at)]), grow(levels)))
 
 
-def _vertex_level(p: FiniteOperad, fixed, combos: list[tuple], ins, out: int):
+def _vertex_level(p: FiniteOperad, fixed, combos: list[tuple], ins, out: int | None):
     """The `labellings` level of one vertex: colours of its free edges, then
-    an operation, listed once per colouring `fixed(t)` of its other edges."""
+    an operation, listed once per colouring `fixed(t)` of its other edges;
+    `out` is the output's position, or None if `combos` leave it free."""
     extensions: dict[tuple, list[tuple]] = {}
 
     def level(t: tuple) -> list[tuple]:
         ext = extensions.get(fixed(t))
         if ext is None:
-            ext = extensions[fixed(t)] = [combo + (op,) for combo in combos
-                                          for s in [t + combo]
-                                          for op in p.operations(ins(s), s[out])]
+            ext = extensions[fixed(t)] = (
+                [combo + (op,) for combo in combos for s in [t + combo]
+                 for op in p.operations(ins(s), s[out])] if out is not None else
+                [combo + (c, op) for combo in combos
+                 for c, ops in p.operations_from(ins(t + combo)) for op in ops])
         return ext
     return level
 
@@ -142,7 +149,7 @@ def count_dendrices(p: FiniteOperad, shape: Tree) -> int:
     edges, from the leaves down.  Per colour, an edge counts the labellings
     of the subtree above it: 1 on a leaf, and below a vertex the sum, over
     the colourings of its inputs, of the operations of that profile times
-    the product of the inputs' counts."""
+    the product of the inputs' counts, read from `p.operations_from`."""
     above: dict[str, dict[str, int]] = {}     # edge -> colour -> labellings
     for e in reversed(walk_up(shape, [shape.root])[0]):
         v = shape.vertex_above(e)
@@ -153,8 +160,8 @@ def count_dendrices(p: FiniteOperad, shape: Tree) -> int:
         for ins in itertools.product(p.colours, repeat=len(v.inputs)):
             below = math.prod(above[i][c] for i, c in zip(v.inputs, ins))
             if below:
-                for c in p.colours:
-                    n[c] += below * len(p.operations(ins, c))
+                for c, ops in p.operations_from(ins):
+                    n[c] += below * len(ops)
     return sum(above[shape.root].values())
 
 

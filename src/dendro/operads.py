@@ -38,8 +38,15 @@ class FiniteSMC:
     braiding: dict[tuple[str, str], str]          # (a, b) -> iso a(x)b -> b(x)a
 
     def homs(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(sorted(m for m, (d, c) in self.profile.items()
-                            if d == a and c == b))
+        return self._homs.get((a, b), ())
+
+    @cached_property
+    def _homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """Sorted morphism names by (domain, codomain), built on first use."""
+        index: dict[tuple[str, str], list[str]] = {}
+        for m, (d, c) in sorted(self.profile.items()):
+            index.setdefault((d, c), []).append(m)
+        return {k: tuple(ms) for k, ms in index.items()}
 
     def tensor_objects(self, objs: Sequence[str]) -> str:
         out = self.unit
@@ -254,6 +261,8 @@ class FiniteOperad:
     """Interface: coloured operations with composition and symmetric action.
 
     Operations are hashable tokens; `op_profile` recovers (inputs, output).
+    `operations_from(inputs)` lists every output colour of those inputs
+    that has an operation, in `colours` order, with its `operations`.
     Permutations are tuples sigma with (sigma * f) having input i equal to
     input sigma[i] of f.
     """
@@ -262,6 +271,9 @@ class FiniteOperad:
 
     def operations(self, inputs: tuple[str, ...], output: str) -> tuple:
         raise NotImplementedError
+
+    def operations_from(self, inputs: tuple[str, ...]) -> tuple[tuple[str, tuple], ...]:
+        return tuple((c, ops) for c in self.colours if (ops := self.operations(inputs, c)))
 
     def op_profile(self, op) -> Profile:
         raise NotImplementedError
@@ -348,6 +360,7 @@ class SMCOperad(FiniteOperad):
         # methods would make each operad a reference cycle
         cache = lru_cache(maxsize=None)
         self.operations = cache(partial(_smc_operations, smc))
+        self.operations_from = cache(partial(_smc_operations_from, smc, self.colours))
         self.compose = cache(partial(_smc_compose, smc))
         self.permute = cache(partial(_smc_permute, smc, {}))
         self._cancellative: bool | None = None
@@ -392,6 +405,12 @@ def _smc_operations(smc: FiniteSMC, inputs, output):
     inputs = tuple(inputs)
     dom = smc.tensor_objects(inputs)
     return tuple((inputs, output, m) for m in smc.homs(dom, output))
+
+
+def _smc_operations_from(smc: FiniteSMC, colours: tuple[str, ...], inputs: tuple):
+    dom = smc.tensor_objects(inputs)
+    return tuple((c, tuple((inputs, c, m) for m in ms))
+                 for c in colours if (ms := smc.homs(dom, c)))
 
 
 def _smc_compose(smc: FiniteSMC, f, i, g):

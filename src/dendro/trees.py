@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable
 
 
 class TreeError(ValueError):
@@ -132,21 +132,21 @@ class Tree:
     def canonical_key(self):
         """Shape invariant: equal keys iff the trees are isomorphic."""
         if self._key is None:
-            object.__setattr__(self, "_key", self._edge_key(self.root))
+            object.__setattr__(self, "_key", self._branch_words(self.root)[self.root])
         return self._key
 
-    def _edge_key(self, edge: str) -> str:
-        """The shape of the branch above `edge` as a word: "." for a leaf,
-        and for a vertex the words of its inputs, sorted, in parentheses.
-        A word ends where its first parenthesis closes, so equal words mean
-        isomorphic branches; built bottom-up, without recursion."""
+    def _branch_words(self, edge: str) -> dict[str, str]:
+        """The shape of the branch above each edge from `edge` up as a word:
+        "." for a leaf, and for a vertex the words of its inputs, sorted, in
+        parentheses.  A word ends where its first parenthesis closes, so
+        equal words mean isomorphic branches; built bottom-up."""
         above = self._above
         words: dict[str, str] = {}
         for e in reversed(walk_up(self, [edge])[0]):    # inputs before their vertex
             v = above.get(e)
             words[e] = ("." if v is None
                         else "(" + "".join(sorted(words[f] for f in v.inputs)) + ")")
-        return words[edge]
+        return words
 
 
 ETA_EDGE = "e"
@@ -304,21 +304,33 @@ def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
         vs = tuple([v for v in vertices if v is not upper and v is not lower]) + (merged,)
         out.append(FaceDescriptor(INNER_FACE, e, subtree(vs, root, edges - {e})))
     for k, v in enumerate(vertices):
-        # an outer vertex: one whose inputs are all leaves, or the root
-        # vertex on one inner input
+        if not _outer(v, root, above):
+            continue
         if v.output != root:
-            if not above.keys().isdisjoint(v.inputs):
-                continue
             kind, sub_root, sub_edges = TOP_FACE, root, edges.difference(v.inputs)
         else:
-            inner = [e for e in v.inputs if e in above]
-            if len(inner) != 1:
-                continue
-            kind, sub_root = ROOT_FACE, inner[0]
-            sub_edges = edges.difference(v.inputs, (root,)) | {sub_root}
+            (sub_root,) = [e for e in v.inputs if e in above]
+            kind, sub_edges = ROOT_FACE, edges.difference(v.inputs, (root,)) | {sub_root}
         out.append(FaceDescriptor(kind, v.output, subtree(vertices[:k] + vertices[k + 1:],
                                                           sub_root, sub_edges)))
     return out
+
+
+def _outer(v: Vertex, root: str, above: dict[str, Vertex]) -> bool:
+    """v has an outer face: its inputs are all leaves, or it is the root vertex
+    on one inner input (in a tree of >= 2 vertices)."""
+    if v.output != root:
+        return above.keys().isdisjoint(v.inputs)
+    return sum(e in above for e in v.inputs) == 1
+
+
+def face_count(tree: Tree) -> int:
+    """`len(faces(tree))`, on >= 2 vertices counted without building a face."""
+    if len(tree.vertices) < 2:
+        return len(faces(tree))
+    above = tree._above
+    return len(above.keys() & tree._below) + sum(_outer(v, tree.root, above)
+                                                 for v in tree.vertices)
 
 
 def face(tree: Tree, kind: str, label: str) -> FaceDescriptor:
@@ -359,8 +371,7 @@ def has_root_horn(tree: Tree) -> bool:
         return False
     if len(tree.vertices) == 1:
         return True
-    inner = tree.inner_edges
-    return sum(e in inner for e in tree.vertex_above(tree.root).inputs) == 1
+    return _outer(tree.vertex_above(tree.root), tree.root, tree._above)
 
 
 def is_extended_corolla(tree: Tree) -> bool:
@@ -403,36 +414,27 @@ def isomorphic(s: Tree, t: Tree) -> bool:
     return s.canonical_key() == t.canonical_key()
 
 
-def _edge_bijections(s: Tree, e1: str, t: Tree, e2: str) -> Iterator[dict[str, str]]:
-    if s._edge_key(e1) != t._edge_key(e2):
-        return
-    v1, v2 = s.vertex_above(e1), t.vertex_above(e2)
-    if v1 is None:
-        yield {e1: e2}
-        return
-    idx = range(len(v2.inputs))
-    for perm in itertools.permutations(idx):
-        parts = [list(_edge_bijections(s, a, t, v2.inputs[perm[i]]))
-                 for i, a in enumerate(v1.inputs)]
-        if any(not p for p in parts):
-            continue
-        for combo in itertools.product(*parts):
-            m = {e1: e2}
-            for part in combo:
-                m.update(part)
-            yield m
-
-
 def isomorphisms(s: Tree, t: Tree) -> list[dict[str, str]]:
-    """All root-preserving incidence-preserving edge bijections s -> t."""
-    seen = set()
-    out = []
-    for m in _edge_bijections(s, s.root, t, t.root):
-        key = frozenset(m.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-    return out
+    """All root-preserving incidence-preserving edge bijections s -> t, built
+    bottom-up: for each pair of edges with equal branch words, reached from
+    the roots, every matching of their inputs (`itertools.permutations`
+    order), then every product of the inputs' bijections."""
+    ws, wt = s._branch_words(s.root), t._branch_words(t.root)
+    up_s, up_t = ({e: v.inputs for e, v in x._above.items()} for x in (s, t))
+    pairs, todo = [], [(s.root, t.root)]
+    while todo:                 # each pair after the pair below it
+        a, b = todo.pop()
+        if ws[a] == wt[b]:
+            pairs.append((a, b))
+            todo.extend(itertools.product(up_s.get(a, ()), up_t.get(b, ())))
+    maps: dict[tuple[str, str], list[dict[str, str]]] = {}
+    for a, b in reversed(pairs):
+        ins, outs = up_s.get(a, ()), up_t.get(b, ())
+        below = {xy: maps.pop(xy) for xy in itertools.product(ins, outs) if xy in maps}
+        maps[a, b] = [dict(itertools.chain([(a, b)], *map(dict.items, combo)))
+                      for perm in itertools.permutations(outs) for combo in
+                      itertools.product(*[below.get(xy, ()) for xy in zip(ins, perm)])]
+    return maps.get((s.root, t.root), [])
 
 
 # -- walking up -------------------------------------------------------------

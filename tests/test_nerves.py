@@ -10,7 +10,7 @@ from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, count_dendrice
                            degeneracy_of, dendrex_closure, dendrices, dendrices_with_colours,
                            face_of, is_degenerate, labellings, underlying_sset)
 from dendro.operads import CORPUS, table_operad_from
-from dendro.trees import (COROLLA_FACE, INNER_FACE, Tree, Vertex, c2, eta,
+from dendro.trees import (COROLLA_FACE, INNER_FACE, Tree, Vertex, c2, corolla, eta,
                           face, faces, linear)
 
 
@@ -289,6 +289,33 @@ def test_compiled_shape_matches_reference(name, bound):
 def test_compiled_closure_fails_where_reference_raises(bz2_nonassociative):
     assert _compiled_conflicts(bz2_nonassociative, linear(3)) > 0
     assert _compiled_conflicts(bz2_nonassociative, linear(4)) > 0
+
+
+@pytest.mark.parametrize("name", ["z3", "z2xz2", "bz2", "mult01", _TABLE + "mult01"])
+def test_labellings_match_brute_force(name):
+    """`labellings` lists each reference dendrex exactly once, as a tuple,
+    on every shape with at most 2 vertices and on the 4-corolla; its order
+    is pinned by the Kan goldens, whose witnesses come in enumerator order."""
+    p = (table_operad_from(CORPUS["mult01"](), 4) if name.startswith(_TABLE)
+         else CORPUS[name]())
+    for shape in tree_shapes(2) + [corolla(4)]:
+        edges, outs = sorted(shape.edges), sorted(shape._above)
+        want = {tuple(map(d.edge_colours.get, edges)) + tuple(map(d.vertex_ops.get, outs))
+                for d in _reference_dendrices(p, shape)}
+        got = labellings(p, shape)
+        assert len(set(got)) == len(got), shape
+        assert sorted(got) == sorted(want), shape
+
+
+def test_labellings_look_up_once_per_input_colouring(monkeypatch):
+    """A vertex whose output is not coloured yet takes its output colour and
+    operations from one `operations_from` per colouring of its inputs."""
+    p = CORPUS["z4"]()
+    calls = []
+    lookup = p.operations_from
+    monkeypatch.setattr(p, "operations_from", lambda ins: calls.append(ins) or lookup(ins))
+    assert len(labellings(p, corolla(5))) == 4 ** 5
+    assert len(calls) == 4 ** 5
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -8,7 +8,7 @@ import pytest
 
 from dendro.cli import main
 from dendro.jsonio import smc_to_json
-from dendro.operads import (CORPUS, FiniteSMC, SMCOperad, TableOperad,
+from dendro.operads import (CORPUS, FiniteOperad, FiniteSMC, SMCOperad, TableOperad,
                             _permutation_iso, b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
                             picard_check, table_operad_from,
@@ -286,6 +286,28 @@ def test_homs_lookup():
     smc = b_z2_smc()
     assert smc.homs("*", "*") == ("g0", "g1")
     assert smc.tensor_objects([]) == smc.unit
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SMCS))
+def test_homs_index_matches_the_profile_scan(name):
+    """`homs` reads an index built on the first call; it lists each hom set
+    as scanning and sorting the whole profile table did."""
+    smc = ALL_SMCS[name]
+    for a, b in itertools.product(smc.objects, repeat=2):
+        assert smc.homs(a, b) == tuple(sorted(m for m, (d, c) in smc.profile.items()
+                                              if d == a and c == b)), (a, b)
+    assert smc.homs("no such object", smc.unit) == ()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_smc_operations_from_is_the_default_lookup(name):
+    """The cached lookup of an SMC operad lists what the base class derives
+    from `operations`, output colours in `colours` order, on every input
+    tuple of arity <= 3."""
+    p = CORPUS[name]()
+    for n in range(4):
+        for inputs in itertools.product(p.colours, repeat=n):
+            assert p.operations_from(inputs) == FiniteOperad.operations_from(p, inputs), inputs
 
 
 def test_smc_operad_is_freed_without_the_cyclic_collector():

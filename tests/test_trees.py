@@ -13,8 +13,8 @@ from dendro.kan import tree_shapes
 from dendro.trees import (INNER_FACE, ROOT_FACE, TOP_FACE, COROLLA_FACE,
                           Tree, TreeError, Vertex, branch,
                           build_standard, c2, classify_edges, classify_horn,
-                          corolla, eta, extended_corolla, face, faces, graft,
-                          has_root_horn, horn, is_extended_corolla, isomorphic,
+                          corolla, eta, extended_corolla, face, face_count, faces,
+                          graft, has_root_horn, horn, is_extended_corolla, isomorphic,
                           isomorphisms, linear,
                           stem_edges, subtree_from_edges, _faces_uncached)
 from dendro.anodyne import verify_certificate
@@ -143,6 +143,12 @@ def test_face_count_formula(tree):
                 if sum(1 for e in v.inputs + (v.output,)
                        if e in tree.inner_edges) == 1)
     assert len(faces(tree)) == len(tree.inner_edges) + outer
+
+
+def test_face_count_is_the_face_list_length():
+    """Counting the faces from the tree agrees with `faces`, the oracle."""
+    for tree in tree_shapes(5) + tree_shapes(4, 4):
+        assert face_count(tree) == len(faces(tree)), tree
 
 
 def test_faces_of_two_level_shuffle():
@@ -296,6 +302,50 @@ def test_isomorphisms_are_bijections():
     for m in ms:
         assert m["c"] == "z"
         assert sorted(m.values()) == ["x", "y", "z"]
+
+
+def _reference_edge_bijections(s, e1, t, e2):
+    """The recursive definition of `isomorphisms`, kept as its reference:
+    the bijections of the branches above e1 and e2, from those of the
+    inputs' branches under each matching of the inputs, in
+    `itertools.permutations` order."""
+    if branch(s, e1).canonical_key() != branch(t, e2).canonical_key():
+        return
+    v1, v2 = s.vertex_above(e1), t.vertex_above(e2)
+    if v1 is None:
+        yield {e1: e2}
+        return
+    for perm in itertools.permutations(range(len(v2.inputs))):
+        parts = [list(_reference_edge_bijections(s, a, t, v2.inputs[perm[i]]))
+                 for i, a in enumerate(v1.inputs)]
+        for combo in itertools.product(*parts):
+            m = {e1: e2}
+            for part in combo:
+                m.update(part)
+            yield m
+
+
+def _renamed(tree):
+    m = {e: f"n_{e}" for e in tree.edges}
+    return Tree(tuple(Vertex(tuple(m[e] for e in v.inputs), m[v.output])
+                      for v in tree.vertices), m[tree.root])
+
+
+def test_isomorphisms_match_the_recursive_reference():
+    """Same bijections, in the same order and written alike, on every
+    ordered pair of shapes with at most 4 vertices and on each shape
+    against a copy with renamed edges."""
+    pairs = list(itertools.product(SHAPES4, repeat=2)) + [(t, _renamed(t)) for t in SHAPES4]
+    for s, t in pairs:
+        want = list(_reference_edge_bijections(s, s.root, t, t.root))
+        got = isomorphisms(s, t)
+        assert [list(m.items()) for m in got] == [list(m.items()) for m in want], (s, t)
+
+
+def test_isomorphisms_of_a_long_chain():
+    """A chain far deeper than the recursion limit has one automorphism."""
+    chain = linear(3000)
+    assert isomorphisms(chain, chain) == [{e: e for e in chain.edges}]
 
 
 @given(st.data())
