@@ -448,13 +448,14 @@ class SearchResult:
 def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
                        allowed: AnodyneClass = AnodyneClass.INNER,
                        budget: int = 100_000) -> SearchResult:
-    """Depth-first search for a filtration from start to target using horn
-    attachments of class <= allowed.  Deterministic: candidate cells are
-    tried in (size, name) order.  `budget` bounds candidate evaluations.
-    Whether a cell attaches, and along which face, depends only on its
-    closure's meet with the current subcomplex, so each (cell, meet) is
-    tested once per call; `examined` still counts every evaluation.
-    """
+    """Depth-first search, one frame per step and no recursion, for a
+    filtration from start to target using horn attachments of class <=
+    allowed.  Deterministic: candidate cells are tried in (size, name)
+    order.  `budget` bounds candidate evaluations; out of budget, the first
+    branch that fails ends the search.  Whether a cell attaches, and along
+    which face, depends only on its closure's meet with the current
+    subcomplex, so each (cell, meet) is tested once per call; `examined`
+    still counts every evaluation."""
     for sub in (start, target):
         amb.full()._same_ambient(sub)
     goal, start_mask = target.mask, start.mask
@@ -483,22 +484,20 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
                 found.append(step)
         return found
 
-    def dfs(current: int, steps: list) -> bool:
-        if current & goal == goal:
-            return True
-        for step in moves(current):
+    steps: list[HornStep] = []
+    frames = [(start_mask, iter(moves(start_mask)))]     # one per step taken
+    while frames[-1][0] & goal != goal:
+        current, left = frames[-1]
+        step = next(left, None)
+        if step is not None:
             steps.append(step)
-            if dfs(current | amb.masks[amb.index[step.cell]], steps):
-                return True
-            steps.pop()
-            if out_of_budget:
-                break
-        return False
-
-    steps: list = []
-    ok = dfs(start_mask, steps)
-    if not ok:
-        return SearchResult(None, examined, out_of_budget)
+            current |= amb.masks[amb.index[step.cell]]
+            frames.append((current, iter(moves(current))))
+            continue
+        frames.pop()                        # every move from here failed
+        if not frames or out_of_budget:
+            return SearchResult(None, examined, out_of_budget)
+        steps.pop()
     cert = _filtration(amb, tuple(sorted(start.cells, key=sorted)),
                        tuple(sorted(target.cells, key=sorted)), tuple(steps))
     return SearchResult(cert, examined, out_of_budget)

@@ -98,7 +98,7 @@ def _cmd_tree(args) -> int:
     _emit(f"root: {tree.root}")
     for e in sorted(tree.edges):
         _emit(f"edge {e}: {kinds[e]}")
-    for v in sorted(tree.vertices, key=lambda v: v.output):
+    for v in tree.vertices:
         _emit(f"vertex ({', '.join(v.inputs)}) -> {v.output}")
     return 0
 

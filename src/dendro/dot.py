@@ -30,7 +30,7 @@ def tree_to_dot(tree: Tree, name: str = "tree") -> str:
             anchors.append(f"root_{e}")
     for a in sorted(anchors):
         lines.append(f"  \"{a}\" [style=invis];")
-    for v in sorted(tree.vertices, key=lambda v: v.output):
+    for v in tree.vertices:
         lines.append(f"  \"v_{v.output}\";")
     for e in sorted(tree.edges):
         up = _node_id(tree, e, upper=True)

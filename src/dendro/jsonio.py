@@ -106,13 +106,13 @@ def dumps(obj: Any) -> str:
 def tree_to_json(tree: Tree) -> dict:
     return {"edges": sorted(tree.edges),
             "vertices": [{"inputs": list(v.inputs), "output": v.output}
-                         for v in sorted(tree.vertices, key=lambda v: v.output)],
+                         for v in tree.vertices],
             "root": tree.root}
 
 
 def tree_from_json(data, path: str = "$") -> Tree:
     _as(data, dict, path)
-    edges = _string_list(_field(data, "edges", list, path), f"{path}.edges")
+    edges = _names(data, "edges", "edge", path)
     root = _field(data, "root", str, path)
     raw = _field(data, "vertices", list, path)
     vertices = []
@@ -126,7 +126,7 @@ def tree_from_json(data, path: str = "$") -> Tree:
         tree = Tree(tuple(vertices), root)
     except TreeError as exc:
         raise SchemaError(path, str(exc)) from None
-    if set(edges) != set(tree.edges):
+    if edges.keys() != tree.edges:
         raise SchemaError(f"{path}.edges",
                           "edge list disagrees with the vertex data")
     return tree

@@ -100,8 +100,8 @@ def grow(levels) -> list[tuple]:
 
 def labellings(p: FiniteOperad, shape: Tree) -> list[tuple]:
     """Every dendrex of the shape as one tuple (colours by sorted edge, then
-    operations by sorted vertex output), in the order of backtracking over
-    the vertices by output edge: at each, the colours of its edges not
+    operations in vertex order), in the order of backtracking over the
+    vertices, kept by output edge: at each, the colours of its edges not
     coloured yet in `itertools.product` order, then `p.operations`: one
     `grow` level per vertex, over the values chosen, at fixed positions.
     An output not coloured yet, the last factor, comes with its operations
@@ -111,7 +111,7 @@ def labellings(p: FiniteOperad, shape: Tree) -> list[tuple]:
     at: dict[str, int] = {}        # edge -> position of its colour
     op_at: dict[str, int] = {}     # vertex output -> position of its operation
     levels = []
-    for v in sorted(shape.vertices, key=lambda v: v.output):
+    for v in shape.vertices:
         edges = v.inputs + (v.output,)
         fixed = tuple_getter([at[e] for e in edges if e in at])
         free = [e for e in edges if e not in at]
@@ -123,7 +123,7 @@ def labellings(p: FiniteOperad, shape: Tree) -> list[tuple]:
         levels.append(_vertex_level(p, fixed, combos, tuple_getter([at[e] for e in v.inputs]),
                                     out))
     return list(map(tuple_getter([at[e] for e in sorted(shape.edges)]
-                                 + [op_at[o] for o in sorted(op_at)]), grow(levels)))
+                                 + list(op_at.values())), grow(levels)))
 
 
 def _vertex_level(p: FiniteOperad, fixed, combos: list[tuple], ins, out: int | None):
@@ -168,7 +168,7 @@ def count_dendrices(p: FiniteOperad, shape: Tree) -> int:
 def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
     """All dendrices of the shape, as `Dendrex` objects in `labellings`
     order."""
-    edges, outs = sorted(shape.edges), sorted(shape._above)
+    edges, outs = sorted(shape.edges), [v.output for v in shape.vertices]
     return [Dendrex._unchecked(shape, dict(zip(edges, t)), dict(zip(outs, t[len(edges):])))
             for t in labellings(p, shape)]
 
@@ -235,7 +235,7 @@ class _Subface:
     def __init__(self, shape: Tree, slots: tuple[int, ...], ids: range):
         self.shape = shape
         self.edges = tuple(sorted(shape.edges))
-        self.outs = tuple(sorted(shape._above))
+        self.outs = tuple([v.output for v in shape.vertices])
         self.slots = slots             # the cells of its closure, ascending
         self.ids = ids                 # its `labellings`, in their order, as consecutive ids
         self.join: tuple = ()          # (pick, repeated, first): see CompiledShape.close

@@ -2,10 +2,12 @@
 
 Edges point towards the root: every vertex has an ordered tuple of input
 edges (above it) and a single output edge (below it).  The tree eta has a
-single edge and no vertices.  Input order is presentation-only; equality and
+single edge and no vertices.  A tree checks its vertices in the order
+given and keeps them sorted by output edge, as its faces do: vertex order
+carries no information.  Input order is presentation-only; equality and
 isomorphism quotient by reordering, but faces keep the order they are
-given.  Trees written alike share their face trees and face lists while
-one of them is alive (`faces`).
+given.  So trees written alike, (root, vertices), share their face trees
+and face lists while one of them is alive (`faces`).
 
 A face's edge set is computed from its tree's before the face is built: an
 inner face drops its edge, a top face the inputs of its vertex, the root
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Container, Iterable
 
 
@@ -59,7 +62,7 @@ class Tree:
         for e in edges:
             if e != root and e not in below:
                 raise TreeError(f"edge {e!r} is attached to no vertex below and is not the root")
-        self._fill(vertices, root, frozenset(edges))
+        self._fill(tuple(sorted(vertices, key=attrgetter("output"))), root, frozenset(edges))
         seen = set(walk_up(self, [root])[0])
         if seen != edges:
             raise TreeError(f"disconnected edges: {sorted(edges - seen)}")
@@ -67,8 +70,8 @@ class Tree:
     @classmethod
     def _unchecked(cls, vertices: tuple[Vertex, ...], root: str,
                    edges: frozenset[str]) -> "Tree":
-        """Internal fast path for faces of a checked tree: no validation,
-        and the caller gives the edge set."""
+        """Internal fast path for faces of a checked tree: no validation; it
+        trusts the vertices to be sorted by output and takes the edge set."""
         t = object.__new__(cls)
         t._fill(vertices, root, edges)
         return t
@@ -105,8 +108,8 @@ class Tree:
 
     def _normal(self):
         if self._norm is None:
-            object.__setattr__(self, "_norm", (self.root, frozenset(
-                (frozenset(v.inputs), v.output) for v in self.vertices)))
+            object.__setattr__(self, "_norm", (self.root, tuple(
+                [(frozenset(v.inputs), v.output) for v in self.vertices])))
         return self._norm
 
     def __eq__(self, other):
@@ -252,14 +255,9 @@ class FaceDescriptor:
         return (self.kind, self.label)
 
 
-# The tree as written (its root, then each vertex's inputs and output, in
-# order) -> a live tree written so.  `Tree` equality ignores input order,
-# but faces follow it.
+# The tree as written, (root, vertices) -> a live tree written so.  `Tree`
+# equality ignores input order, but faces follow it.
 _LIVE_TREES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _written(vertices: tuple[Vertex, ...], root: str) -> tuple:
-    return root, tuple([(v.inputs, v.output) for v in vertices])
 
 
 def faces(tree: Tree) -> list[FaceDescriptor]:
@@ -267,7 +265,7 @@ def faces(tree: Tree) -> list[FaceDescriptor]:
     keeps its list, and shares it with the live trees written alike."""
     out = tree._faces
     if out is None:
-        twin = _LIVE_TREES.setdefault(_written(tree.vertices, tree.root), tree)
+        twin = _LIVE_TREES.setdefault((tree.root, tree.vertices), tree)
         out = twin._faces
         if out is None:
             out = _faces_uncached(tree)
@@ -280,13 +278,15 @@ def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
     """The faces, each edge set computed from the tree's own: an inner face
     drops its edge, a top face the inputs of its vertex, the root face the
     root and the root vertex's other inputs; a colour face is its edge.
-    A face tree is the live tree written alike, if there is one."""
+    An inner face puts the merged vertex in the place of the lower one, so
+    faces keep the vertex order.  A face tree is the live tree written
+    alike, if there is one."""
     vertices, root, edges = tree.vertices, tree.root, tree.edges
     if not vertices:
         raise TreeError("eta has no faces")
 
     def subtree(vs: tuple[Vertex, ...], sub_root: str, sub_edges: frozenset) -> Tree:
-        key = _written(vs, sub_root)
+        key = sub_root, vs
         t = _LIVE_TREES.get(key)
         if t is None:
             t = _LIVE_TREES[key] = Tree._unchecked(vs, sub_root, sub_edges)
@@ -301,7 +301,7 @@ def _faces_uncached(tree: Tree) -> list[FaceDescriptor]:
         upper, lower = above[e], below[e]
         i = lower.inputs.index(e)
         merged = Vertex(lower.inputs[:i] + upper.inputs + lower.inputs[i + 1:], lower.output)
-        vs = tuple([v for v in vertices if v is not upper and v is not lower]) + (merged,)
+        vs = tuple([merged if v is lower else v for v in vertices if v is not upper])
         out.append(FaceDescriptor(INNER_FACE, e, subtree(vs, root, edges - {e})))
     for k, v in enumerate(vertices):
         if not _outer(v, root, above):

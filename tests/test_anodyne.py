@@ -445,6 +445,16 @@ def test_search_budget_exhaustion(two_vertex_tree):
     assert res.exhausted_budget
 
 
+def test_search_takes_more_steps_than_the_recursion_limit():
+    """From the spine of a 10-vertex linear tree the search takes 1,013
+    steps through 2,047 cells, deeper than the recursion limit."""
+    amb = representable(linear(10))
+    spine = amb.closure_subcomplex([{str(i), str(i + 1)} for i in range(10)])
+    res = search_certificate(amb, spine, amb.full(), budget=10**7)
+    assert len(res.certificate.steps) == 1013 and not res.exhausted_budget
+    assert verify_certificate(res.certificate).valid
+
+
 # -- the attachability memo against the unmemoised search -------------------
 
 def unmemoised_search(amb, start, target, allowed=AnodyneClass.INNER,

@@ -93,6 +93,41 @@ def test_tree_faces_json(capsys, c2_file):
     assert {it["label"] for it in items} == {"a", "b", "c"}
 
 
+def _tree_doc(tmp_path, name, vertices, root):
+    edges = sorted({e for ins, out in vertices for e in ins + [out]})
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps({"edges": edges, "root": root, "vertices": [
+        {"inputs": ins, "output": out} for ins, out in vertices]}))
+    return str(path)
+
+
+def test_tree_faces_do_not_depend_on_vertex_order(capsys, tmp_path):
+    """Two documents listing the same vertices in other orders print the
+    same faces, outer ones by output edge."""
+    d, b, c = (["f", "g"], "d"), (["d", "e"], "b"), (["a", "b"], "c")
+    lines = []
+    for name, vs in (("dbc", [d, b, c]), ("bcd", [b, c, d])):
+        assert main(["tree", "faces", "--tree", _tree_doc(tmp_path, name, vs, "c")]) == 0
+        lines.append(capsys.readouterr().out.splitlines())
+    assert lines[0] == lines[1] == [
+        "inner:b -> (a, c, d, e, f, g)",
+        "inner:d -> (a, b, c, e, f, g)",
+        "root:c -> (b, d, e, f, g)",
+        "top:d -> (a, b, c, d, e)",
+    ]
+
+
+def test_tree_with_an_edge_listed_twice_is_input_error(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    doc = tree_to_json(c2())
+    doc["edges"] = ["a", "a", "b", "c"]
+    path.write_text(dumps(doc))
+    assert main(["tree", "show", "--tree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.edges[1]: duplicate edge 'a'\n"
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["tree", "build", "--kind", "corolla", "--wat"])

@@ -66,6 +66,17 @@ def test_tree_schema_edge_list_mismatch():
     assert exc.value.path == "$.edges"
 
 
+def test_tree_schema_duplicate_edge():
+    """An edge listed twice is rejected, as a colour or object listed twice
+    is; the list used to load."""
+    doc = tree_to_json(c2())
+    doc["edges"] = ["a", "a", "b", "c"]
+    with pytest.raises(SchemaError) as exc:
+        tree_from_json(doc)
+    assert exc.value.path == "$.edges[1]"
+    assert str(exc.value) == "$.edges[1]: duplicate edge 'a'"
+
+
 def test_tree_schema_invalid_tree_reported():
     doc = {"edges": ["a"], "root": "a",
            "vertices": [{"inputs": ["a"], "output": "a"}]}
