@@ -52,12 +52,6 @@ def generator_class(tree: Tree, omitted_key: tuple[str, str]) -> AnodyneClass:
     return _horn_class(HornSpec(tree, face(tree, *omitted_key)))
 
 
-def _cell_class(amb: Complex, i: int, omitted_key: tuple[str, str]) -> AnodyneClass:
-    """`generator_class` of cell i of `amb`, its face read from the complex."""
-    return _horn_class(HornSpec(amb.cell_trees[i],
-                                amb.face_lists[i][amb.face_number(i, omitted_key)]))
-
-
 def _horn_class(h: HornSpec) -> AnodyneClass:
     cls = classify_horn(h)
     if cls == "inner":
@@ -282,7 +276,7 @@ def _verify_horn_step(step: HornStep, amb: Complex, i: int, current: int, rep, h
         rep.fail(here, f"attachment of {sorted(step.cell)} along {step.omitted} is not a "
                        f"horn pushout (horn cells missing: {missing}; excess: {extra})")
         return current
-    rep.classes_used.append(_cell_class(amb, i, step.omitted))
+    rep.classes_used.append(generator_class(amb.cell_trees[i], step.omitted))
     return current | amb.masks[i]
 
 
@@ -379,7 +373,7 @@ def certificate_class(cert: Certificate) -> AnodyneClass | None:
         classes: list[AnodyneClass] = []
         for step in cert.steps:
             if isinstance(step, HornStep):
-                classes.append(_cell_class(amb, amb.index_of(step.cell), step.omitted))
+                classes.append(generator_class(amb.tree_of(step.cell), step.omitted))
             elif isinstance(step, NestedStep):
                 sub = certificate_class(step.certificate)
                 if sub is not None:
@@ -455,10 +449,13 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
     branch that fails ends the search.  Whether a cell attaches, and along
     which face, depends only on its closure's meet with the current
     subcomplex, so each (cell, meet) is tested once per call; `examined`
-    still counts every evaluation."""
+    still counts every evaluation.  Raises ValueError unless start and
+    target are subcomplexes of `amb` with start inside target."""
     for sub in (start, target):
         amb.full()._same_ambient(sub)
     goal, start_mask = target.mask, start.mask
+    if start_mask & ~goal:
+        raise ValueError("the start subcomplex is not inside the target")
     todo_all = amb.indices(goal & ~start_mask)       # in (size, name) order
     examined = 0
     out_of_budget = False
@@ -478,7 +475,7 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
             step = attachable.get(key, _UNSET)
             if step is _UNSET:
                 missing, is_horn = amb.attachment(i, current)
-                ok = is_horn and _cell_class(amb, i, missing[0]) <= allowed
+                ok = is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed
                 step = attachable[key] = HornStep(amb.order[i], missing[0]) if ok else None
             if step is not None:
                 found.append(step)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .trees import FaceDescriptor, Tree, TreeError, faces
+from .trees import FaceDescriptor, Tree, face, faces
 
 Cell = frozenset
 
@@ -127,24 +127,18 @@ class Complex:
     def cells_of(self, mask: int) -> frozenset[Cell]:
         return frozenset(compress(self.order, map("1".__eq__, bin(mask)[:1:-1])))
 
-    def face_number(self, i: int, key: tuple[str, str]) -> int:
-        """The position of the face with the given key in `face_lists[i]`."""
-        for k, f in enumerate(self.face_lists[i]):
-            if f.key == key:
-                return k
-        raise TreeError(f"no face {key} on cell {sorted(self.order[i])}"
-                        if self.face_lists[i] else "eta has no faces")
-
     def horn_mask(self, i: int, omitted_key: tuple[str, str]) -> int:
         """The closure of every face of cell i but the omitted one."""
-        return self._kept_closure(i, self.face_number(i, omitted_key))
+        omitted = face(self.cell_trees[i], *omitted_key).subtree.edges
+        return self._kept_closure(i, self.index[omitted])
 
     def _kept_closure(self, i: int, omitted: int | None) -> int:
-        """The closure of the faces of cell i but its face number `omitted`
-        (of all of them for None)."""
+        """The closure of the faces of cell i but the face with cell index
+        `omitted` (of all of them for None); the faces of a cell have
+        distinct edge sets, so that leaves out one face."""
         mask = 0
-        for k, j in enumerate(self.face_ids[i]):
-            if k != omitted:
+        for j in self.face_ids[i]:
+            if j != omitted:
                 mask |= self.masks[j]
         return mask
 
@@ -153,11 +147,12 @@ class Complex:
         attaching i to `current` is a horn pushout): exactly one face is
         missing and the closure of i meets `current` in the closure of the
         other faces."""
-        missing = [k for k, j in enumerate(self.face_ids[i]) if not current >> j & 1]
+        ids = self.face_ids[i]
+        missing = [k for k, j in enumerate(ids) if not current >> j & 1]
         keys = [self.face_lists[i][k].key for k in missing]
         if len(missing) != 1:
             return keys, False
-        return keys, self.masks[i] & current == self._kept_closure(i, missing[0])
+        return keys, self.masks[i] & current == self._kept_closure(i, ids[missing[0]])
 
     # -- subcomplexes ------------------------------------------------------
 

@@ -211,6 +211,9 @@ def _tree_from_key(key) -> Tree:
 
 def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                name: str | None = None) -> KanReport:
+    for param, value in (("max_vertices", max_vertices), ("max_arity", max_arity)):
+        if value < 1:
+            raise ValueError(f"{param} must be >= 1, got {value}")
     rep = KanReport(operad_name=name or getattr(p, "name", "operad"),
                     max_vertices=max_vertices, max_arity=max_arity,
                     inner_kan=True, dendroidal_kan=True, fully_kan=True,

@@ -19,24 +19,17 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .anodyne import (AnodyneClass, BuildError, Certificate, _cell_class,
-                      build_filtration)
+from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
+                      generator_class)
 from .complexes import Cell, Complex, _cell_key, reject_stumps, representable
 from .shuffles import filtration_base
-from .trees import (COROLLA_FACE, ROOT_FACE, Tree, TreeError, Vertex, branch, faces,
-                    has_root_horn, is_extended_corolla,
-                    stem_edges, walk_up)
+from .trees import (COROLLA_FACE, ROOT_FACE, TOP_FACE, Tree, TreeError, Vertex, branch,
+                    face, faces, has_root_horn, is_extended_corolla, stem_edges,
+                    walk_up)
 
 
 def _dedup(cells: Iterable[Iterable[str]]) -> list[frozenset]:
     return list(dict.fromkeys(map(frozenset, cells)))
-
-
-def _root_face_cell(tree: Tree) -> frozenset:
-    for f in faces(tree):
-        if f.kind == ROOT_FACE:
-            return f.subtree.edges
-    raise TreeError(f"tree rooted at {tree.root!r} has no root face")
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +44,7 @@ def _attach_pass(amb: Complex, present: int, order: list,
     subcomplex."""
     for i in amb.indices(amb.full_mask & ~present):
         missing, is_horn = amb.attachment(i, present)
-        if is_horn and _cell_class(amb, i, missing[0]) <= ceiling:
+        if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= ceiling:
             order.append(amb.order[i])
             present |= amb.masks[i]
             if first_only:
@@ -147,7 +140,7 @@ def codim_base_cells(tree: Tree, v_output: str) -> list[frozenset]:
         for e in sorted(seg.inner_edges):
             cells.append(tree.edges - {e})
         for f in faces(tree):
-            if f.kind in ("top", "root") and f.label != v_output \
+            if f.kind in (TOP_FACE, ROOT_FACE) and f.label != v_output \
                     and seg.vertex_above(f.label) is not None:
                 cells.append(f.subtree.edges)
     else:
@@ -243,16 +236,6 @@ def codim_certificate(tree: Tree, v_output: str) -> Certificate:
 # "8.5": root horns are extended left anodyne
 # ---------------------------------------------------------------------------
 
-def _root_decomposition(tree: Tree):
-    """(inner input of the root vertex, the remaining leaf inputs)."""
-    root_vertex = tree.vertex_above(tree.root)
-    inner = [e for e in root_vertex.inputs if tree.vertex_above(e) is not None]
-    if len(inner) != 1:
-        raise TreeError("root vertex is not attached to exactly one inner edge")
-    rest = tuple(e for e in root_vertex.inputs if e != inner[0])
-    return inner[0], rest
-
-
 def root_horn_certificate(tree: Tree,
                           omitted: tuple[str, str] | None = None) -> Certificate:
     """A certificate of extended-left class for the root horn of the tree,
@@ -302,9 +285,10 @@ def _root_horn_through_split(tree: Tree, start_cells):
     """Certify horn -> full split tree W, where W inserts one fresh edge a'
     between the stem and the tree top of the branch above the root vertex.
     Returns (certificate over W, the fresh edge, the edge below it)."""
-    r, b_edges = _root_decomposition(tree)
     c = tree.root
-    st = stem_edges(branch(tree, r))     # a_0 ... a_l with a_l = r
+    above = face(tree, ROOT_FACE, c).subtree     # the branch above the root vertex
+    b_edges = tree.edges - above.edges - {c}     # the root vertex's leaf inputs
+    st = stem_edges(above)               # a_0 ... a_l with a_l its root
     a0 = st[0]
     l = len(st) - 1
     v = tree.vertex_above(a0)            # tree-top root vertex, arity >= 2
@@ -317,7 +301,7 @@ def _root_horn_through_split(tree: Tree, start_cells):
     d_edges = v.inputs
 
     def U0(J):
-        return frozenset(set(d_edges) | {a_prime, c} | set(b_edges)
+        return frozenset(set(d_edges) | {a_prime, c} | b_edges
                          | {st[j] for j in J})
 
     def Uprime(J):
@@ -342,9 +326,9 @@ def _root_horn_through_split(tree: Tree, start_cells):
     for size in range(0, l + 1):
         subsets = list(itertools.combinations(range(l + 1), size))
         for J in subsets:
-            plan(_root_face_cell(amb.tree_of(U0(J))))
+            plan(face(amb.tree_of(U0(J)), ROOT_FACE, c).subtree.edges)
         for J in subsets:
-            tp = _root_face_cell(amb.tree_of(Uprime(J)))
+            tp = face(amb.tree_of(Uprime(J)), ROOT_FACE, c).subtree.edges
             for extra in codim_additions(amb, tp, a_prime):
                 plan(extra)
             plan(tp)
@@ -355,7 +339,7 @@ def _root_horn_through_split(tree: Tree, start_cells):
                 plan(extra)
             plan(Uprime(J))
     # Step 2: the initial segment with a' as a leaf, at its root horn
-    plan(frozenset({c, a_prime} | set(b_edges) | set(st)))
+    plan(frozenset({c, a_prime} | b_edges | set(st)))
     # Step 3: larger initial segments (the cells at W's root made of W's
     # vertices) and their tree-top contractions, each attached along its own
     # recursively certified root horn
@@ -375,7 +359,7 @@ def _root_horn_through_split(tree: Tree, start_cells):
                 if not present >> amb.index_of(cl) & 1:
                     plan(cl, sub_cert=root_horn_certificate(amb.tree_of(cl)))
     # Step 4: the root face of W at the inner horn of a', then W itself
-    plan(frozenset(w.edges - ({c} | set(b_edges))))
+    plan(frozenset(w.edges - ({c} | b_edges)))
     plan(frozenset(w.edges))
     cert = build_filtration(amb, list(start_cells), order, nested=nested)
     return cert, a_prime, a0

@@ -356,13 +356,12 @@ class SMCOperad(FiniteOperad):
         self.smc = smc
         self.name = name
         self.colours = tuple(smc.objects)
-        # caches of functions of the SMC: caches of the operad's own bound
-        # methods would make each operad a reference cycle
-        cache = lru_cache(maxsize=None)
-        self.operations = cache(partial(_smc_operations, smc))
-        self.operations_from = cache(partial(_smc_operations_from, smc, self.colours))
-        self.compose = cache(partial(_smc_compose, smc))
-        self.permute = cache(partial(_smc_permute, smc, {}))
+        # functions of the SMC, not bound methods, which would make each
+        # operad a reference cycle; `permute` keeps one memo of its isos
+        self.operations_from = lru_cache(maxsize=None)(
+            partial(_smc_operations_from, smc, self.colours))
+        self.compose = partial(_smc_compose, smc)
+        self.permute = partial(_smc_permute, smc, {})
         self._cancellative: bool | None = None
 
     def cancellative(self) -> bool:
@@ -373,6 +372,12 @@ class SMCOperad(FiniteOperad):
         if self._cancellative is None:
             self._cancellative = not validate_smc(self.smc) and _smc_cancels(self.smc)
         return self._cancellative
+
+    def operations(self, inputs, output):
+        for c, ops in self.operations_from(tuple(inputs)):
+            if c == output:
+                return ops
+        return ()
 
     def op_profile(self, op):
         return (op[0], op[1])
@@ -399,12 +404,6 @@ def _smc_cancels(smc: FiniteSMC) -> bool:
         for w, h in zip(ws, composites):
             by_w.setdefault((left, right, w, smc.profile[g]), []).append(h)
     return all(len(set(hs)) == len(hs) for hs in by_w.values())
-
-
-def _smc_operations(smc: FiniteSMC, inputs, output):
-    inputs = tuple(inputs)
-    dom = smc.tensor_objects(inputs)
-    return tuple((inputs, output, m) for m in smc.homs(dom, output))
 
 
 def _smc_operations_from(smc: FiniteSMC, colours: tuple[str, ...], inputs: tuple):

@@ -334,10 +334,12 @@ def face_count(tree: Tree) -> int:
 
 
 def face(tree: Tree, kind: str, label: str) -> FaceDescriptor:
+    """The face with the key (kind, label).  Raises for eta and for a key
+    that names no face."""
     for f in faces(tree):
         if f.kind == kind and f.label == label:
             return f
-    raise TreeError(f"tree has no face ({kind}, {label})")
+    raise TreeError(f"no face {(kind, label)} on cell {sorted(tree.edges)}")
 
 
 # -- horns ------------------------------------------------------------------

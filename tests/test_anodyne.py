@@ -437,6 +437,17 @@ def test_search_rejects_subcomplexes_of_another_ambient(ambient, other, omitted)
             search_certificate(amb, *args, allowed=AnodyneClass.OUTER)
 
 
+def test_search_rejects_a_start_outside_its_target():
+    """No filtration shrinks a subcomplex: a start with cells the target
+    lacks is rejected before the search, not answered with an empty
+    certificate that the verifier refuses."""
+    amb = representable(c2())
+    horn_sub = amb.horn_subcomplex(c2().edges, ("colour", "a"))
+    with pytest.raises(ValueError, match="^the start subcomplex is not inside the target$"):
+        search_certificate(amb, amb.full(), horn_sub)
+    assert search_certificate(amb, horn_sub, horn_sub).certificate.steps == ()
+
+
 def test_search_budget_exhaustion(two_vertex_tree):
     amb = representable(two_vertex_tree)
     start = amb.horn_subcomplex(two_vertex_tree.edges, ("inner", "a"))

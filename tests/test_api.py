@@ -41,16 +41,43 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC_NAMES
 
 
-def test_traced_names_resolve():
-    """Every function and method the benchmark's tracer patches exists, so a
-    refactor that renames one fails here rather than in a traced run."""
+def _load_tracing():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    """Every function and method the benchmark's tracer patches exists, so a
+    refactor that renames one fails here rather than in a traced run."""
+    tracing = _load_tracing()
     for name, _ in tracing.FUNCTIONS:
         layer, attr = name.split(".")
         assert hasattr(importlib.import_module(f"dendro.{layer}"), attr), name
     for layer, cls_name, attr, *_ in tracing.METHODS:
         cls = getattr(importlib.import_module(f"dendro.{layer}"), cls_name)
         assert attr in cls.__dict__, (cls_name, attr)
+
+
+def test_traced_certificate_counts_generator_classes():
+    """Building and verifying a retract `8.5` certificate classes its horn
+    steps through the traced `anodyne.generator_class`: a private copy of a
+    traced function would read 0 here."""
+    tracing = _load_tracing()
+    layers = ({name.split(".")[0] for name, _ in tracing.FUNCTIONS}
+              | {layer for layer, *_ in tracing.METHODS})
+    d = types.SimpleNamespace(**{m: importlib.import_module(f"dendro.{m}") for m in layers})
+    tree = d.trees.graft(d.trees.c2(), "a", d.trees.corolla(2, ("p", "q"), "a"))
+    assert not d.trees.is_extended_corolla(tree)
+    tracer = tracing.Tracer()
+    tracer.install(d)
+    try:
+        cert = d.lemmas.root_horn_certificate(tree)
+        assert cert.kind == "retract"
+        assert d.anodyne.verify_certificate(cert).valid
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics(0.0)["anodyne.generator_class.calls"] > 0

@@ -11,11 +11,12 @@ import pytest
 
 import dendro
 from dendro.cli import main
+from dendro.complexes import representable
 from dendro.jsonio import (certificate_to_json, dumps, operad_to_json,
                            smc_to_json, tree_to_json)
 from dendro.lemmas import binary_tensor_certificate
 from dendro.operads import CORPUS, b_z2_smc, cyclic_group_smc, table_operad_from
-from dendro.trees import Tree, Vertex, c2, linear
+from dendro.trees import Tree, TreeError, Vertex, c2, face, linear
 
 
 T5 = Tree((Vertex(("u", "v"), "p"), Vertex(("p",), "q"),
@@ -244,6 +245,21 @@ def test_anodyne_search_bad_omit(capsys, c2_file):
     assert main(["anodyne", "search", "--tree", c2_file,
                  "--omit", "sideways:b"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_missing_face_key_has_one_text(capsys, c2_file):
+    """`face`, `Complex.horn_subcomplex` and `anodyne search --omit` name a
+    face the tree lacks in the same words."""
+    text = "no face ('inner', 'zz') on cell ['a', 'b', 'c']"
+    with pytest.raises(TreeError) as found:
+        face(c2(), "inner", "zz")
+    assert str(found.value) == text
+    with pytest.raises(TreeError) as found:
+        representable(c2()).horn_subcomplex(c2().edges, ("inner", "zz"))
+    assert str(found.value) == text
+    assert main(["anodyne", "search", "--tree", c2_file, "--omit", "inner:zz"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {text}\n")
 
 
 # -- lemma ------------------------------------------------------------------

@@ -293,6 +293,19 @@ _GOLDENS = json.loads((Path(__file__).parent / "kan_goldens.json")
                       .read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("max_vertices, max_arity, message", [
+    (0, 3, "max_vertices must be >= 1, got 0"),
+    (-1, 3, "max_vertices must be >= 1, got -1"),
+    (2, 0, "max_arity must be >= 1, got 0"),
+    (3, -2, "max_arity must be >= 1, got -2"),
+])
+def test_kan_report_rejects_bounds_that_check_no_horn(z2, max_vertices, max_arity, message):
+    """A bound below 1 checks no horn, so every flag would be vacuously
+    true; the report refuses it instead of giving a verdict."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kan_report(z2, max_vertices, max_arity=max_arity)
+
+
 @pytest.mark.parametrize("key", sorted(_GOLDENS))
 def test_kan_report_matches_golden(key):
     """The report's JSON is byte-identical to the one recorded by

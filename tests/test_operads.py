@@ -8,7 +8,7 @@ import pytest
 
 from dendro.cli import main
 from dendro.jsonio import smc_to_json
-from dendro.operads import (CORPUS, FiniteOperad, FiniteSMC, SMCOperad, TableOperad,
+from dendro.operads import (CORPUS, FiniteSMC, SMCOperad, TableOperad,
                             _permutation_iso, b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
                             picard_check, table_operad_from,
@@ -301,13 +301,22 @@ def test_homs_index_matches_the_profile_scan(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_smc_operations_from_is_the_default_lookup(name):
-    """The cached lookup of an SMC operad lists what the base class derives
-    from `operations`, output colours in `colours` order, on every input
-    tuple of arity <= 3."""
+    """The one cached lookup of an SMC operad, and `operations`, which
+    reads it, list the morphisms of each hom set out of the tensor of the
+    inputs, output colours in `colours` order, on every input tuple of
+    arity <= 3."""
     p = CORPUS[name]()
+    smc = p.smc
     for n in range(4):
         for inputs in itertools.product(p.colours, repeat=n):
-            assert p.operations_from(inputs) == FiniteOperad.operations_from(p, inputs), inputs
+            dom = smc.tensor_objects(inputs)
+            by_colour = {c: tuple((inputs, c, m) for m in smc.homs(dom, c))
+                         for c in p.colours}
+            assert p.operations_from(inputs) == tuple(
+                (c, ops) for c, ops in by_colour.items() if ops), inputs
+            for c, ops in by_colour.items():
+                assert p.operations(inputs, c) == ops == p.operations(list(inputs), c)
+    assert p.operations((), "no such colour") == ()
 
 
 def test_smc_operad_is_freed_without_the_cyclic_collector():
