@@ -12,22 +12,13 @@ import argparse
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
 
 from dendro.jsonio import dumps, kan_report_to_json
 from dendro.kan import kan_report
 from dendro.operads import CORPUS
 
 
-@dataclass
-class SurveyConfig:
-    bound: int = 3
-    max_arity: int = 3
-    operads: list = field(default_factory=lambda: sorted(CORPUS))
-    json_out: bool = False
-
-
-def parse_args(argv=None) -> SurveyConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bound", type=int, default=3,
                         help="maximum number of vertices per tree shape")
@@ -36,24 +27,22 @@ def parse_args(argv=None) -> SurveyConfig:
                         choices=sorted(CORPUS))
     parser.add_argument("--json", action="store_true", dest="json_out",
                         help="emit full reports as JSON")
-    args = parser.parse_args(argv)
-    return SurveyConfig(bound=args.bound, max_arity=args.max_arity,
-                        operads=args.operads, json_out=args.json_out)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     header = (f"{'operad':10} {'inner':6} {'dendroidal':10} {'fully':6} "
               f"{'strict':6} {'unique':6} {'horns':>7} {'time':>7}")
-    if not cfg.json_out:
+    if not args.json_out:
         print(header)
         print("-" * len(header))
-    for name in cfg.operads:
+    for name in args.operads:
         t0 = time.perf_counter()
-        rep = kan_report(CORPUS[name](), cfg.bound,
-                         max_arity=cfg.max_arity, name=name)
+        rep = kan_report(CORPUS[name](), args.bound,
+                         max_arity=args.max_arity, name=name)
         dt = time.perf_counter() - t0
-        if cfg.json_out:
+        if args.json_out:
             sys.stdout.write(dumps(kan_report_to_json(rep)))
             continue
         print(f"{name:10} {str(rep.inner_kan):6} {str(rep.dendroidal_kan):10} "

@@ -13,7 +13,6 @@ import argparse
 import signal
 import sys
 import time
-from dataclasses import dataclass
 
 from dendro.anodyne import class_phrase, verify_certificate
 from dendro.kan import tree_shapes
@@ -23,23 +22,13 @@ from dendro.lemmas import (binary_tensor_certificate, codim_certificate,
 from dendro.trees import has_root_horn
 
 
-@dataclass
-class ReplayConfig:
-    tensor_n: int = 2
-    split_n: int = 2
-    split_k: int = 2
-    tree_bound: int = 4
-
-
-def parse_args(argv=None) -> ReplayConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tensor-n", type=int, default=2)
     parser.add_argument("--split-n", type=int, default=2)
     parser.add_argument("--split-k", type=int, default=2)
     parser.add_argument("--tree-bound", type=int, default=4)
-    args = parser.parse_args(argv)
-    return ReplayConfig(tensor_n=args.tensor_n, split_n=args.split_n,
-                        split_k=args.split_k, tree_bound=args.tree_bound)
+    return parser.parse_args(argv)
 
 
 def report(label: str, cert) -> bool:
@@ -53,21 +42,21 @@ def report(label: str, cert) -> bool:
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     ok = True
     print("binary-tensor filtrations")
-    for n in range(1, cfg.tensor_n + 1):
+    for n in range(1, args.tensor_n + 1):
         t0 = time.perf_counter()
         cert = binary_tensor_certificate(n)
         ok &= report(f"C_2 x L_{n}  (built in {time.perf_counter()-t0:.2f}s)",
                      cert)
     print("split-tree filtrations")
-    for n in range(1, cfg.split_n + 1):
-        for k in range(1, cfg.split_k + 1):
+    for n in range(1, args.split_n + 1):
+        for k in range(1, args.split_k + 1):
             ok &= report(f"EC_{{{n},{k}}} through the split tree",
                          extended_corolla_split_certificate(n, k))
     print("codimension certificates (root vertex of every shape)")
-    shapes = tree_shapes(cfg.tree_bound)
+    shapes = tree_shapes(args.tree_bound)
     for tree in shapes:
         if len(tree.vertices) < 2:
             continue

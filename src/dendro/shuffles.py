@@ -2,69 +2,58 @@
 
 The tensor of a tree S with the linear tree of length n decomposes into
 shuffles: trees on edges (e, i) with e an edge of S and i a level in 0..n,
-written "e_i".  All shuffles arise from the canonical one (S at level 0
-above the full chain at the root) by percolation moves pushing S-vertices
-down past level vertices.
+written "e_i".  The shuffles are in bijection with the level maps: the maps
+from the vertices of S to 0..n that weakly increase towards the root.  The
+shuffle of a level map (`shuffle`) has each S-vertex v with output e at
+its level i, with inputs (f, i) and output (e, i); each edge then climbs by
+unary level vertices from the level of the vertex above it (0 for a leaf)
+to the level of the vertex below it (n for the root).  Its edge set gives
+back the level map, so distinct level maps give distinct shuffles.
 """
 
 from __future__ import annotations
 
 from .complexes import Complex, Subcomplex
-from .trees import Tree, TreeError, Vertex, c2, insert_unary
+from .nerves import grow
+from .trees import Tree, TreeError, Vertex, c2, insert_unary, walk_up
 
 
 def pair(edge: str, level: int) -> str:
     return f"{edge}_{level}"
 
 
-def canonical_shuffle(s: Tree, n: int) -> Tree:
-    """S at level 0 grafted over the chain (root,0) .. (root,n)."""
-    vs = [Vertex(tuple(pair(e, 0) for e in v.inputs), pair(v.output, 0))
+def _check_level(k: int, n: int) -> None:
+    if not 0 <= k <= n:
+        raise TreeError(f"level {k} out of range 0..{n}")
+
+
+def shuffle(s: Tree, n: int, level: dict[str, int]) -> Tree:
+    """The shuffle of S with the length-n linear tree whose S-vertex with
+    output e sits at level[e].  A level map that decreases towards the root
+    spans no tree (TreeError)."""
+    for k in level.values():
+        _check_level(k, n)
+    vs = [Vertex(tuple(pair(f, level[v.output]) for f in v.inputs), pair(v.output, level[v.output]))
           for v in s.vertices]
-    for i in range(n):
-        vs.append(Vertex((pair(s.root, i),), pair(s.root, i + 1)))
-    return Tree(tuple(vs), pair(s.root, n))
-
-
-def _percolations(s: Tree, n: int, shuffle: Tree) -> list[Tree]:
-    """All single percolation moves pushing an S-vertex down one level."""
-    out = []
-    for v in shuffle.vertices:
-        e, i = v.output.rsplit("_", 1)
-        i = int(i)
-        if any(inp.rsplit("_", 1)[1] != str(i) for inp in v.inputs):
-            continue   # a level vertex, not an S-vertex at level i
-        below = shuffle.vertex_below(v.output)
-        if below is None or below.inputs != (v.output,):
-            continue
-        be, bi = below.output.rsplit("_", 1)
-        if be != e or int(bi) != i + 1:
-            continue   # the vertex below is not the level move e_i -> e_{i+1}
-        vs = [w for w in shuffle.vertices if w not in (v, below)]
-        for inp in v.inputs:
-            f = inp.rsplit("_", 1)[0]
-            vs.append(Vertex((pair(f, i),), pair(f, i + 1)))
-        vs.append(Vertex(tuple(pair(inp.rsplit("_", 1)[0], i + 1) for inp in v.inputs),
-                         pair(e, i + 1)))
-        out.append(Tree(tuple(vs), shuffle.root))
-    return out
+    for e in s.edges:
+        below = s.vertex_below(e)
+        lo = level[e] if s.vertex_above(e) is not None else 0
+        hi = level[below.output] if below is not None else n
+        vs += [Vertex((pair(e, i),), pair(e, i + 1)) for i in range(lo, hi)]
+    return Tree(vs, pair(s.root, n))
 
 
 def shuffles(s: Tree, n: int) -> list[Tree]:
-    """All shuffles of S with the linear tree of length n, generated by
-    percolation from the canonical shuffle, deduplicated by edge set."""
-    if not s.vertices:
-        return [canonical_shuffle(s, n)]
-    start = canonical_shuffle(s, n)
-    seen = {start.edges: start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in _percolations(s, n, cur):
-            if nxt.edges not in seen:
-                seen[nxt.edges] = nxt
-                frontier.append(nxt)
-    return sorted(seen.values(), key=lambda t: sorted(t.edges))
+    """All shuffles of S with the linear tree of length n, sorted by edge
+    set: one per level map, listed root-first, each vertex at every level
+    from 0 to the level of the vertex below it (n below the root)."""
+    outs = [e for e in walk_up(s, [s.root])[0] if s.vertex_above(e) is not None]
+    at = {e: k + 1 for k, e in enumerate(outs)}   # position 0 holds n, below the root
+    caps = [at[s.vertex_below(e).output] if e != s.root else 0 for e in outs]
+    maps = grow([lambda t: [(n,)]]
+                + [lambda t, c=c: [(i,) for i in range(t[c] + 1)] for c in caps])
+    return sorted((shuffle(s, n, dict(zip(outs, m[1:]))) for m in maps),
+                  key=lambda t: sorted(t.edges))
 
 
 def tensor_complex(s: Tree, n: int) -> Complex:
@@ -80,13 +69,7 @@ def c2_shuffle(n: int, k: int) -> Tree:
     """T_k: the shuffle of the binary corolla (leaves a, b, root c) with the
     length-n linear tree whose corolla vertex sits at level k; edges
     a_0..a_k, b_0..b_k, c_k..c_n."""
-    if not 0 <= k <= n:
-        raise TreeError(f"level {k} out of range 0..{n}")
-    vs = [Vertex((f"a_{i}",), f"a_{i+1}") for i in range(k)]
-    vs += [Vertex((f"b_{i}",), f"b_{i+1}") for i in range(k)]
-    vs.append(Vertex((f"a_{k}", f"b_{k}"), f"c_{k}"))
-    vs += [Vertex((f"c_{i}",), f"c_{i+1}") for i in range(k, n)]
-    return Tree(tuple(vs), f"c_{n}")
+    return shuffle(c2(), n, {"c": k})
 
 
 def c2_tensor_complex(n: int) -> Complex:
@@ -98,11 +81,12 @@ def named_cell(ambient: Complex, kind: str, n: int, i: int = 0, j: int = 0) -> T
 
     kinds: pi (i in 0..n), alpha, beta, gamma, d (the face D_i T_j), and
     sigma_alpha (the degeneracy of alpha at a_j -- returned as the shape of
-    the degenerate dendrex; it is not a cell of the complex).
+    the degenerate dendrex; it is not a cell of the complex).  Levels i and
+    j outside 0..n raise TreeError.
     """
-    a = [f"a_{t}" for t in range(n + 1)]
-    b = [f"b_{t}" for t in range(n + 1)]
-    c = [f"c_{t}" for t in range(n + 1)]
+    _check_level(i, n)
+    _check_level(j, n)
+    a, b, c = ([pair(x, t) for t in range(n + 1)] for x in "abc")
     if kind == "pi":
         if i < n:
             es = {b[n], c[n]} | {a[t] for t in range(n + 1) if t != i}
@@ -117,8 +101,7 @@ def named_cell(ambient: Complex, kind: str, n: int, i: int = 0, j: int = 0) -> T
     elif kind == "d":
         if i == j:
             raise TreeError("D_i T_j needs i != j")
-        tj = c2_shuffle(n, j)
-        es = set(tj.edges) - ({a[i], b[i]} if i < j else {c[i]})
+        es = set(c2_shuffle(n, j).edges) - ({a[i], b[i]} if i < j else {c[i]})
     elif kind == "sigma_alpha":
         return insert_unary(named_cell(ambient, "alpha", n), a[j], a[j] + "*")
     else:
@@ -131,11 +114,7 @@ def filtration_base(n: int) -> Subcomplex:
     binary-corolla tensor: the closures of the faces D_i T_j for all j and
     i != j, together with the two linear chains on the a- and c-edges."""
     amb = c2_tensor_complex(n)
-    cells = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            if i != j:
-                cells.append(named_cell(amb, "d", n, i, j).edges)
-    cells.append(frozenset(f"a_{t}" for t in range(n + 1)))
-    cells.append(frozenset(f"c_{t}" for t in range(n + 1)))
+    cells = [named_cell(amb, "d", n, i, j).edges
+             for j in range(n + 1) for i in range(n + 1) if i != j]
+    cells += [frozenset(pair(x, t) for t in range(n + 1)) for x in "ac"]
     return amb.closure_subcomplex(cells)

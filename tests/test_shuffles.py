@@ -4,16 +4,89 @@ import itertools
 
 import pytest
 
-from dendro.shuffles import (c2_shuffle, c2_tensor_complex, canonical_shuffle,
-                             filtration_base, named_cell, pair, shuffles,
+from dendro.kan import tree_shapes
+from dendro.shuffles import (c2_shuffle, c2_tensor_complex, filtration_base,
+                             named_cell, pair, shuffle, shuffles,
                              tensor_complex)
 from dendro.trees import (Tree, TreeError, Vertex, c2, corolla, eta,
                           extended_corolla, isomorphic, linear)
 
 
+# -- reference oracle: the shuffles found by percolation ---------------------
+
+def _canonical_shuffle(s: Tree, n: int) -> Tree:
+    """S at level 0 grafted over the chain (root,0) .. (root,n)."""
+    vs = [Vertex(tuple(pair(e, 0) for e in v.inputs), pair(v.output, 0))
+          for v in s.vertices]
+    for i in range(n):
+        vs.append(Vertex((pair(s.root, i),), pair(s.root, i + 1)))
+    return Tree(tuple(vs), pair(s.root, n))
+
+
+def _percolations(shuffle: Tree) -> list[Tree]:
+    """All single percolation moves pushing an S-vertex down one level."""
+    out = []
+    for v in shuffle.vertices:
+        e, i = v.output.rsplit("_", 1)
+        i = int(i)
+        if any(inp.rsplit("_", 1)[1] != str(i) for inp in v.inputs):
+            continue   # a level vertex, not an S-vertex at level i
+        below = shuffle.vertex_below(v.output)
+        if below is None or below.inputs != (v.output,):
+            continue
+        be, bi = below.output.rsplit("_", 1)
+        if be != e or int(bi) != i + 1:
+            continue   # the vertex below is not the level move e_i -> e_{i+1}
+        vs = [w for w in shuffle.vertices if w not in (v, below)]
+        for inp in v.inputs:
+            f = inp.rsplit("_", 1)[0]
+            vs.append(Vertex((pair(f, i),), pair(f, i + 1)))
+        vs.append(Vertex(tuple(pair(inp.rsplit("_", 1)[0], i + 1) for inp in v.inputs),
+                         pair(e, i + 1)))
+        out.append(Tree(tuple(vs), shuffle.root))
+    return out
+
+
+def percolation_shuffles(s: Tree, n: int) -> list[Tree]:
+    """The shuffles reached from the canonical one (S at level 0) by
+    percolation moves pushing S-vertices down past level vertices,
+    deduplicated by edge set and sorted by it."""
+    start = _canonical_shuffle(s, n)
+    seen = {start.edges: start}
+    frontier = [start]
+    while frontier:
+        for nxt in _percolations(frontier.pop()):
+            if nxt.edges not in seen:
+                seen[nxt.edges] = nxt
+                frontier.append(nxt)
+    return sorted(seen.values(), key=lambda t: sorted(t.edges))
+
+
+def written(t: Tree):
+    return t.root, t.vertices
+
+
+_ORACLE_TREES = [*tree_shapes(4), eta("e"), corolla(0),
+                 Tree((Vertex(("x_1", "y_2"), "r_0"), Vertex(("p",), "x_1")), "r_0")]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_shuffles_match_the_percolation_search(n):
+    for s in _ORACLE_TREES:
+        assert [written(t) for t in shuffles(s, n)] == \
+            [written(t) for t in percolation_shuffles(s, n)], s
+
+
+@pytest.mark.parametrize("s", tree_shapes(2, 2), ids=repr)
+@pytest.mark.parametrize("n", range(3))
+def test_tensor_complex_maximal_cells_are_the_shuffles(s, n):
+    amb = tensor_complex(s, n)
+    assert set(amb.full().maximal_cells()) == {t.edges for t in shuffles(s, n)}
+
+
 def level_function_count(s: Tree, n: int) -> int:
-    """Independent oracle: shuffles correspond to level assignments
-    V(S) -> {0..n} that weakly increase towards the root."""
+    """Counting oracle: the level maps V(S) -> {0..n} that weakly increase
+    towards the root, counted by a filter over all level tuples."""
     vs = list(s.vertices)
     below = {}
     for i, v in enumerate(vs):
@@ -66,6 +139,13 @@ def test_c2_shuffle_rejects_bad_level():
         c2_shuffle(2, 3)
 
 
+def test_a_level_map_decreasing_towards_the_root_spans_no_tree():
+    s = Tree((Vertex(("p", "q"), "a"), Vertex(("a", "b"), "c")), "c")
+    assert shuffle(s, 2, {"a": 1, "c": 1}).edges >= {"a_1", "c_1"}
+    with pytest.raises(TreeError):
+        shuffle(s, 2, {"a": 2, "c": 1})
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_c2_shuffle_vertex_structure(n):
     for t in shuffles(c2(), n):
@@ -94,7 +174,7 @@ def test_shuffle_edges_project_correctly():
 
 
 def test_canonical_shuffle_shape():
-    t = canonical_shuffle(c2(), 2)
+    t = shuffle(c2(), 2, {"c": 0})
     assert t.root == pair("c", 2)
     assert t.edges == {"a_0", "b_0", "c_0", "c_1", "c_2"}
 
@@ -117,6 +197,18 @@ def test_named_cell_d_faces():
         named_cell(amb, "d", 1, i=1, j=1)
     with pytest.raises(TreeError):
         named_cell(amb, "quux", 1)
+
+
+@pytest.mark.parametrize("kind,i,j,bad", [
+    ("pi", 7, 0, 7),
+    ("d", -1, 1, -1),
+    ("d", 5, 0, 5),
+    ("sigma_alpha", 0, 9, 9),
+])
+def test_named_cell_rejects_levels_out_of_range(kind, i, j, bad):
+    amb = c2_tensor_complex(2)
+    with pytest.raises(TreeError, match=rf"^level {bad} out of range 0\.\.2$"):
+        named_cell(amb, kind, 2, i=i, j=j)
 
 
 def test_sigma_alpha_is_degenerate_shape_not_a_cell():
