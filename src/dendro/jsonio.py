@@ -8,7 +8,9 @@ keys, fixed element order), so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
+from itertools import islice
 from typing import Any
 
 from .anodyne import (Certificate, HornStep, NestedStep, certificate_class,
@@ -49,10 +51,11 @@ def _field(data: dict, key: str, typ, path: str):
     return _as(data[key], typ, f"{path}.{key}")
 
 
-def _known(name: str, names, what: str, path: str) -> str:
+def _known(name: str, names: dict, what: str, path: str) -> str:
+    """The object `names` maps the known `name` to."""
     if name not in names:
         raise SchemaError(path, f"unknown {what} {name!r}")
-    return name
+    return names[name]
 
 
 def _rows(data: dict, table: str, fields, path: str):
@@ -60,8 +63,10 @@ def _rows(data: dict, table: str, fields, path: str):
     `data[table]`, checking the fields in the order given.
 
     Each field is (key, type, names, what): the value is of that type and,
-    unless `names` is None, one of `names`, a known `what`.  The normal path
-    tests exact types inline; only a failing check formats its path."""
+    unless `names` is None, a key of `names`, a known `what`, given as the
+    object `names` maps it to, so the rows share one object per name.  The
+    normal path tests exact types inline; only a failing check formats its
+    path."""
     for k, row in enumerate(_field(data, table, list, path)):
         if type(row) is not dict:
             _as(row, dict, f"{path}.{table}[{k}]")
@@ -70,23 +75,26 @@ def _rows(data: dict, table: str, fields, path: str):
             value = row.get(key)
             if type(value) is not typ:
                 value = _field(row, key, typ, f"{path}.{table}[{k}]")
-            if names is not None and value not in names:
-                raise SchemaError(f"{path}.{table}[{k}].{key}",
-                                  f"unknown {what} {value!r}")
+            if names is not None:
+                known = names.get(value)
+                if known is None:
+                    raise SchemaError(f"{path}.{table}[{k}].{key}",
+                                      f"unknown {what} {value!r}")
+                value = known
             values.append(value)
         yield k, values
 
 
 def _names(data: dict, key: str, what: str, path: str) -> dict:
     """The array of distinct strings `data[key]` as a dict from each name
-    to None, in document order."""
+    to itself, in document order."""
     names: dict = {}
     for k, name in enumerate(_field(data, key, list, path)):
         if type(name) is not str:
             _as(name, str, f"{path}.{key}[{k}]")
         if name in names:
             raise SchemaError(f"{path}.{key}[{k}]", f"duplicate {what} {name!r}")
-        names[name] = None
+        names[name] = name
     return names
 
 
@@ -95,8 +103,21 @@ def _string_list(value, path: str) -> list[str]:
     return [_as(x, str, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_BATCH = 4096       # encoder chunks joined at a time
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, written
+    in batches of chunks: with an indent the encoder is the pure-Python one,
+    and `json.dumps` holds all its chunks in one list before joining them,
+    about 8.5 times the output's size; this holds about twice the output."""
+    out = io.StringIO()
+    chunks = _ENCODER.iterencode(obj)
+    while batch := "".join(islice(chunks, _BATCH)):
+        out.write(batch)
+    out.write("\n")
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +194,7 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
         for c in inputs + [output]:
             _known(c, colours, "colour", op_path)
         profiles[nm] = (tuple(inputs), output)
-    op = (profiles, "operation")
+    op = ({nm: nm for nm in profiles}, "operation")
     identities = {}
     ids = _field(data, "identities", dict, path)
     for c, nm in sorted(ids.items()):
@@ -209,7 +230,7 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
                               f"duplicate row for f={f!r}, i={pos}, g={g!r}")
         composition[(f, pos, g)] = h
     symmetry = {}
-    permutations: dict = {}     # sigma -> its action on input tuples
+    permutations: dict = {}     # sigma -> (the one stored sigma, its action)
     for k, (f, g, sigma) in _rows(data, "symmetry", (
             ("f", str, *op), ("result", str, *op),
             ("sigma", list, None, None)), path):
@@ -218,12 +239,13 @@ def operad_from_json(data, path: str = "$") -> TableOperad:
                 _as(x, int, f"{path}.symmetry[{k}].sigma[{j}]")
         sigma = tuple(sigma)
         f_in, f_out = profiles[f]
-        permute = permutations.get(sigma)
-        if permute is None and sorted(sigma) == list(range(len(sigma))):
-            permute = permutations[sigma] = tuple_getter(sigma)
-        if permute is None or len(sigma) != len(f_in):
+        known = permutations.get(sigma)
+        if known is None and sorted(sigma) == list(range(len(sigma))):
+            known = permutations[sigma] = (sigma, tuple_getter(sigma))
+        if known is None or len(sigma) != len(f_in):
             raise SchemaError(f"{path}.symmetry[{k}].sigma",
                               f"not a permutation of the inputs of {f!r}")
+        sigma, permute = known
         permuted = (permute(f_in), f_out)
         if profiles[g] != permuted:
             raise SchemaError(f"{path}.symmetry[{k}].result",
@@ -271,7 +293,7 @@ def smc_from_json(data, path: str = "$") -> FiniteSMC:
         for o in (dom, cod):
             _known(o, objects, "object", mp)
         profile[nm] = (dom, cod)
-    mor, obj = (profile, "morphism"), (objects, "object")
+    mor, obj = ({m: m for m in profile}, "morphism"), (objects, "object")
 
     def table(name, k1, k2, key, result):
         """Rows {k1, k2, "result"} as a dict (k1, k2) -> result, keys and

@@ -533,12 +533,21 @@ def table_operad_from(p: FiniteOperad, max_arity: int = 3) -> TableOperad:
     """Materialize explicit tables from any operad, up to an arity bound.
 
     Composition entries are kept when both factors and the result stay
-    within the bound; used for serialization and fault injection.
+    within the bound; used for serialization and fault injection.  A
+    composite, permuted or identity operation equal to a listed one is
+    stored as the listed object, and each permutation is one tuple for all
+    its rows.
     """
     profiles: dict = {}
     for inputs, output in _profiles_upto(p.colours, max_arity):
         for op in p.operations(inputs, output):
             profiles[op] = (tuple(inputs), output)
+    listed = {op: op for op in profiles}
+
+    def shared(op):
+        return listed.get(op, op)
+
+    perms = [tuple(itertools.permutations(range(n))) for n in range(max_arity + 1)]
     composition: dict = {}
     symmetry: dict = {}
     for f, (fin, fout) in profiles.items():
@@ -546,10 +555,10 @@ def table_operad_from(p: FiniteOperad, max_arity: int = 3) -> TableOperad:
             for g, (gin, gout) in profiles.items():
                 if gout != ci or len(fin) + len(gin) - 1 > max_arity:
                     continue
-                composition[(f, i, g)] = p.compose(f, i, g)
-        for sigma in itertools.permutations(range(len(fin))):
-            symmetry[(f, sigma)] = p.permute(f, sigma)
-    identities = {c: p.identity(c) for c in p.colours}
+                composition[(f, i, g)] = shared(p.compose(f, i, g))
+        for sigma in perms[len(fin)]:
+            symmetry[(f, sigma)] = shared(p.permute(f, sigma))
+    identities = {c: shared(p.identity(c)) for c in p.colours}
     return TableOperad(colours=tuple(p.colours), profiles=profiles,
                        identities_table=identities, composition=composition,
                        symmetry=symmetry)

@@ -82,10 +82,14 @@ def named_cell(ambient: Complex, kind: str, n: int, i: int = 0, j: int = 0) -> T
     kinds: pi (i in 0..n), alpha, beta, gamma, d (the face D_i T_j), and
     sigma_alpha (the degeneracy of alpha at a_j -- returned as the shape of
     the degenerate dendrex; it is not a cell of the complex).  Levels i and
-    j outside 0..n raise TreeError.
+    j outside 0..n raise TreeError, and so do pi_n, alpha, beta and
+    sigma_alpha at n = 0: they hold the edges b_{n-1} and c_{n-1}, so they
+    need n >= 1.
     """
     _check_level(i, n)
     _check_level(j, n)
+    if n < 1 and kind in ("pi", "alpha", "beta", "sigma_alpha"):
+        raise TreeError(f"named cell {kind} needs n >= 1, got n = {n}")
     a, b, c = ([pair(x, t) for t in range(n + 1)] for x in "abc")
     if kind == "pi":
         if i < n:

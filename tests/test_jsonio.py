@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,86 @@ def test_dumps_is_byte_deterministic():
     c = dumps(certificate_to_json(binary_tensor_certificate(1)))
     d = dumps(certificate_to_json(binary_tensor_certificate(1)))
     assert c == d
+
+
+def reference_dumps(obj) -> str:
+    """The reference oracle of `dumps`: one `json.dumps` call."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_RETRACT_TREE = graft(c2(), "a", corolla(2, leaves=("p", "q"), root="a"))
+_EMITTED = {
+    **{f"operad-{name}": lambda name=name: operad_to_json(CORPUS[name](), 3)
+       for name in CORPUS},
+    "operad-mult01-arity5": lambda: operad_to_json(CORPUS["mult01"](), 5),
+    "smc-bz2": lambda: smc_to_json(b_z2_smc()),
+    **{f"cert-6.4-n{n}": lambda n=n: certificate_to_json(binary_tensor_certificate(n))
+       for n in range(1, 4)},
+    "cert-8.5-retract": lambda: certificate_to_json(root_horn_certificate(_RETRACT_TREE)),
+    "kan-report-mult01": lambda: kan_report_to_json(kan_report(CORPUS["mult01"](), 3)),
+}
+
+
+@pytest.mark.parametrize("name", _EMITTED)
+def test_dumps_matches_json_dumps(name):
+    obj = _EMITTED[name]()
+    assert dumps(obj) == reference_dumps(obj)
+
+
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x7fé€\u2028😀') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_TEXT, inner, max_size=6),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_matches_json_dumps_on_any_json_value(obj):
+    assert dumps(obj) == reference_dumps(obj)
+
+
+# -- memory -----------------------------------------------------------------
+
+def test_dumps_holds_about_twice_its_output():
+    """`json.dumps` with an indent collects every chunk before joining them,
+    about 8.5 times the output here; `dumps` joins them in batches."""
+    doc = operad_to_json(table_operad_from(CORPUS["mult01"](), 5), 5)
+    tracemalloc.start()
+    try:
+        text = dumps(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
+@pytest.fixture(scope="module")
+def mult01_tables():
+    """mult01 to arity 5 as a table built in memory, and read back from its
+    JSON."""
+    built = table_operad_from(CORPUS["mult01"](), 5)
+    loaded = operad_from_json(json.loads(dumps(operad_to_json(built, 5))))
+    return {"built": built, "loaded": loaded}
+
+
+@pytest.mark.parametrize("side", ["built", "loaded"])
+def test_table_rows_hold_the_listed_operations(mult01_tables, side):
+    table = mult01_tables[side]
+    listed = {op: op for op in table.profiles}
+    for (f, _), g in table.symmetry.items():
+        assert f is listed[f] and g is listed[g]
+    for (f, _, g), h in table.composition.items():
+        assert f is listed[f] and g is listed[g] and h is listed[h]
+    assert all(op is listed[op] for op in table.identities_table.values())
+
+
+@pytest.mark.parametrize("side", ["built", "loaded"])
+def test_table_rows_share_one_tuple_per_permutation(mult01_tables, side):
+    one: dict = {}
+    for _, sigma in mult01_tables[side].symmetry:
+        assert one.setdefault(sigma, sigma) is sigma
+    assert len(one) == sum(map(math.factorial, range(6)))
 
 
 # -- certificates -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Shuffles against linear trees and their named cells."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,24 @@ def level_function_count(s: Tree, n: int) -> int:
         if all(levels[i] <= levels[j] for i, j in below.items()):
             count += 1
     return count
+
+
+def _census():
+    """`scripts/shuffle_census.py`, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "shuffle_census.py"
+    spec = importlib.util.spec_from_file_location("shuffle_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_census_recursion_matches_the_level_filter(n):
+    """The census script's recursive count of level maps, which builds no
+    shuffle, agrees with the filter over all level tuples."""
+    count = _census().level_map_count
+    for s in [*tree_shapes(4), eta("e"), corolla(0)]:
+        assert count(s, n) == level_function_count(s, n), s
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -209,6 +229,14 @@ def test_named_cell_rejects_levels_out_of_range(kind, i, j, bad):
     amb = c2_tensor_complex(2)
     with pytest.raises(TreeError, match=rf"^level {bad} out of range 0\.\.2$"):
         named_cell(amb, kind, 2, i=i, j=j)
+
+
+@pytest.mark.parametrize("kind", ["pi", "alpha", "beta", "sigma_alpha"])
+def test_named_cells_with_level_n_minus_1_edges_need_n_at_least_1(kind):
+    """pi_n, alpha and beta hold b_{n-1} and c_{n-1}; at n = 0 they are no
+    cells, and asking for one is a TreeError, not a KeyError."""
+    with pytest.raises(TreeError, match=rf"^named cell {kind} needs n >= 1, got n = 0$"):
+        named_cell(c2_tensor_complex(0), kind, 0)
 
 
 def test_sigma_alpha_is_degenerate_shape_not_a_cell():
