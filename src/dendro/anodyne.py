@@ -264,20 +264,20 @@ def _verify_horn_step(step: HornStep, amb: Complex, i: int, current: int, rep, h
     if current >> i & 1:
         rep.fail(here, f"cell already present: {sorted(step.cell)}")
         return current
-    try:
+    if amb.attachment(i, current) == tuple(step.omitted):
+        rep.classes_used.append(generator_class(amb.cell_trees[i], step.omitted))
+        return current | amb.masks[i]
+    try:        # word the failure: how the closure of i meets `current`
         horn_cells = amb.horn_mask(i, step.omitted)
     except TreeError as exc:
         rep.fail(here, str(exc))
         return current
     met = amb.masks[i] & current
-    if met != horn_cells:
-        missing = _first_cells(amb, horn_cells & ~met)
-        extra = _first_cells(amb, met & ~horn_cells)
-        rep.fail(here, f"attachment of {sorted(step.cell)} along {step.omitted} is not a "
-                       f"horn pushout (horn cells missing: {missing}; excess: {extra})")
-        return current
-    rep.classes_used.append(generator_class(amb.cell_trees[i], step.omitted))
-    return current | amb.masks[i]
+    missing = _first_cells(amb, horn_cells & ~met)
+    extra = _first_cells(amb, met & ~horn_cells)
+    rep.fail(here, f"attachment of {sorted(step.cell)} along {step.omitted} is not a "
+                   f"horn pushout (horn cells missing: {missing}; excess: {extra})")
+    return current
 
 
 def _verify_nested_step(step: NestedStep, amb: Complex, i: int, current: int,
@@ -414,15 +414,17 @@ def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
             steps.append(NestedStep(cell, nested[cell]))
             current |= amb.masks[i]
             continue
-        missing, is_horn = amb.attachment(i, current)
-        if len(missing) != 1:
-            raise BuildError(
-                f"cell {sorted(cell)} has {len(missing)} missing faces "
-                f"({missing}); not a horn attachment")
-        if not is_horn:
+        key = amb.attachment(i, current)
+        if key is None:
+            missing = [f.key for f, j in zip(amb.face_lists[i], amb.face_ids[i])
+                       if not current >> j & 1]
+            if len(missing) != 1:
+                raise BuildError(
+                    f"cell {sorted(cell)} has {len(missing)} missing faces "
+                    f"({missing}); not a horn attachment")
             raise BuildError(f"cell {sorted(cell)} does not meet the current "
                              f"subcomplex in the horn at {missing[0]}")
-        steps.append(HornStep(cell, missing[0]))
+        steps.append(HornStep(cell, key))
         current |= amb.masks[i]
     return _filtration(amb, tuple(frozenset(c) for c in start_cells),
                        tuple(sorted(amb.cells, key=sorted)), tuple(steps))
@@ -431,6 +433,16 @@ def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
+
+def _horn_step(amb: Complex, i: int, current: int,
+               allowed: AnodyneClass) -> HornStep | None:
+    """The step attaching cell i to `current` along a horn of class at most
+    `allowed`, or None."""
+    key = amb.attachment(i, current)
+    if key is None or generator_class(amb.cell_trees[i], key) > allowed:
+        return None
+    return HornStep(amb.order[i], key)
+
 
 @dataclass
 class SearchResult:
@@ -474,9 +486,7 @@ def search_certificate(amb: Complex, start: Subcomplex, target: Subcomplex,
             key = (i, current & amb.masks[i])
             step = attachable.get(key, _UNSET)
             if step is _UNSET:
-                missing, is_horn = amb.attachment(i, current)
-                ok = is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed
-                step = attachable[key] = HornStep(amb.order[i], missing[0]) if ok else None
+                step = attachable[key] = _horn_step(amb, i, current, allowed)
             if step is not None:
                 found.append(step)
         return found

@@ -142,17 +142,18 @@ class Complex:
                 mask |= self.masks[j]
         return mask
 
-    def attachment(self, i: int, current: int) -> tuple[list[tuple[str, str]], bool]:
-        """(the keys of the faces of cell i missing from `current`, whether
-        attaching i to `current` is a horn pushout): exactly one face is
-        missing and the closure of i meets `current` in the closure of the
-        other faces."""
+    def attachment(self, i: int, current: int) -> tuple[str, str] | None:
+        """The key of the face along which attaching cell i to `current` is
+        a horn pushout, or None: exactly one face is missing and the closure
+        of i meets `current` in the closure of the other faces.  No face of
+        a cell lies in the closure of another, so this is the one key k
+        with `masks[i] & current == horn_mask(i, k)`, the verifier's test."""
         ids = self.face_ids[i]
         missing = [k for k, j in enumerate(ids) if not current >> j & 1]
-        keys = [self.face_lists[i][k].key for k in missing]
-        if len(missing) != 1:
-            return keys, False
-        return keys, self.masks[i] & current == self._kept_closure(i, ids[missing[0]])
+        if len(missing) != 1 or \
+                self.masks[i] & current != self._kept_closure(i, ids[missing[0]]):
+            return None
+        return self.face_lists[i][missing[0]].key
 
     # -- subcomplexes ------------------------------------------------------
 

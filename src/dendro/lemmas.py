@@ -19,8 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .anodyne import (AnodyneClass, BuildError, Certificate, build_filtration,
-                      generator_class)
+from .anodyne import AnodyneClass, BuildError, Certificate, _horn_step, build_filtration
 from .complexes import Cell, Complex, _cell_key, reject_stumps, representable
 from .shuffles import filtration_base
 from .trees import (COROLLA_FACE, ROOT_FACE, TOP_FACE, Tree, TreeError, Vertex, branch,
@@ -37,18 +36,14 @@ def _dedup(cells: Iterable[Iterable[str]]) -> list[frozenset]:
 # ---------------------------------------------------------------------------
 
 def _attach_pass(amb: Complex, present: int, order: list,
-                 ceiling: AnodyneClass, first_only: bool = False) -> int:
+                 ceiling: AnodyneClass) -> int:
     """One pass over the absent cells, smallest first, attaching each that
     is a horn pushout of class at most `ceiling` against the growing
-    subcomplex (only the first such with `first_only`); returns the grown
-    subcomplex."""
+    subcomplex; returns the grown subcomplex."""
     for i in amb.indices(amb.full_mask & ~present):
-        missing, is_horn = amb.attachment(i, present)
-        if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= ceiling:
+        if _horn_step(amb, i, present, ceiling) is not None:
             order.append(amb.order[i])
             present |= amb.masks[i]
-            if first_only:
-                break
     return present
 
 
@@ -68,12 +63,13 @@ def binary_tensor_certificate(n: int) -> Certificate:
             present = grown
         if present == amb.full_mask:
             break
-        grown = _attach_pass(amb, present, order,
-                             AnodyneClass.BINARY_EXTENDED_LEFT, first_only=True)
-        if grown == present:
+        i = next((i for i in amb.indices(amb.full_mask & ~present)
+                  if _horn_step(amb, i, present, AnodyneClass.BINARY_EXTENDED_LEFT)), None)
+        if i is None:
             raise BuildError("no horn-attachable cell of class at most "
                              "binary extended left; filtration is stuck")
-        present = grown
+        order.append(amb.order[i])
+        present |= amb.masks[i]
     return build_filtration(amb, list(base), order)
 
 

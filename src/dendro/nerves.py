@@ -39,16 +39,6 @@ class Dendrex:
         self.vertex_ops = dict(vertex_ops)
         self._hash = None
 
-    @classmethod
-    def _unchecked(cls, shape: Tree, edge_colours: dict, vertex_ops: dict) -> "Dendrex":
-        """Internal fast path: trusts (and takes ownership of) the dicts."""
-        d = object.__new__(cls)
-        d.shape = shape
-        d.edge_colours = edge_colours
-        d.vertex_ops = vertex_ops
-        d._hash = None
-        return d
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -169,7 +159,7 @@ def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
     """All dendrices of the shape, as `Dendrex` objects in `labellings`
     order."""
     edges, outs = sorted(shape.edges), [v.output for v in shape.vertices]
-    return [Dendrex._unchecked(shape, dict(zip(edges, t)), dict(zip(outs, t[len(edges):])))
+    return [Dendrex(shape, dict(zip(edges, t)), dict(zip(outs, t[len(edges):])))
             for t in labellings(p, shape)]
 
 
@@ -184,11 +174,11 @@ def face_of(p: FiniteOperad, d: Dendrex, f: FaceDescriptor) -> Dendrex:
     """Restrict the dendrex along a codimension-one face of its shape."""
     sub = f.subtree
     if f.kind == COROLLA_FACE:
-        return Dendrex._unchecked(sub, {f.label: d.edge_colours[f.label]}, {})
+        return Dendrex(sub, {f.label: d.edge_colours[f.label]}, {})
     if f.kind in (TOP_FACE, ROOT_FACE):
         cols = {e: d.edge_colours[e] for e in sub.edges}
         ops = {v.output: d.vertex_ops[v.output] for v in sub.vertices}
-        return Dendrex._unchecked(sub, cols, ops)
+        return Dendrex(sub, cols, ops)
     if f.kind == INNER_FACE:
         e = f.label
         upper = d.shape.vertex_above(e)
@@ -199,7 +189,7 @@ def face_of(p: FiniteOperad, d: Dendrex, f: FaceDescriptor) -> Dendrex:
         ops = {v.output: d.vertex_ops[v.output] for v in sub.vertices
                if v.output != lower.output}
         ops[lower.output] = merged
-        return Dendrex._unchecked(sub, cols, ops)
+        return Dendrex(sub, cols, ops)
     raise TreeError(f"unknown face kind {f.kind!r}")
 
 
@@ -311,7 +301,7 @@ class CompiledShape:
         """The `Dendrex` with id i."""
         slot, key = self.interned[i]
         node = self.nodes[slot]
-        return Dendrex._unchecked(node.shape, dict(zip(node.edges, key)),
+        return Dendrex(node.shape, dict(zip(node.edges, key)),
                                   dict(zip(node.outs, key[len(node.edges):])))
 
     def close(self, node: _Subface) -> None:

@@ -487,9 +487,9 @@ def unmemoised_search(amb, start, target, allowed=AnodyneClass.INNER,
                 out_of_budget = True
                 break
             examined += 1
-            missing, is_horn = amb.attachment(i, current)
-            if is_horn and generator_class(amb.cell_trees[i], missing[0]) <= allowed:
-                found.append(HornStep(amb.order[i], missing[0]))
+            key = amb.attachment(i, current)
+            if key is not None and generator_class(amb.cell_trees[i], key) <= allowed:
+                found.append(HornStep(amb.order[i], key))
         return found
 
     def dfs(current, steps):
@@ -531,20 +531,48 @@ def _six_vertex_codim():
     return amb, amb.closure_subcomplex(codim_base_cells(SIX, SIX.root))
 
 
-@pytest.mark.parametrize("inputs", [_t5_inner_horn, _six_vertex_codim],
-                         ids=["t5-inner-r", "codim-six-vertex"])
-def test_memoised_search_equals_unmemoised_at_every_budget(inputs):
+# a unary vertex under a binary one: searches from some faces must backtrack
+BACKTRACK = Tree((Vertex(("e1",), "e0"), Vertex(("e2", "e3"), "e1")), "e0")
+
+
+def _backtrack_once():
+    """The search backtracks once, then finds a 3-step certificate (14
+    candidates examined)."""
+    amb = representable(BACKTRACK)
+    return amb, amb.closure_subcomplex([{"e0"}, {"e3"}])
+
+
+def _backtrack_to_none():
+    """The search backtracks twice and finds no certificate, within its
+    budget (11 candidates examined)."""
+    amb = representable(BACKTRACK)
+    return amb, amb.closure_subcomplex([{"e1"}, {"e2"}, {"e3"}])
+
+
+@pytest.mark.parametrize("inputs, allowed, examined, steps", [
+    (_t5_inner_horn, AnodyneClass.INNER, 2, 1),
+    (_six_vertex_codim, AnodyneClass.INNER, 2162, 46),
+    (_backtrack_once, AnodyneClass.EXTENDED_LEFT, 14, 3),
+    (_backtrack_to_none, AnodyneClass.BINARY_EXTENDED_LEFT, 11, None),
+], ids=["t5-inner-r", "codim-six-vertex", "backtrack-once", "backtrack-to-none"])
+def test_memoised_search_equals_unmemoised_at_every_budget(inputs, allowed, examined,
+                                                           steps):
     """The same certificate, `examined` and `exhausted_budget` at every
     budget from 1 to the unbudgeted count (an even sample of at least 50 of
     them when there are more), and just past it."""
     amb, start = inputs()
-    full = unmemoised_search(amb, start, amb.full())
-    assert full.certificate is not None and not full.exhausted_budget
-    assert search_certificate(amb, start, amb.full()) == full
+    full = unmemoised_search(amb, start, amb.full(), allowed)
+    assert (full.examined, full.exhausted_budget) == (examined, False)
+    if steps is None:
+        assert full.certificate is None
+    else:
+        assert len(full.certificate.steps) == steps
+        assert verify_certificate(full.certificate).valid
+    assert search_certificate(amb, start, amb.full(), allowed) == full
     n = full.examined
     budgets = sorted(set(range(1, n + 1, max(1, n // 60))) | {n - 1, n, n + 1} - {0})
     assert len(budgets) >= min(n + 1, 50)
     for b in budgets:
-        res = search_certificate(amb, start, amb.full(), budget=b)
-        assert res == unmemoised_search(amb, start, amb.full(), budget=b), b
+        res = search_certificate(amb, start, amb.full(), allowed, budget=b)
+        assert res == unmemoised_search(amb, start, amb.full(), allowed, budget=b), b
         assert res.exhausted_budget == (b < n)

@@ -139,19 +139,20 @@ def test_closure_masks_match_reference():
 
 
 def _brute_force_attachment(amb, current: frozenset, cell):
-    """(missing face keys, horn pushout?) straight from the definition:
-    exactly one face is missing, and the closure of the cell meets the
-    current subcomplex in the closure of the kept faces."""
+    """The key of the face along which the cell attaches as a horn pushout,
+    or None, straight from the definition: exactly one face is missing, and
+    the closure of the cell meets the current subcomplex in the closure of
+    the kept faces."""
     tree = amb.tree_of(cell)
     fs = faces(tree) if tree.vertices else []
     missing = [f.key for f in fs if f.subtree.edges not in current]
     if len(missing) != 1:
-        return missing, False
+        return None
     kept = set()
     for f in fs:
         if f.key != missing[0]:
             kept |= closure_cells(f.subtree).keys()
-    return missing, closure_cells(tree).keys() & current == kept
+    return missing[0] if closure_cells(tree).keys() & current == kept else None
 
 
 _ATTACH_AMBIENTS = [representable(t) for t in tree_shapes(4)] + \
@@ -172,5 +173,10 @@ def test_attachment_matches_brute_force(data):
         current = frozenset(data.draw(st.lists(st.sampled_from(cells))))
     mask = amb.cell_mask(current)
     for cell in cells:
-        assert amb.attachment(amb.index_of(cell), mask) == \
-            _brute_force_attachment(amb, current, cell), sorted(cell)
+        i = amb.index_of(cell)
+        key = amb.attachment(i, mask)
+        assert key == _brute_force_attachment(amb, current, cell), sorted(cell)
+        # the verifier's test: the closure meets `current` in the horn
+        horns = [f.key for f in amb.face_lists[i]
+                 if amb.masks[i] & mask == amb.horn_mask(i, f.key)]
+        assert horns == ([] if key is None else [key]), sorted(cell)

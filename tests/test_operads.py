@@ -11,7 +11,7 @@ from dendro.jsonio import smc_to_json
 from dendro.operads import (CORPUS, FiniteSMC, SMCOperad, TableOperad,
                             _permutation_iso, b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
-                            picard_check, table_operad_from,
+                            one_object_abelian_group_smc, picard_check, table_operad_from,
                             validate_operad, validate_smc)
 
 ALL_SMCS = {
@@ -132,6 +132,14 @@ def test_table_operad_missing_entries_raise():
     with pytest.raises(KeyError):
         t.permute("f", (1, 0))
     assert t.permute("f", (0,)) == "f"   # identity permutation needs no table
+
+
+@pytest.mark.parametrize("name,arity", [(n, a) for n in sorted(CORPUS) for a in (2, 3)]
+                         + [("z2", 4), ("bz2", 4), ("mult01", 4)])
+def test_validate_operad_checks_a_table_within_its_own_arity(name, arity):
+    """A table holds composites up to its own arity only, so a law whose
+    composites would go past it is not checked there."""
+    assert validate_operad(table_operad_from(CORPUS[name](), arity), arity) == []
 
 
 def test_validate_operad_detects_corrupted_composition(bz2):
@@ -258,6 +266,38 @@ def test_validate_smc_reports_an_unknown_name(smc, table, key, value, violation)
     smc = dataclasses.replace(smc, **{table: {**getattr(smc, table), key: value}})
     assert validate_smc(smc) == [violation]
     assert not SMCOperad(smc).cancellative()
+
+
+BZ3 = one_object_abelian_group_smc(range(3), lambda a, b: (a + b) % 3)
+
+
+@pytest.mark.parametrize("smc,table,key,value,violation", [
+    (b_z2_smc(), "unit", None, "x", "unit 'x' is not an object"),
+    (cyclic_group_smc(2), "compose", ("id_0", "id_1"), "id_0",
+     "compose(id_0,id_1) defined but profiles do not match"),
+    (cyclic_group_smc(2), "compose", ("id_0", "id_0"), "id_1",
+     "compose(id_0,id_0)=id_1 has wrong profile"),
+    (b_z2_smc(), "compose", ("g1", "g0"), "g0", "right unit law fails at g1"),
+    (b_z2_smc(), "compose", ("g0", "g1"), "g0", "left unit law fails at g1"),
+    (BZ3, "compose", ("g1", "g1"), "g0", "associativity fails at (g2,g1,g1)"),
+    (cyclic_group_smc(2), "tensor_obj", ("0", "1"), "0",
+     "tensor unit law fails on object '1'"),
+    (cyclic_group_smc(3), "tensor_obj", ("1", "1"), "1",
+     "tensor associativity fails on objects (1,1,2)"),
+    (b_z2_smc(), "tensor_mor", ("g1", "g1"), "g1",
+     "tensor interchange fails at (g1,g0,g0,g1)"),
+    (BZ3, "braiding", ("*", "*"), "g1", "braiding is not an involution at (*,*)"),
+], ids=["unit", "compose-profiles", "compose-result", "right-unit", "left-unit",
+        "associativity", "tensor-unit", "tensor-associativity", "interchange",
+        "involution"])
+def test_validate_smc_reports_the_first_broken_law(smc, table, key, value, violation):
+    """One corrupted row per law: the law it breaks is the first violation."""
+    rows = value if table == "unit" else {**getattr(smc, table), key: value}
+    assert validate_smc(dataclasses.replace(smc, **{table: rows}))[0] == violation
+
+
+def test_picard_check_names_a_morphism_that_is_not_invertible(monoid_smc):
+    assert picard_check(monoid_smc) == (False, ["morphism g0 is not invertible"])
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["sz2"])

@@ -207,6 +207,14 @@ def test_named_cells_small():
     assert named_cell(amb, "gamma", 1).edges == frozenset({"a_0", "a_1", "b_1", "c_1"})
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_named_cell_pi_at_level_n(n):
+    """pi_n keeps a_0..a_{n-1} and the level n-1 edges b_{n-1}, c_{n-1}."""
+    amb = c2_tensor_complex(n)
+    assert named_cell(amb, "pi", n, i=n).edges == \
+        frozenset([f"a_{t}" for t in range(n)] + [f"b_{n - 1}", f"c_{n - 1}"])
+
+
 def test_named_cell_d_faces():
     amb = c2_tensor_complex(1)
     d10 = named_cell(amb, "d", 1, i=1, j=0)    # contract c_1 in T_0
