@@ -140,10 +140,13 @@ class Violation:
 
 @dataclass
 class VerificationReport:
-    valid: bool
     classes_used: list[AnodyneClass]
     step_count: int
     violations: list[Violation] = field(default_factory=list)
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     @property
     def overall_class(self) -> AnodyneClass | None:
@@ -156,7 +159,6 @@ class VerificationReport:
                 + ("" if self.valid else f", {len(self.violations)} violations"))
 
     def fail(self, path: tuple[int, ...], message: str) -> None:
-        self.valid = False
         self.violations.append(Violation(path, message))
 
 
@@ -165,9 +167,7 @@ def _merge(rep: VerificationReport, sub_rep: VerificationReport) -> bool:
     returns whether the sub-certificate is valid."""
     rep.step_count += sub_rep.step_count
     rep.classes_used.extend(sub_rep.classes_used)
-    if not sub_rep.valid:
-        rep.valid = False
-        rep.violations.extend(sub_rep.violations)
+    rep.violations.extend(sub_rep.violations)
     return sub_rep.valid
 
 
@@ -201,7 +201,7 @@ def _verify(cert: Certificate, path: tuple[int, ...], amb: Complex | None,
             within: int) -> VerificationReport:
     """Check `cert` on the cells in the mask `within` (-1: all) of `amb`, or
     of its own ambient for None; nested steps are checked in the same one."""
-    rep = VerificationReport(valid=True, classes_used=[], step_count=0)
+    rep = VerificationReport(classes_used=[], step_count=0)
     try:
         amb = cert.ambient() if amb is None else amb
         start = _closure_within(amb, within, cert.start)
@@ -415,15 +415,11 @@ def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
             current |= amb.masks[i]
             continue
         key = amb.attachment(i, current)
-        if key is None:
+        if key is None:     # a union of closures meets a cell missing one face in its horn
             missing = [f.key for f, j in zip(amb.face_lists[i], amb.face_ids[i])
                        if not current >> j & 1]
-            if len(missing) != 1:
-                raise BuildError(
-                    f"cell {sorted(cell)} has {len(missing)} missing faces "
-                    f"({missing}); not a horn attachment")
-            raise BuildError(f"cell {sorted(cell)} does not meet the current "
-                             f"subcomplex in the horn at {missing[0]}")
+            raise BuildError(f"cell {sorted(cell)} has {len(missing)} missing faces "
+                             f"({missing}); not a horn attachment")
         steps.append(HornStep(cell, key))
         current |= amb.masks[i]
     return _filtration(amb, tuple(frozenset(c) for c in start_cells),

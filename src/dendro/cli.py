@@ -12,8 +12,7 @@ import argparse
 import json
 import sys
 
-from .anodyne import (BuildError, class_phrase, parse_class, search_certificate,
-                      verify_certificate)
+from .anodyne import class_phrase, parse_class, search_certificate, verify_certificate
 from .complexes import representable
 from .dot import tree_to_dot
 from .jsonio import (SchemaError, certificate_from_json, certificate_to_json,
@@ -23,7 +22,7 @@ from .kan import kan_report
 from .lemmas import LEMMA_IDS, LEMMAS, build_lemma_certificate
 from .nerves import dendrices, underlying_sset
 from .shuffles import shuffles
-from .trees import FACE_KINDS, TreeError, build_standard, classify_edges, faces
+from .trees import FACE_KINDS, build_standard, classify_edges, faces
 
 
 def _load_json(path: str):
@@ -316,8 +315,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (SchemaError, TreeError, BuildError, ValueError, OSError,
-            KeyError, RecursionError) as exc:
+    # SchemaError, TreeError and BuildError are ValueErrors
+    except (ValueError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

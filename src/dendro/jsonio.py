@@ -160,22 +160,24 @@ def tree_from_json(data, path: str = "$") -> Tree:
 def operad_to_json(p: FiniteOperad, max_arity: int = 3) -> dict:
     if not isinstance(p, TableOperad):
         p = table_operad_from(p, max_arity)
-    ops = sorted(p.profiles, key=str)
-    if all(isinstance(o, str) for o in ops) and len(set(ops)) == len(ops):
+    ops = list(p.profiles)
+    if all(isinstance(o, str) for o in ops):    # named, in the table's own order
         name = {o: o for o in ops}
     else:
+        ops.sort(key=str)
         name = {o: f"o{i}" for i, o in enumerate(ops)}
+    rank = {o: i for i, o in enumerate(ops)}
     return {
         "colours": sorted(p.colours),
         "operations": [{"name": name[o], "inputs": list(p.profiles[o][0]),
                         "output": p.profiles[o][1]} for o in ops],
         "identities": {c: name[i] for c, i in sorted(p.identities_table.items())},
         "composition": [{"f": name[f], "i": i, "g": name[g], "result": name[h]}
-                        for (f, i, g), h in sorted(p.composition.items(),
-                                                   key=lambda kv: (str(kv[0][0]), kv[0][1], str(kv[0][2])))],
+                        for (f, i, g), h in sorted(p.composition.items(), key=lambda kv: (
+                            rank[kv[0][0]], kv[0][1], rank[kv[0][2]]))],
         "symmetry": [{"f": name[f], "sigma": list(s), "result": name[g]}
                      for (f, s), g in sorted(p.symmetry.items(),
-                                             key=lambda kv: (str(kv[0][0]), kv[0][1]))],
+                                             key=lambda kv: (rank[kv[0][0]], kv[0][1]))],
     }
 
 

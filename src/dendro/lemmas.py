@@ -17,7 +17,6 @@ Four families, keyed by the ids used on the command line:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 from .anodyne import AnodyneClass, BuildError, Certificate, _horn_step, build_filtration
 from .complexes import Cell, Complex, _cell_key, reject_stumps, representable
@@ -25,10 +24,6 @@ from .shuffles import filtration_base
 from .trees import (COROLLA_FACE, ROOT_FACE, TOP_FACE, Tree, TreeError, Vertex, branch,
                     face, faces, has_root_horn, is_extended_corolla, stem_edges,
                     walk_up)
-
-
-def _dedup(cells: Iterable[Iterable[str]]) -> list[frozenset]:
-    return list(dict.fromkeys(map(frozenset, cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +100,7 @@ def extended_corolla_split_certificate(n: int, k: int) -> Certificate:
             order.append({a[i] for i in sub} | set(b) | {"d", "c"})
     order.append(set(a) | {"d", "c"})
     order.append(set(t.edges))
-    return build_filtration(amb, start, _dedup(order))
+    return build_filtration(amb, start, order)      # distinct cells by construction
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +137,16 @@ def codim_base_cells(tree: Tree, v_output: str) -> list[frozenset]:
     else:
         for d in tree.vertex_above(v_output).inputs:
             cells.append(branch(tree, d).edges)
-    return _dedup(cells)
+    return list(dict.fromkeys(map(frozenset, cells)))
 
 
-def _initial_subtree_codim(tree: Tree, cell_tree: Tree) -> int | None:
+def _initial_subtree_codim(tree: Tree, cell_tree: Tree) -> int:
     """The codimension of a cell as an initial subtree of the ambient tree
-    (segment vertices minus cell vertices), or None if it is not one."""
-    if cell_tree.root != tree.root:
-        return None
+    (segment vertices minus cell vertices).  The cell holds the root edge
+    with a vertex on it, so it came from contractions and top faces only
+    and its leaves cut every branch."""
     leaves = cell_tree.leaves
-    segment, capped = walk_up(tree, [tree.root], leaves)
-    if not capped:
-        return None
+    segment, _ = walk_up(tree, [tree.root], leaves)
     # the segment has a vertex above each of its edges but the cell's leaves
     return len(segment) - len(leaves) - len(cell_tree.vertices)
 
@@ -186,11 +179,8 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
             continue
         if ct.vertex_above(v_output) is None:
             continue
-        k = _initial_subtree_codim(tree, ct)
-        if k is None:
-            continue
         n = len(ct.vertices) - base_count + 1
-        by_nk.setdefault((n, k), []).append(es)
+        by_nk.setdefault((n, _initial_subtree_codim(tree, ct)), []).append(es)
     # chosen faces, built with n descending: contract the least input edge
     # of the distinguished vertex that is inner in the subtree
     chosen: dict[tuple[int, int], set[frozenset]] = {(big_n, 0): set()}
@@ -217,15 +207,10 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
 def codim_certificate(tree: Tree, v_output: str) -> Certificate:
     amb = representable(tree)
     base = codim_base_cells(tree, v_output)
-    order = codim_additions(amb, tree.edges, v_output)
+    additions = codim_additions(amb, tree.edges, v_output)
     present = amb.closure_mask(base)
-    final = []
-    for cl in order:
-        i = amb.index[cl]
-        if not present >> i & 1:
-            final.append(cl)
-            present |= amb.masks[i]
-    return build_filtration(amb, base, final)
+    # by ascending vertex count, so no addition lies in an earlier one's closure
+    return build_filtration(amb, base, [c for c in additions if not present >> amb.index[c] & 1])
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +233,15 @@ def root_horn_certificate(tree: Tree,
         if omitted not in [(COROLLA_FACE, e) for e in tree.leaves]:
             raise TreeError("a corolla root horn omits a leaf colour"
                             + (f", not {':'.join(omitted)}" if omitted else ""))
-        start = [f.subtree.edges for f in faces(tree) if f.key != omitted]
-        return build_filtration(representable(tree), start, [tree.edges])
-    if not has_root_horn(tree):
+    elif not has_root_horn(tree):
         raise TreeError("tree has no root horn")
-    if omitted not in (None, (ROOT_FACE, tree.root)):
+    elif omitted not in (None, (ROOT_FACE, tree.root)):
         raise TreeError(f"the root horn omits {ROOT_FACE}:{tree.root}, not {':'.join(omitted)}")
-    start = _dedup(f.subtree.edges for f in faces(tree) if f.kind != ROOT_FACE)
-    if is_extended_corolla(tree):
+    else:
+        omitted = (ROOT_FACE, tree.root)
+    # a stump-free tree's faces have distinct edge sets
+    start = [f.subtree.edges for f in faces(tree) if f.key != omitted]
+    if is_extended_corolla(tree):       # a corolla is one
         return build_filtration(representable(tree), start, [tree.edges])
     w_cert, a_prime, a0 = _root_horn_through_split(tree, start)
     section = tuple((e, e) for e in sorted(tree.edges))

@@ -338,6 +338,33 @@ def test_violation_texts_pinned(retract_tree, check_pinned):
         check_pinned(name, rep)
 
 
+def _retract_faults(retract_tree):
+    """name -> the retract certificate with one fault in its edge maps or
+    its sub-certificate."""
+    cert = root_horn_certificate(retract_tree)
+    r, s = dict(cert.retraction), dict(cert.section)
+    a_prime = next(e for e in r if e not in retract_tree.edges)
+    # the inner edge a and the root leaf b swapped in both maps: r o s is
+    # the identity and the full tree keeps its edge set, but not its shape
+    swap = {"a": "b", "b": "a"}
+    return {
+        "retract-retraction-outside-ambient": dataclasses.replace(
+            cert, retraction=tuple(sorted({**r, a_prime: "zz"}.items()))),
+        "retract-not-identity": dataclasses.replace(
+            cert, section=tuple(sorted({**s, "p": "q", "q": "p"}.items()))),
+        "retract-swapped-edges": dataclasses.replace(
+            cert, section=tuple(sorted({**s, **swap}.items())),
+            retraction=tuple(sorted({**r, **swap}.items()))),
+        "retract-invalid-sub": dataclasses.replace(
+            cert, sub=dataclasses.replace(cert.sub, steps=cert.sub.steps[:-1])),
+    }
+
+
+def test_retract_violation_texts_pinned(retract_tree, check_pinned):
+    for name, bad in _retract_faults(retract_tree).items():
+        check_pinned(name, verify_certificate(bad))
+
+
 # -- order robustness -------------------------------------------------------
 
 def permuted_replay(cert: Certificate, seed: int):

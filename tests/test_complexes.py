@@ -159,6 +159,18 @@ _ATTACH_AMBIENTS = [representable(t) for t in tree_shapes(4)] + \
     [c2_tensor_complex(1), c2_tensor_complex(2)]
 
 
+def test_a_cell_attaches_along_the_one_face_outside_the_others():
+    """The closure of all faces of a cell but one is a union of closures
+    missing that one face, and the cell attaches to it along that face:
+    with one face missing, the meet is always the horn."""
+    for tree in tree_shapes(4):
+        amb = Complex([tree])
+        for i, ids in enumerate(amb.face_ids):
+            for k, j in enumerate(ids):
+                assert amb.attachment(i, amb._kept_closure(i, j)) == \
+                    amb.face_lists[i][k].key, (tree, amb.order[i], k)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_attachment_matches_brute_force(data):

@@ -112,16 +112,19 @@ def test_operad_roundtrip(name, arity):
     assert validate_operad(back, max_arity=1) == []
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_operad_json_of_a_loaded_table_keeps_its_names(name):
-    """A loaded table is written under its own operation names; reading
-    that back gives the same table, and the next round trip is
-    byte-identical."""
-    table = operad_from_json(operad_to_json(CORPUS[name](), 3))
+@pytest.mark.parametrize("name,arity", [(n, a) for n in sorted(CORPUS) for a in (3, 4)],
+                         ids=[n + ("" if a == 3 else f"-arity{a}")
+                              for n in sorted(CORPUS) for a in (3, 4)])
+def test_operad_json_of_a_loaded_table_keeps_its_names(name, arity):
+    """A loaded table is written under its own operation names in its own
+    order, so the first write-load-write round trip is byte-identical, even
+    past ten operations, where name order is not listing order."""
+    first = operad_to_json(CORPUS[name](), arity)
+    table = operad_from_json(first)
     doc = operad_to_json(table)
     assert {op["name"] for op in doc["operations"]} == table.profiles.keys()
     assert operad_from_json(doc) == table
-    assert dumps(operad_to_json(operad_from_json(doc))) == dumps(doc)
+    assert dumps(doc) == dumps(first)
 
 
 def test_operad_schema_errors():

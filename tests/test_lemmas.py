@@ -75,6 +75,18 @@ def test_codim_certificate_samples():
         assert all(c is AnodyneClass.INNER for c in rep.classes_used)
 
 
+def test_codim_certificate_is_inner_at_every_vertex():
+    """Every vertex of every tree of 2 to 4 vertices: below a vertex other
+    than the root's, the base segment has 2 vertices or more."""
+    pairs = [(tree, v.output) for tree in tree_shapes(4) if len(tree.vertices) >= 2
+             for v in tree.vertices]
+    assert len(pairs) == 859
+    for tree, v in pairs:
+        rep = verify_certificate(codim_certificate(tree, v))
+        assert rep.valid, (tree, v, rep.violations)
+        assert all(c is AnodyneClass.INNER for c in rep.classes_used), (tree, v)
+
+
 def test_codim_base_cells_unknown_vertex():
     with pytest.raises(TreeError):
         codim_base_cells(c2(), "zz")

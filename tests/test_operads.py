@@ -160,6 +160,21 @@ def test_validate_operad_detects_corrupted_composition(bz2):
     assert violations
 
 
+@pytest.mark.parametrize("table,violation", [
+    ("identities_table", "identity of colour 0 has wrong profile"),
+    ("symmetry", "symmetry action breaks profile: sigma=(1, 0) on "
+                 "(('0', '1'), '1', 'id_1')"),
+], ids=["identity", "symmetry"])
+def test_validate_operad_reports_a_row_of_the_wrong_profile(table, violation):
+    """A wrong identity or symmetry row gives a violation, not a `KeyError`
+    from a law that composes along it."""
+    good = table_operad_from(CORPUS["z2"](), 2)
+    f = next(op for op in good.profiles if good.profiles[op][0] == ("0", "1"))
+    rows = {"identities_table": {**good.identities_table, "0": f},
+            "symmetry": {**good.symmetry, (f, (1, 0)): f}}[table]
+    assert validate_operad(dataclasses.replace(good, **{table: rows}), 2) == [violation]
+
+
 def bubble_sort_iso(smc: FiniteSMC, objs, sigma) -> str:
     """The reference oracle for `FiniteSMC.permutation_iso`: bubble-sort
     the word sigma, composing one whiskered adjacent braiding per swap."""
