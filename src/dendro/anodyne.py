@@ -328,6 +328,11 @@ def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
         return
     sub_start = sub_amb.closure_mask(sub.start)
     sub_target = sub_amb.closure_mask(sub.target)
+    if _carried(amb, sub_amb, s, target, sub_target) \
+            and _carried(amb, sub_amb, s, start, sub_start) \
+            and _carried(sub_amb, amb, r, sub_target, target) \
+            and _carried(sub_amb, amb, r, sub_start, start):
+        return
     for label, c in _uncarried(amb, sub_amb, s, ((target, sub_target),
                                                  (start, sub_start))):
         rep.fail(path, f"section does not carry {label} cell {sorted(c)} "
@@ -338,12 +343,40 @@ def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
                        f"into the {label}")
 
 
+def _carried(src: Complex, dst: Complex, edge_map: dict[str, str],
+             mask: int, image: int) -> bool:
+    """Whether the edge map carries every cell of the closure `mask` onto a
+    cell of the closure `image` with the mapped tree, checked on the
+    maximal cells of `mask` only.
+
+    That suffices.  A map that carries a tree T onto a tree T' of `dst` is a
+    surjective map of trees T -> T': degeneracies collapsing the unary
+    vertices whose input and output meet, then an isomorphism.  Composed
+    with a face F -> T, it factors as a surjection of F onto its image F',
+    the subtree of T' on the mapped edges of F, followed by faces of T' (the
+    dendroidal identities; Moerdijk-Weiss, *Dendroidal sets*, 2007).  So the
+    map carries F onto F', a cell of `dst`, which holds the closure of T',
+    and of `image`, a closure holding T'; by induction it carries every
+    iterated face of T.  Every cell of `mask` is an iterated face of a
+    maximal one, and a maximal cell is a cell of `mask`, so the check fails
+    exactly when `_uncarried` finds a cell."""
+    while mask:
+        i = mask.bit_length() - 1       # no later cell is left, so i is maximal
+        j = dst.index.get(frozenset(edge_map[e] for e in src.order[i]))
+        if j is None or not image >> j & 1 \
+                or not _carries(src.cell_trees[i], edge_map, dst.cell_trees[j]):
+            return False
+        mask &= ~src.masks[i]
+    return True
+
+
 def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
                pairs) -> list[tuple[str, Cell]]:
     """(label, cell) for each cell of a source target, then start, in cell
     order, that the edge map does not carry onto a cell of the matching
     image with the mapped tree; `pairs` holds the (source, image) masks of
-    the targets and of the starts."""
+    the targets and of the starts.  This is the reference walk over every
+    cell, which words the violations once `_carried` has failed."""
     images: dict[int, int | None] = {}      # cell -> its image cell, if carried
     out = []
     for label, (mask, image) in zip(("target", "start"), pairs):

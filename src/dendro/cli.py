@@ -21,6 +21,7 @@ from .jsonio import (SchemaError, certificate_from_json, certificate_to_json,
 from .kan import kan_report
 from .lemmas import LEMMA_IDS, LEMMAS, build_lemma_certificate
 from .nerves import dendrices, underlying_sset
+from .operads import TableOperad
 from .shuffles import shuffles
 from .trees import FACE_KINDS, build_standard, classify_edges, faces
 
@@ -126,6 +127,13 @@ def _cmd_nerve(args) -> int:
 
 def _cmd_kan(args) -> int:
     p = load_operad(_load_json(args.operad))
+    # a tree of at most `bound` vertices of arity at most `max_arity` has
+    # at most this many leaves, the arity of the composite of all its vertices
+    need = args.bound * (args.max_arity - 1) + 1
+    if isinstance(p, TableOperad) and p.arity < need:
+        raise ValueError(f"--bound {args.bound} with --max-arity {args.max_arity} "
+                         f"needs a table of arity {need}; this one stops at "
+                         f"arity {p.arity}")
     rep = kan_report(p, args.bound, max_arity=args.max_arity)
     if args.format == "json":
         _emit(dumps(kan_report_to_json(rep)))

@@ -228,6 +228,15 @@ def root_horn_certificate(tree: Tree,
     horn inclusion is certified as a retract through the tree with one
     extra stem edge.
     """
+    return _root_horn(tree, omitted, {})
+
+
+def _root_horn(tree: Tree, omitted: tuple[str, str] | None,
+               memo: dict[tuple, Certificate]) -> Certificate:
+    """`root_horn_certificate`, sharing through `memo` the nested root-horn
+    certificates of one top-level call, keyed by their cell trees' written
+    form `(root, vertices)`: a certificate is immutable, so a cell tree
+    written alike gets the same one."""
     reject_stumps(tree)
     if len(tree.vertices) == 1:
         if omitted not in [(COROLLA_FACE, e) for e in tree.leaves]:
@@ -243,7 +252,7 @@ def root_horn_certificate(tree: Tree,
     start = [f.subtree.edges for f in faces(tree) if f.key != omitted]
     if is_extended_corolla(tree):       # a corolla is one
         return build_filtration(representable(tree), start, [tree.edges])
-    w_cert, a_prime, a0 = _root_horn_through_split(tree, start)
+    w_cert, a_prime, a0 = _root_horn_through_split(tree, start, memo)
     section = tuple((e, e) for e in sorted(tree.edges))
     retraction = tuple(sorted([(a_prime, a0)] + [(e, e) for e in tree.edges]))
     # the tree is W's inner face at a', so W's complex holds its closure
@@ -263,7 +272,7 @@ def _fresh(base: str, taken) -> str:
     return name
 
 
-def _root_horn_through_split(tree: Tree, start_cells):
+def _root_horn_through_split(tree: Tree, start_cells, memo: dict[tuple, Certificate]):
     """Certify horn -> full split tree W, where W inserts one fresh edge a'
     between the stem and the tree top of the branch above the root vertex.
     Returns (certificate over W, the fresh edge, the edge below it)."""
@@ -339,7 +348,11 @@ def _root_horn_through_split(tree: Tree, start_cells):
                      for E in itertools.combinations(pool, esize)]
             for cl in sorted(batch, key=_cell_key):
                 if not present >> amb.index_of(cl) & 1:
-                    plan(cl, sub_cert=root_horn_certificate(amb.tree_of(cl)))
+                    sub = amb.tree_of(cl)
+                    key = (sub.root, sub.vertices)
+                    if key not in memo:
+                        memo[key] = _root_horn(sub, None, memo)
+                    plan(cl, sub_cert=memo[key])
     # Step 4: the root face of W at the inner horn of a', then W itself
     plan(frozenset(w.edges - ({c} | b_edges)))
     plan(frozenset(w.edges))

@@ -317,6 +317,12 @@ class TableOperad(FiniteOperad):
             index.setdefault(prof, []).append(op)
         return {prof: tuple(ops) for prof, ops in index.items()}
 
+    @property
+    def arity(self) -> int:
+        """The largest arity of a listed operation: the table holds no
+        composite above it."""
+        return max((len(ins) for ins, _ in self.profiles.values()), default=0)
+
     def op_profile(self, op):
         return self.profiles[op]
 
@@ -460,13 +466,18 @@ def validate_operad(p: FiniteOperad, max_arity: int = 3) -> list[str]:
     associativity shapes, and equivariance of composition under the
     symmetric group actions.  Each violation names the failing instance.
     The laws compose along the listed, identity and permuted profiles, so
-    a wrong one ends the check before them.  A table holds no composite
+    a wrong one ends the check before them, and so does a table row they
+    would read that is missing (`_table_gaps`).  A table holds no composite
     above its largest listed arity, so there a law instance is checked only
     when every composite it forms fits (in the parallel shape, f o_j h
     outgrows the whole when g is nullary).
     """
-    top = max((len(ins) for ins, _ in p.profiles.values()), default=0) \
-        if isinstance(p, TableOperad) else math.inf
+    top = math.inf
+    if isinstance(p, TableOperad):
+        top = p.arity
+        gaps = _table_gaps(p)
+        if gaps:
+            return gaps
     bad: list[str] = []
     ops: list = []
     for inputs, output in _profiles_upto(p.colours, max_arity):
@@ -534,6 +545,32 @@ def validate_operad(p: FiniteOperad, max_arity: int = 3) -> list[str]:
                 comp = tuple(sigma[t] for t in tau)
                 if p.permute(sf, tau) != p.permute(f, comp):
                     bad.append(f"symmetry action not functorial: {tau} after {sigma} on {f}")
+    return bad
+
+
+def _table_gaps(p: TableOperad) -> list[str]:
+    """The rows missing from a table, as violations.  Each colour needs an
+    identity, each listed operation a row for each permutation but the
+    identity, and each composite within the table's arity a row; each row
+    gives a listed operation, a composite one of the composite's profile.
+    With none missing, the laws read only rows that are there."""
+    listed, top = p.profiles, p.arity
+    bad = [f"identity of colour {c} is not a listed operation"
+           for c in p.colours if p.identities_table.get(c) not in listed]
+    for f, (fin, fout) in listed.items():
+        # the identity permutation comes first and needs no row
+        for sigma in itertools.islice(itertools.permutations(range(len(fin))), 1, None):
+            if p.symmetry.get((f, sigma)) not in listed:
+                bad.append(f"symmetry table has no listed operation for sigma={sigma} on {f}")
+        for i, ci in enumerate(fin):
+            for g, (gin, gout) in listed.items():
+                if gout != ci or len(fin) + len(gin) - 1 > top:
+                    continue
+                fg = p.composition.get((f, i, g))
+                if fg not in listed:
+                    bad.append(f"composition table has no listed operation for {f} o_{i} {g}")
+                elif listed[fg] != (fin[:i] + gin + fin[i + 1:], fout):
+                    bad.append(f"composition breaks profile: {f} o_{i} {g}")
     return bad
 
 

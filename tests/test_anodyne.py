@@ -6,16 +6,18 @@ import random
 import pytest
 
 from dendro.anodyne import (AnodyneClass, BuildError, Certificate, HornStep,
-                            NestedStep, SearchResult, build_filtration,
-                            certificate_class, class_phrase, generator_class,
-                            parse_class, search_certificate, verify_certificate)
+                            NestedStep, SearchResult, _carried, _uncarried,
+                            build_filtration, certificate_class, class_phrase,
+                            generator_class, parse_class, search_certificate,
+                            verify_certificate)
 from dendro.complexes import representable
+from dendro.kan import tree_shapes
 from dendro.lemmas import (binary_tensor_certificate, codim_base_cells,
                            extended_corolla_split_certificate,
                            root_horn_certificate)
 from dendro.shuffles import c2_shuffle
 from dendro.trees import (ROOT_FACE, Tree, TreeError, Vertex, c2, corolla,
-                          extended_corolla, faces, graft, linear)
+                          extended_corolla, faces, graft, has_root_horn, linear)
 
 
 @pytest.fixture
@@ -363,6 +365,65 @@ def _retract_faults(retract_tree):
 def test_retract_violation_texts_pinned(retract_tree, check_pinned):
     for name, bad in _retract_faults(retract_tree).items():
         check_pinned(name, verify_certificate(bad))
+
+
+def _retract_nodes(cert, out: dict) -> dict:
+    """The retract nodes of a certificate, keyed by their ambient tree's
+    written form (a node is fixed by it)."""
+    if cert.kind == "retract":
+        g = cert.ambient_generators[0]
+        out.setdefault((g.root, g.vertices), cert)
+        _retract_nodes(cert.sub, out)
+    for step in cert.steps:
+        if isinstance(step, NestedStep):
+            _retract_nodes(step.certificate, out)
+    return out
+
+
+def _mutants(rng, edge_map: dict, tree: Tree, codomain: list, count: int):
+    """The map itself, then `count` maps with one seeded change each: an
+    edge sent elsewhere in the codomain, two edges' images swapped, or the
+    images of two inputs of one vertex swapped."""
+    domain = sorted(edge_map)
+    siblings = [v.inputs for v in tree.vertices if len(v.inputs) >= 2]
+    yield dict(edge_map)
+    for _ in range(count):
+        m = dict(edge_map)
+        kind = rng.randrange(3)
+        if kind == 0:
+            m[rng.choice(domain)] = rng.choice(codomain)
+        else:
+            a, b = rng.sample(rng.choice(siblings) if kind == 2 else domain, 2)
+            m[a], m[b] = m[b], m[a]
+        yield m
+
+
+def test_generator_retract_check_agrees_with_the_cell_walk():
+    """On every retract node of the root horns of `tree_shapes(4)`, with
+    its section and retraction and seeded mutations of them, checking the
+    maximal cells of the start and target passes exactly when the per-cell
+    walk `_uncarried` finds no cell."""
+    nodes: dict = {}
+    for tree in tree_shapes(4):
+        if len(tree.vertices) >= 2 and has_root_horn(tree):
+            _retract_nodes(root_horn_certificate(tree), nodes)
+    rng = random.Random(29)
+    outcomes = {True: 0, False: 0}
+    for node in nodes.values():
+        amb, sub_amb = node.ambient(), node.sub.ambient()
+        start, target = amb.closure_mask(node.start), amb.closure_mask(node.target)
+        sub_start = sub_amb.closure_mask(node.sub.start)
+        sub_target = sub_amb.closure_mask(node.sub.target)
+        for src, dst, edge_map, pairs in (
+                (amb, sub_amb, node.section, ((target, sub_target), (start, sub_start))),
+                (sub_amb, amb, node.retraction, ((sub_target, target), (sub_start, start)))):
+            codomain = sorted(dst.order[-1])
+            for m in _mutants(rng, dict(edge_map), src.cell_trees[-1], codomain, 10):
+                carried = all(_carried(src, dst, m, mask, image) for mask, image in pairs)
+                assert carried == (not _uncarried(src, dst, m, pairs)), (node, m)
+                outcomes[carried] += 1
+    assert len(nodes) == 678
+    assert min(outcomes.values()) > 4000, outcomes
 
 
 # -- order robustness -------------------------------------------------------

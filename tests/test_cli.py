@@ -177,6 +177,22 @@ def test_kan_check_strict_one_object(tmp_path):
                  "--strict"]) == 0
 
 
+def test_kan_check_on_a_table_too_small_is_input_error(capsys, tmp_path):
+    """At bound b and arity cap a, faces compose up to arity b(a - 1) + 1.
+    A table that stops below it exits 2 before any work, naming the arity
+    needed (it used to stop on a missing composition row)."""
+    path = tmp_path / "z2_a3.json"
+    path.write_text(dumps(operad_to_json(table_operad_from(CORPUS["z2"](), 3))))
+    assert main(["kan", "check", "--operad", str(path), "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --bound 2 with --max-arity 3 needs a table of "
+                            "arity 5; this one stops at arity 3\n")
+    assert main(["kan", "check", "--operad", str(path), "--bound", "2",
+                 "--max-arity", "2", "--format", "text"]) == 0
+    assert "fully_kan=True" in capsys.readouterr().out
+
+
 # -- shuffle ----------------------------------------------------------------
 
 def test_shuffle_list_text(capsys, c2_file):

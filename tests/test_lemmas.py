@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import dendro
-from dendro.anodyne import AnodyneClass, HornStep, verify_certificate
+from dendro import lemmas
+from dendro.anodyne import AnodyneClass, HornStep, NestedStep, verify_certificate
 from dendro.kan import tree_shapes
 from dendro.lemmas import (LEMMA_IDS, binary_tensor_certificate,
                            build_lemma_certificate, codim_base_cells,
@@ -173,6 +174,47 @@ def test_root_horn_certificates_do_not_depend_on_earlier_builds():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["valid: 261 steps, class EXTENDED_LEFT",
                                         "valid: 2523 steps, class EXTENDED_LEFT"]
+
+
+def _nested_steps(cert):
+    """Every nested step of a certificate, each time it occurs."""
+    if cert.kind == "retract":
+        yield from _nested_steps(cert.sub)
+    for step in cert.steps:
+        if isinstance(step, NestedStep):
+            yield step
+            yield from _nested_steps(step.certificate)
+
+
+def test_root_horn_certificate_builds_each_nested_cell_tree_once(monkeypatch):
+    """Within one call, a nested cell tree written alike, the same
+    `(root, vertices)`, gets one sub-certificate, built once.  Over the
+    multi-vertex root horns of `tree_shapes(4)`, 306 of the 1,296 nested
+    steps reuse one."""
+    calls = []
+    build = lemmas._root_horn
+
+    def counting(tree, omitted, memo):
+        calls.append((tree.root, tree.vertices))
+        return build(tree, omitted, memo)
+
+    monkeypatch.setattr(lemmas, "_root_horn", counting)
+    steps = shared = 0
+    for tree in tree_shapes(4):
+        if len(tree.vertices) < 2 or not has_root_horn(tree):
+            continue
+        calls.clear()
+        cert = root_horn_certificate(tree)
+        by_tree: dict = {}
+        nested = list(_nested_steps(cert))
+        for step in nested:
+            g = step.certificate.ambient_generators[0]
+            by_tree.setdefault((g.root, g.vertices), set()).add(id(step.certificate))
+        assert all(len(ids) == 1 for ids in by_tree.values()), tree
+        assert len(set(calls)) == len(calls) and set(calls[1:]) == by_tree.keys(), tree
+        steps += len(nested)
+        shared += len(nested) - len(by_tree)
+    assert (steps, shared) == (1296, 306)
 
 
 def test_shuffled_five_vertex_root_horns_build_in_one_process():

@@ -175,6 +175,36 @@ def test_validate_operad_reports_a_row_of_the_wrong_profile(table, violation):
     assert validate_operad(dataclasses.replace(good, **{table: rows}), 2) == [violation]
 
 
+def _without(rows: dict, key) -> dict:
+    return {k: v for k, v in rows.items() if k != key}
+
+
+@pytest.mark.parametrize("table,violation", [
+    ("composition", "composition table has no listed operation for "
+                    "(('0', '1'), '1', 'id_1') o_0 (('0',), '0', 'id_0')"),
+    ("identity", "identity of colour 0 is not a listed operation"),
+    ("symmetry", "symmetry table has no listed operation for sigma=(1, 0) on "
+                 "(('0', '1'), '1', 'id_1')"),
+    ("composite", "composition breaks profile: "
+                  "(('0', '1'), '1', 'id_1') o_0 (('0',), '0', 'id_0')"),
+], ids=["composition", "identity", "symmetry", "composite-profile"])
+def test_validate_operad_reports_a_missing_row(table, violation):
+    """A composition row deleted within the table's arity, an identity
+    renamed to an unlisted operation, a deleted non-identity symmetry row
+    and a composite of the wrong profile, which the nested associativity
+    law would compose along, each give a violation (each raised
+    `KeyError`)."""
+    good = table_operad_from(CORPUS["z2"](), 2)
+    f = next(op for op in good.profiles if good.profiles[op][0] == ("0", "1"))
+    key = (f, 0, good.identity("0"))
+    table, rows = {
+        "composition": ("composition", _without(good.composition, key)),
+        "identity": ("identities_table", {**good.identities_table, "0": "zz"}),
+        "symmetry": ("symmetry", _without(good.symmetry, (f, (1, 0)))),
+        "composite": ("composition", {**good.composition, key: good.identity("1")})}[table]
+    assert validate_operad(dataclasses.replace(good, **{table: rows}), 2) == [violation]
+
+
 def bubble_sort_iso(smc: FiniteSMC, objs, sigma) -> str:
     """The reference oracle for `FiniteSMC.permutation_iso`: bubble-sort
     the word sigma, composing one whiskered adjacent braiding per swap."""
