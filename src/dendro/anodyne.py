@@ -377,18 +377,12 @@ def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
     image with the mapped tree; `pairs` holds the (source, image) masks of
     the targets and of the starts.  This is the reference walk over every
     cell, which words the violations once `_carried` has failed."""
-    images: dict[int, int | None] = {}      # cell -> its image cell, if carried
     out = []
     for label, (mask, image) in zip(("target", "start"), pairs):
         for i in src.indices(mask):
-            if i not in images:
-                j = dst.index.get(frozenset(edge_map[e] for e in src.order[i]))
-                if j is not None and not _carries(src.cell_trees[i], edge_map,
-                                                  dst.cell_trees[j]):
-                    j = None
-                images[i] = j
-            j = images[i]
-            if j is None or not image >> j & 1:
+            j = dst.index.get(frozenset(edge_map[e] for e in src.order[i]))
+            if j is None or not image >> j & 1 \
+                    or not _carries(src.cell_trees[i], edge_map, dst.cell_trees[j]):
                 out.append((label, src.order[i]))
     return out
 
@@ -456,7 +450,7 @@ def build_filtration(amb: Complex, start_cells: Sequence[Iterable[str]],
         steps.append(HornStep(cell, key))
         current |= amb.masks[i]
     return _filtration(amb, tuple(frozenset(c) for c in start_cells),
-                       tuple(sorted(amb.cells, key=sorted)), tuple(steps))
+                       tuple(sorted(amb.order, key=sorted)), tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .dot import tree_to_dot
 from .jsonio import (SchemaError, certificate_from_json, certificate_to_json,
                      dendrex_to_json, dumps, kan_report_to_json, load_operad,
                      tree_from_json, tree_to_json)
-from .kan import kan_report
+from .kan import arity_needed, kan_report
 from .lemmas import LEMMA_IDS, LEMMAS, build_lemma_certificate
 from .nerves import dendrices, underlying_sset
 from .operads import TableOperad
@@ -127,9 +127,7 @@ def _cmd_nerve(args) -> int:
 
 def _cmd_kan(args) -> int:
     p = load_operad(_load_json(args.operad))
-    # a tree of at most `bound` vertices of arity at most `max_arity` has
-    # at most this many leaves, the arity of the composite of all its vertices
-    need = args.bound * (args.max_arity - 1) + 1
+    need = arity_needed(args.bound, args.max_arity)
     if isinstance(p, TableOperad) and p.arity < need:
         raise ValueError(f"--bound {args.bound} with --max-arity {args.max_arity} "
                          f"needs a table of arity {need}; this one stops at "

@@ -74,9 +74,8 @@ class Complex:
                     raise ValueError(f"generators disagree on cell {sorted(es)}")
                 found[es] = t
         self.order: tuple[Cell, ...] = tuple(sorted(found, key=_cell_key))
-        self.cells: dict[Cell, Tree] = {c: found[c] for c in self.order}
         self.index: dict[Cell, int] = {c: i for i, c in enumerate(self.order)}
-        self.cell_trees: tuple[Tree, ...] = tuple(self.cells.values())
+        self.cell_trees: tuple[Tree, ...] = tuple([found[c] for c in self.order])
         self.face_lists: list[list[FaceDescriptor]] = []
         self.face_ids: list[list[int]] = []
         self.masks: list[int] = []
@@ -93,6 +92,11 @@ class Complex:
         self.full_mask = (1 << len(self.order)) - 1
 
     # -- cells and masks ----------------------------------------------------
+
+    @property
+    def cells(self) -> dict[Cell, Tree]:
+        """Cell -> its tree, in index order, built from `order` and `cell_trees`."""
+        return dict(zip(self.order, self.cell_trees))
 
     def index_of(self, cell: Iterable[str]) -> int:
         try:

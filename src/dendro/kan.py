@@ -65,7 +65,7 @@ from .complexes import Complex
 from .nerves import (CompiledShape, Dendrex, count_dendrices, dendrices, face_of, grow,
                      tuple_getter)
 from .nerves import dendrices_with_colours  # noqa: F401  (perfbench traces this binding)
-from .operads import FiniteOperad
+from .operads import FiniteOperad, TableOperad
 from .trees import HornSpec, Tree, Vertex, classify_horn, face_count, faces
 
 
@@ -209,17 +209,32 @@ def _tree_from_key(key) -> Tree:
     return Tree(tuple(vertices), root)
 
 
+def arity_needed(max_vertices: int, max_arity: int) -> int:
+    """b(a - 1) + 1: a tree of at most b vertices of arity at most a has at
+    most this many leaves, the arity of the composite of all its vertices,
+    so a `TableOperad` answers `kan_report` at these bounds only up to it."""
+    return max_vertices * (max_arity - 1) + 1
+
+
 def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
                name: str | None = None) -> KanReport:
+    """Raises ValueError, before any work, for a bound below 1 or a
+    `TableOperad` that stops below `arity_needed`.  Asks `p.cancellative()`
+    once, when some shape has >= 3 vertices."""
     for param, value in (("max_vertices", max_vertices), ("max_arity", max_arity)):
         if value < 1:
             raise ValueError(f"{param} must be >= 1, got {value}")
+    need = arity_needed(max_vertices, max_arity)
+    if isinstance(p, TableOperad) and p.arity < need:
+        raise ValueError(f"max_vertices {max_vertices} with max_arity {max_arity} needs "
+                         f"a table of arity {need}; this one stops at arity {p.arity}")
+    cancels = max_vertices >= 3 and p.cancellative()
     rep = KanReport(operad_name=name or getattr(p, "name", "operad"),
                     max_vertices=max_vertices, max_arity=max_arity,
                     inner_kan=True, dendroidal_kan=True, fully_kan=True,
                     strict=True, fully_unique=True)
     for tree in tree_shapes(max_vertices, max_arity):
-        if len(tree.vertices) >= 3 and p.cancellative():
+        if cancels and len(tree.vertices) >= 3:
             rep.horns_checked += face_count(tree) * count_dendrices(p, tree)
             continue
         shape = CompiledShape(p, Complex([tree]))

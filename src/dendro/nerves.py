@@ -27,7 +27,7 @@ from .trees import (COROLLA_FACE, INNER_FACE, ROOT_FACE, TOP_FACE,
 class Dendrex:
     """A labelled tree: edge -> colour and vertex output edge -> operation."""
 
-    __slots__ = ("shape", "edge_colours", "vertex_ops", "_hash")
+    __slots__ = ("shape", "edge_colours", "vertex_ops")
 
     def __init__(self, shape: Tree, edge_colours: dict[str, str], vertex_ops: dict):
         if edge_colours.keys() != shape.edges:
@@ -37,7 +37,6 @@ class Dendrex:
         self.shape = shape
         self.edge_colours = dict(edge_colours)
         self.vertex_ops = dict(vertex_ops)
-        self._hash = None
 
     def __eq__(self, other):
         if self is other:
@@ -49,11 +48,8 @@ class Dendrex:
                 and self.vertex_ops == other.vertex_ops)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.shape,
-                               frozenset(self.edge_colours.items()),
-                               frozenset(self.vertex_ops.items())))
-        return self._hash
+        return hash((self.shape, frozenset(self.edge_colours.items()),
+                     frozenset(self.vertex_ops.items())))
 
     def __repr__(self):
         cols = ", ".join(f"{e}:{c}" for e, c in sorted(self.edge_colours.items()))

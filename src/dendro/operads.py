@@ -363,16 +363,13 @@ class SMCOperad(FiniteOperad):
             partial(_smc_operations_from, smc, self.colours))
         self.compose = partial(_smc_compose, smc)
         self.permute = partial(_smc_permute, smc, {})
-        self._cancellative: bool | None = None
 
     def cancellative(self) -> bool:
         """The SMC passes `validate_smc`, and for all objects L, R and every
         morphism g, with W = (1_L (x) g) (x) 1_R (the morphism of `o_i`),
         w -> w W is injective on each hom set and, for each w, g -> w W is
-        injective on each Hom(a, b).  Computed on the first call."""
-        if self._cancellative is None:
-            self._cancellative = not validate_smc(self.smc) and _smc_cancels(self.smc)
-        return self._cancellative
+        injective on each Hom(a, b).  Computed on each call."""
+        return not validate_smc(self.smc) and _smc_cancels(self.smc)
 
     def operations(self, inputs, output):
         for c, ops in self.operations_from(tuple(inputs)):

@@ -41,8 +41,7 @@ class Vertex:
 class Tree:
     """A finite rooted tree with pairwise distinct edge names."""
 
-    __slots__ = ("vertices", "root", "_above", "_below", "edges", "_key",
-                 "_norm", "_hash", "_faces", "__weakref__")
+    __slots__ = ("vertices", "root", "_above", "_below", "edges", "_faces", "__weakref__")
 
     def __init__(self, vertices: Iterable[Vertex], root: str):
         vertices = tuple(vertices)
@@ -80,9 +79,7 @@ class Tree:
         above = {v.output: v for v in vertices}
         below = {e: v for v in vertices for e in v.inputs}
         for name, value in (("vertices", vertices), ("root", root), ("_above", above),
-                            ("_below", below), ("edges", edges),
-                            ("_key", None), ("_norm", None), ("_hash", None),
-                            ("_faces", None)):
+                            ("_below", below), ("edges", edges), ("_faces", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -107,10 +104,7 @@ class Tree:
     # -- equality up to input reordering -----------------------------------
 
     def _normal(self):
-        if self._norm is None:
-            object.__setattr__(self, "_norm", (self.root, tuple(
-                [(frozenset(v.inputs), v.output) for v in self.vertices])))
-        return self._norm
+        return self.root, tuple([(frozenset(v.inputs), v.output) for v in self.vertices])
 
     def __eq__(self, other):
         if self is other:
@@ -120,9 +114,7 @@ class Tree:
         return self._normal() == other._normal()
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._normal()))
-        return self._hash
+        return hash(self._normal())
 
     def __repr__(self):
         if not self.vertices:
@@ -134,9 +126,7 @@ class Tree:
 
     def canonical_key(self):
         """Shape invariant: equal keys iff the trees are isomorphic."""
-        if self._key is None:
-            object.__setattr__(self, "_key", self._branch_words(self.root)[self.root])
-        return self._key
+        return self._branch_words(self.root)[self.root]
 
     def _branch_words(self, edge: str) -> dict[str, str]:
         """The shape of the branch above each edge from `edge` up as a word:

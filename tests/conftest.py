@@ -2,6 +2,7 @@
 oracle and a few common tree shapes."""
 
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -110,6 +111,32 @@ def unfaithful_groupoid_smc():
     return FiniteSMC(objects=objs, unit="u", profile=profile, compose=compose,
                      identities=ident, tensor_obj=t_obj, tensor_mor=t_mor,
                      braiding=braid)
+
+
+@pytest.fixture(scope="session")
+def contractible_picard_smc():
+    """A Picard groupoid that is not skeletal: objects 0 and 1 (the unit is
+    0), exactly one morphism between any two objects, and tensor addition
+    mod 2, on morphisms too; every braiding is an identity."""
+    objs = ("0", "1")
+
+    def mor(a, b):
+        return f"m_{a}{b}"
+
+    def add(a, b):
+        return str((int(a) + int(b)) % 2)
+
+    homs = list(itertools.product(objs, repeat=2))
+    return FiniteSMC(
+        objects=objs, unit="0",
+        profile={mor(a, b): (a, b) for a, b in homs},
+        compose={(mor(b, c), mor(a, b)): mor(a, c)
+                 for a, b, c in itertools.product(objs, repeat=3)},
+        identities={o: mor(o, o) for o in objs},
+        tensor_obj={(a, b): add(a, b) for a, b in homs},
+        tensor_mor={(mor(a, b), mor(c, d)): mor(add(a, c), add(b, d))
+                    for (a, b), (c, d) in itertools.product(homs, repeat=2)},
+        braiding={(a, b): mor(add(a, b), add(a, b)) for a, b in homs})
 
 
 class Enumerated(FiniteOperad):

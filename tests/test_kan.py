@@ -14,7 +14,7 @@ import pytest
 import dendro
 from dendro.complexes import Complex
 from dendro.jsonio import dumps, kan_report_to_json
-from dendro.kan import (HornMap, _horn_maps, enumerate_horn_maps, fillers,
+from dendro.kan import (HornMap, _horn_maps, arity_needed, enumerate_horn_maps, fillers,
                         kan_report, tree_shapes)
 from dendro.nerves import (CompiledShape, dendrex_closure, dendrices,
                            dendrices_with_colours, face_of)
@@ -282,6 +282,30 @@ def test_composite_of_another_profile_gets_no_verdict(z2):
     assert str(exc.value) == (
         "face ('inner', 'e2') of Tree([(e1,e2)->e0, (e3)->e2], root='e0'): composite "
         "(('0', '0'), '1', 'id_0') does not have the profile of the merged vertex")
+
+
+def test_kan_report_refuses_a_table_too_small_for_its_bounds():
+    """At vertex bound b and arity cap a, faces compose up to arity
+    b(a - 1) + 1; a table that stops below it is refused before any work
+    (it used to stop partway on a missing composition row)."""
+    table = table_operad_from(CORPUS["z2"](), 3)
+    assert arity_needed(3, 3) == 7
+    with pytest.raises(ValueError) as exc:
+        kan_report(table, 3)
+    assert str(exc.value) == ("max_vertices 3 with max_arity 3 needs a table of "
+                              "arity 7; this one stops at arity 3")
+    assert kan_report(table, 2, max_arity=2).fully_kan
+
+
+def test_a_picard_groupoid_that_is_not_skeletal_has_a_fully_kan_nerve(
+        contractible_picard_smc):
+    """Picard groupoids have fully Kan nerves, also when two objects are
+    isomorphic.  Fillers are unique on trees with >= 2 vertices; an outer
+    horn of a corolla leaves a colour free, and both colours fill it."""
+    rep = kan_report(SMCOperad(contractible_picard_smc), 2)
+    assert rep.fully_kan and rep.strict and not rep.fully_unique
+    assert rep.horns_checked == 1224
+    assert {(w.issue, len(w.tree.vertices)) for w in rep.witnesses} == {("non_unique", 1)}
 
 
 def _report_digest(rep) -> str:

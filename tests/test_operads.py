@@ -205,6 +205,28 @@ def test_validate_operad_reports_a_missing_row(table, violation):
     assert validate_operad(dataclasses.replace(good, **{table: rows}), 2) == [violation]
 
 
+def test_validate_operad_reports_a_symmetry_action_that_is_not_functorial(bz2):
+    """A symmetry row sent to the other operation of its profile keeps
+    every profile, so only the functoriality law, sigma * (tau * f) =
+    (tau sigma) * f, sees it."""
+    good = table_operad_from(bz2, 3)
+    f = min((op for op in good.profiles if len(good.profiles[op][0]) == 3), key=str)
+    key = (f, (1, 0, 2))
+    (other,) = [op for op in good.operations(*good.profiles[f]) if op != good.symmetry[key]]
+    bad = dataclasses.replace(good, symmetry={**good.symmetry, key: other})
+    violations = validate_operad(bad, 3)
+    assert "symmetry action not functorial: (1, 0, 2) after (0, 2, 1) on " \
+           "(('*', '*', '*'), '*', 'g0')" in violations
+    assert all(not v.startswith("symmetry action breaks profile") for v in violations)
+
+
+def test_a_picard_groupoid_that_is_not_skeletal(contractible_picard_smc):
+    """Two isomorphic objects: `picard_check` merges them into one
+    isomorphism class, whose tensor inverse is itself."""
+    assert validate_smc(contractible_picard_smc) == []
+    assert picard_check(contractible_picard_smc) == (True, [])
+
+
 def bubble_sort_iso(smc: FiniteSMC, objs, sigma) -> str:
     """The reference oracle for `FiniteSMC.permutation_iso`: bubble-sort
     the word sigma, composing one whiskered adjacent braiding per swap."""

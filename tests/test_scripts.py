@@ -45,3 +45,18 @@ def test_script_stops_quietly_on_a_closed_pipe(argv):
     proc.stderr.close()
     proc.wait()
     assert "Traceback" not in stderr, stderr
+
+
+def test_untested_lines_runs_on_one_test_module():
+    """The line tracer runs pytest in-process on the API test alone: it
+    exits with pytest's status, says that subprocess tests are not traced,
+    and lists, per module, lines that test leaves unrun."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "untested_lines.py"),
+                           str(REPO / "tests" / "test_api.py"), "-q", "-p", "no:cacheprovider"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "in a subprocess are not traced" in proc.stdout
+    assert "\nkan.py: " in proc.stdout
+    last = proc.stdout.rstrip().splitlines()[-1].split()
+    assert last[0] == "total:" and 0 < int(last[1]) < int(last[3])

@@ -95,6 +95,15 @@ def test_disconnected_rejected():
         Tree((Vertex(("a",), "b"),), "r")
 
 
+def test_a_cycle_is_caught_by_the_connectivity_check():
+    """A cycle of vertices passes every incidence check (each edge is the
+    output of one vertex and the input of one) and is caught only by the
+    walk up from the root, which never reaches it."""
+    with pytest.raises(TreeError) as exc:
+        Tree((Vertex(("a",), "b"), Vertex(("b",), "a")), "r")
+    assert str(exc.value) == "disconnected edges: ['a', 'b']"
+
+
 def test_vertices_are_checked_in_the_order_given():
     """A tree keeps its vertices by output edge, but checks them in the
     order given: here that order meets the repeated input `p` before the
