@@ -362,12 +362,19 @@ def _carried(src: Complex, dst: Complex, edge_map: dict[str, str],
     exactly when `_uncarried` finds a cell."""
     while mask:
         i = mask.bit_length() - 1       # no later cell is left, so i is maximal
-        j = dst.index.get(frozenset(edge_map[e] for e in src.order[i]))
-        if j is None or not image >> j & 1 \
-                or not _carries(src.cell_trees[i], edge_map, dst.cell_trees[j]):
+        if not _carries_cell(src, dst, edge_map, i, image):
             return False
         mask &= ~src.masks[i]
     return True
+
+
+def _carries_cell(src: Complex, dst: Complex, edge_map: dict[str, str], i: int,
+                  image: int) -> bool:
+    """Whether the edge map carries cell i of `src` onto a cell of the
+    closure `image` of `dst` with the mapped tree."""
+    j = dst.index.get(frozenset(edge_map[e] for e in src.order[i]))
+    return j is not None and image >> j & 1 \
+        and _carries(src.cell_trees[i], edge_map, dst.cell_trees[j])
 
 
 def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
@@ -377,14 +384,9 @@ def _uncarried(src: Complex, dst: Complex, edge_map: dict[str, str],
     image with the mapped tree; `pairs` holds the (source, image) masks of
     the targets and of the starts.  This is the reference walk over every
     cell, which words the violations once `_carried` has failed."""
-    out = []
-    for label, (mask, image) in zip(("target", "start"), pairs):
-        for i in src.indices(mask):
-            j = dst.index.get(frozenset(edge_map[e] for e in src.order[i]))
-            if j is None or not image >> j & 1 \
-                    or not _carries(src.cell_trees[i], edge_map, dst.cell_trees[j]):
-                out.append((label, src.order[i]))
-    return out
+    return [(label, src.order[i])
+            for label, (mask, image) in zip(("target", "start"), pairs)
+            for i in src.indices(mask) if not _carries_cell(src, dst, edge_map, i, image)]
 
 
 def certificate_class(cert: Certificate) -> AnodyneClass | None:

@@ -17,6 +17,7 @@ Four families, keyed by the ids used on the command line:
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 from .anodyne import AnodyneClass, BuildError, Certificate, _horn_step, build_filtration
 from .complexes import Cell, Complex, _cell_key, reject_stumps, representable
@@ -137,7 +138,7 @@ def codim_base_cells(tree: Tree, v_output: str) -> list[frozenset]:
     else:
         for d in tree.vertex_above(v_output).inputs:
             cells.append(branch(tree, d).edges)
-    return list(dict.fromkeys(map(frozenset, cells)))
+    return cells
 
 
 def _initial_subtree_codim(tree: Tree, cell_tree: Tree) -> int:
@@ -160,10 +161,8 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
     later as contractions of larger subtrees.
     """
     tree = amb.tree_of(cell)
+    kept = _base_segment(tree, v_output)     # a TreeError for an unknown vertex
     v = tree.vertex_above(v_output)
-    if v is None:
-        raise TreeError(f"no vertex with output {v_output!r} in {sorted(cell)}")
-    kept = _base_segment(tree, v_output)
     base_count = len(kept)
     big_n = len(tree.vertices) - base_count + 1
     # a complex has no stumps, so a vertex is one of a cell exactly when its
@@ -183,12 +182,9 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
         by_nk.setdefault((n, _initial_subtree_codim(tree, ct)), []).append(es)
     # chosen faces, built with n descending: contract the least input edge
     # of the distinguished vertex that is inner in the subtree
-    chosen: dict[tuple[int, int], set[frozenset]] = {(big_n, 0): set()}
+    chosen: dict[tuple[int, int], set[frozenset]] = defaultdict(set)
     for nn in range(big_n - 1, 0, -1):
-        for kk in range(0, big_n - nn + 1):
-            chosen.setdefault((nn, kk), set())
-            if kk == 0:
-                continue
+        for kk in range(1, big_n - nn + 1):
             for s in by_nk.get((nn + 1, kk - 1), []):
                 if s in chosen[(nn + 1, kk - 1)]:
                     continue
@@ -207,10 +203,9 @@ def codim_additions(amb: Complex, cell: Cell, v_output: str) -> list[frozenset]:
 def codim_certificate(tree: Tree, v_output: str) -> Certificate:
     amb = representable(tree)
     base = codim_base_cells(tree, v_output)
-    additions = codim_additions(amb, tree.edges, v_output)
-    present = amb.closure_mask(base)
-    # by ascending vertex count, so no addition lies in an earlier one's closure
-    return build_filtration(amb, base, [c for c in additions if not present >> amb.index[c] & 1])
+    # each addition holds the base segment's edges and more vertices, so it lies
+    # in no base cell; they come by ascending vertex count, so in no earlier one
+    return build_filtration(amb, base, codim_additions(amb, tree.edges, v_output))
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +260,24 @@ def _root_horn(tree: Tree, omitted: tuple[str, str] | None,
                        section=section, retraction=retraction)
 
 
-def _fresh(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
-
-
 def _root_horn_through_split(tree: Tree, start_cells, memo: dict[tuple, Certificate]):
     """Certify horn -> full split tree W, where W inserts one fresh edge a'
     between the stem and the tree top of the branch above the root vertex.
-    Returns (certificate over W, the fresh edge, the edge below it)."""
+    Returns (certificate over W, the fresh edge, the edge below it).
+
+    Each cell is planned once and lies in neither the start nor an earlier
+    cell, so `build_filtration`'s "already present" error is the only guard.
+    By stem set, a cell's edges among a_0..a_l: every cell holds a', which no
+    start cell does.  A Step-1 cell of subset J holds exactly the stem edges
+    J, and J grows.  Within J, the additions of Uprime(J)'s root face and of
+    Uprime(J) have more vertices than U0(J)'s root face and than U0(J) in
+    turn, U0(J) and the latter hold c and the former do not, and each list
+    ascends by vertex count; a cell's additions end with it when it has a
+    vertex above d_edges, else Uprime(J) == U0(J).  Steps 2-4 hold the whole
+    stem.  A Step-3 cell has a vertex above a', which Step 2's lacks; a
+    segment is fixed by its leaves, so a later one's contractions lie in no
+    earlier one's, and one segment's come by ascending vertex count.  Step
+    4's root face lies only in W, which comes last."""
     c = tree.root
     above = face(tree, ROOT_FACE, c).subtree     # the branch above the root vertex
     b_edges = tree.edges - above.edges - {c}     # the root vertex's leaf inputs
@@ -283,7 +285,9 @@ def _root_horn_through_split(tree: Tree, start_cells, memo: dict[tuple, Certific
     a0 = st[0]
     l = len(st) - 1
     v = tree.vertex_above(a0)            # tree-top root vertex, arity >= 2
-    a_prime = _fresh("a'", tree.edges)
+    a_prime = "a'"                       # a fresh edge name
+    while a_prime in tree.edges:
+        a_prime += "'"
     w_vertices = [Vertex(x.inputs, a_prime) if x == v else x
                   for x in tree.vertices]
     w_vertices.append(Vertex((a_prime,), a0))
@@ -301,36 +305,21 @@ def _root_horn_through_split(tree: Tree, start_cells, memo: dict[tuple, Certific
 
     order: list[frozenset] = []
     nested: dict[frozenset, Certificate] = {}
-    present = amb.closure_mask(start_cells)
-
-    def plan(cl, sub_cert: Certificate | None = None):
-        nonlocal present
-        i = amb.index_of(cl)
-        if not present >> i & 1:
-            order.append(cl)
-            if sub_cert is not None:
-                nested[cl] = sub_cert
-            present |= amb.masks[i]
-
     # Step 1: grow the faces missing stem edges in four families per size
     # of the kept stem subset (strict subsets only)
     for size in range(0, l + 1):
         subsets = list(itertools.combinations(range(l + 1), size))
         for J in subsets:
-            plan(face(amb.tree_of(U0(J)), ROOT_FACE, c).subtree.edges)
+            order.append(face(amb.tree_of(U0(J)), ROOT_FACE, c).subtree.edges)
         for J in subsets:
             tp = face(amb.tree_of(Uprime(J)), ROOT_FACE, c).subtree.edges
-            for extra in codim_additions(amb, tp, a_prime):
-                plan(extra)
-            plan(tp)
+            order.extend(codim_additions(amb, tp, a_prime))
         for J in subsets:
-            plan(U0(J))
+            order.append(U0(J))
         for J in subsets:
-            for extra in codim_additions(amb, Uprime(J), a_prime):
-                plan(extra)
-            plan(Uprime(J))
+            order.extend(codim_additions(amb, Uprime(J), a_prime))
     # Step 2: the initial segment with a' as a leaf, at its root horn
-    plan(frozenset({c, a_prime} | b_edges | set(st)))
+    order.append(frozenset({c, a_prime} | b_edges | set(st)))
     # Step 3: larger initial segments (the cells at W's root made of W's
     # vertices) and their tree-top contractions, each attached along its own
     # recursively certified root horn
@@ -347,15 +336,14 @@ def _root_horn_through_split(tree: Tree, start_cells, memo: dict[tuple, Certific
             batch = [frozenset(seg.edges - set(E))
                      for E in itertools.combinations(pool, esize)]
             for cl in sorted(batch, key=_cell_key):
-                if not present >> amb.index_of(cl) & 1:
-                    sub = amb.tree_of(cl)
-                    key = (sub.root, sub.vertices)
-                    if key not in memo:
-                        memo[key] = _root_horn(sub, None, memo)
-                    plan(cl, sub_cert=memo[key])
+                sub = amb.tree_of(cl)
+                key = (sub.root, sub.vertices)
+                if key not in memo:
+                    memo[key] = _root_horn(sub, None, memo)
+                order.append(cl)
+                nested[cl] = memo[key]
     # Step 4: the root face of W at the inner horn of a', then W itself
-    plan(frozenset(w.edges - ({c} | b_edges)))
-    plan(frozenset(w.edges))
+    order += [frozenset(w.edges - ({c} | b_edges)), frozenset(w.edges)]
     cert = build_filtration(amb, list(start_cells), order, nested=nested)
     return cert, a_prime, a0
 

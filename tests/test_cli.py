@@ -140,12 +140,26 @@ def test_missing_file_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"root": "c",')
+    assert main(["tree", "show", "--tree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: $: {path}: invalid JSON (")
+    assert captured.err.endswith(")\n") and captured.err.count("\n") == 1
+
+
 # -- nerve ------------------------------------------------------------------
 
 def test_nerve_dendrices(capsys, tmp_path, c2_file):
     op = operad_file(tmp_path, "z2")
     assert main(["nerve", "dendrices", "--operad", op, "--tree", c2_file]) == 0
     assert "4 dendrices" in capsys.readouterr().out
+    assert main(["nerve", "dendrices", "--operad", op, "--tree", c2_file,
+                 "--format", "json"]) == 0
+    items = json.loads(capsys.readouterr().out)
+    assert isinstance(items, list) and len(items) == 4
 
 
 def test_nerve_sset_json(capsys, tmp_path):
@@ -153,6 +167,14 @@ def test_nerve_sset_json(capsys, tmp_path):
     assert main(["nerve", "sset", "--operad", op, "--dim", "2",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"0": 1, "1": 2, "2": 4}
+
+
+def test_nerve_sset_non_integer_dim_is_usage_error(capsys, tmp_path):
+    op = operad_file(tmp_path, "bz2")
+    with pytest.raises(SystemExit) as exc:
+        main(["nerve", "sset", "--operad", op, "--dim", "x"])
+    assert exc.value.code == 2
+    assert "argument --dim: invalid int value: 'x'" in capsys.readouterr().err
 
 
 # -- kan --------------------------------------------------------------------
@@ -200,6 +222,10 @@ def test_shuffle_list_text(capsys, c2_file):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     assert all(line.startswith("(") and line.endswith(")") for line in lines)
+    assert main(["shuffle", "list", "--tree", c2_file, "--n", "2", "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("digraph") == 3
+    assert all(f'digraph "shuffle_{i}" {{' in out for i in range(3))
 
 
 def test_shuffle_list_is_byte_deterministic(capsys, c2_file):
@@ -227,6 +253,10 @@ def test_anodyne_verify_corrupt(capsys, tmp_path):
                  "--format", "json"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is False and out["violations"]
+    assert main(["anodyne", "verify", "--cert", str(path), "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("INVALID:")
+    assert lines[1:] == ["  " + v for v in out["violations"]]
 
 
 def test_anodyne_verify_schema_error(capsys, tmp_path):

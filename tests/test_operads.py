@@ -8,7 +8,7 @@ import pytest
 
 from dendro.cli import main
 from dendro.jsonio import smc_to_json
-from dendro.operads import (CORPUS, FiniteSMC, SMCOperad, TableOperad,
+from dendro.operads import (CORPUS, FiniteOperad, FiniteSMC, SMCOperad, TableOperad,
                             _permutation_iso, b_z2_smc, cyclic_group_smc, discrete_abelian_smc,
                             klein_four_smc, mult_01_monoid_smc,
                             one_object_abelian_group_smc, picard_check, table_operad_from,
@@ -218,6 +218,35 @@ def test_validate_operad_reports_a_symmetry_action_that_is_not_functorial(bz2):
     assert "symmetry action not functorial: (1, 0, 2) after (0, 2, 1) on " \
            "(('*', '*', '*'), '*', 'g0')" in violations
     assert all(not v.startswith("symmetry action breaks profile") for v in violations)
+
+
+class _MislistedIdentity(FiniteOperad):
+    """One colour and one operation, the identity, which `operations` lists
+    under its own profile and under the nullary one too."""
+    colours = ("x",)
+
+    def operations(self, inputs, output):
+        return ("id",) if inputs in ((), ("x",)) else ()
+
+    def op_profile(self, op):
+        return (("x",), "x")
+
+    def identity(self, colour):
+        return "id"
+
+    def compose(self, f, i, g):
+        return "id"
+
+    def permute(self, f, sigma):
+        return f
+
+
+def test_validate_operad_reports_an_operation_listed_under_a_wrong_profile():
+    """A `TableOperad` lists each operation under its own profile, so only
+    another `FiniteOperad` can list one under a wrong one; the check ends
+    before the laws that compose along it."""
+    assert validate_operad(_MislistedIdentity(), max_arity=2) == [
+        "operation id listed under wrong profile ((), 'x')"]
 
 
 def test_a_picard_groupoid_that_is_not_skeletal(contractible_picard_smc):

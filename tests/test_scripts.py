@@ -60,3 +60,23 @@ def test_untested_lines_runs_on_one_test_module():
     assert "\nkan.py: " in proc.stdout
     last = proc.stdout.rstrip().splitlines()[-1].split()
     assert last[0] == "total:" and 0 < int(last[1]) < int(last[3])
+
+
+def test_check_goldens_runs_one_workload():
+    """Every `kan_corpus` golden is checked against src/ and matches."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "check_goldens.py"),
+                           "--workload", "kan_corpus"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("kan_corpus: 6 checked, 0 differ (")
+
+
+def test_check_goldens_names_a_query_that_differs():
+    """A golden that is not the query's digest gives one line naming it."""
+    code = ("import sys, tempfile; sys.path.insert(0, sys.argv[1]); import check_goldens\n"
+            "print(check_goldens.check_workload('kan_corpus', {'z2@3': '0' * 32},"
+            " tempfile.gettempdir()))")
+    proc = subprocess.run([sys.executable, "-c", code, str(REPO / "scripts")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("['z2@3: digest ") and "!= golden 0000" in proc.stdout
