@@ -194,27 +194,29 @@ def _carries(tree: Tree, m: dict[str, str], image: Tree) -> bool:
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Replay and check every step; all failures are reported, pinpointed by
     their step path."""
-    return _verify(cert, (), None, -1)
+    return _verify(cert, (), None, -1)[0]
 
 
 def _verify(cert: Certificate, path: tuple[int, ...], amb: Complex | None,
-            within: int) -> VerificationReport:
+            within: int) -> tuple[VerificationReport, int, int]:
     """Check `cert` on the cells in the mask `within` (-1: all) of `amb`, or
-    of its own ambient for None; nested steps are checked in the same one."""
+    of its own ambient for None; nested steps are checked in the same one.
+    Returns the report and the closures of the start and the target (0 for
+    a malformed certificate)."""
     rep = VerificationReport(classes_used=[], step_count=0)
     try:
         amb = cert.ambient() if amb is None else amb
-        start = _closure_within(amb, within, cert.start)
-        target = _closure_within(amb, within, cert.target)
+        start = amb.closure_mask(cert.start, within)
+        target = amb.closure_mask(cert.target, within)
     except (ValueError, KeyError, TreeError) as exc:
         rep.fail(path, f"malformed certificate: {exc}")
-        return rep
+        return rep, 0, 0
     if cert.kind == "retract":
         _verify_retract(cert, amb, start, target, rep, path)
-        return rep
+        return rep, start, target
     if cert.kind != "filtration":
         rep.fail(path, f"unknown kind {cert.kind!r}")
-        return rep
+        return rep, start, target
     current = start
     for i, step in enumerate(cert.steps):
         here = path + (i,)
@@ -222,10 +224,12 @@ def _verify(cert: Certificate, path: tuple[int, ...], amb: Complex | None,
         if not isinstance(step, (HornStep, NestedStep)):
             rep.fail(here, f"unknown step type {type(step).__name__}")
             continue
-        j = _index_within(amb, within, step.cell)
-        if j is None:
+        try:
+            j = amb.index_of(step.cell, within)
+        except KeyError:
             rep.fail(here, f"not an ambient cell: {sorted(step.cell)}")
-        elif isinstance(step, HornStep):
+            continue
+        if isinstance(step, HornStep):
             current = _verify_horn_step(step, amb, j, current, rep, here)
         else:
             current = _verify_nested_step(step, amb, j, current, rep, here)
@@ -234,29 +238,12 @@ def _verify(cert: Certificate, path: tuple[int, ...], amb: Complex | None,
         extra = _first_cells(amb, current & ~target)
         rep.fail(path, f"final subcomplex differs from target "
                        f"(missing {missing}, extra {extra})")
-    return rep
+    return rep, start, target
 
 
 def _first_cells(amb: Complex, mask: int) -> list[Cell]:
     """The first three cells of a mask by sorted edge names, for messages."""
     return sorted(amb.cells_of(mask), key=sorted)[:3]
-
-
-def _index_within(amb: Complex, within: int, cell) -> int | None:
-    """The index of a cell of `amb` in the mask `within`, else None."""
-    i = amb.index.get(frozenset(cell))
-    return i if i is not None and within >> i & 1 else None
-
-
-def _closure_within(amb: Complex, within: int, cells) -> int:
-    """The closure of cells that must lie in the mask `within`."""
-    mask = 0
-    for c in cells:
-        i = _index_within(amb, within, c)
-        if i is None:
-            raise KeyError(f"not a cell of the complex: {sorted(c)}")
-        mask |= amb.masks[i]
-    return mask
 
 
 def _verify_horn_step(step: HornStep, amb: Complex, i: int, current: int, rep, here) -> int:
@@ -288,16 +275,16 @@ def _verify_nested_step(step: NestedStep, amb: Complex, i: int, current: int,
     if sub.ambient_generators != (amb.cell_trees[i],):
         rep.fail(here, f"nested ambient is not the closure of {sorted(step.cell)}")
         return current
-    if not _merge(rep, _verify(sub, here, amb, amb.masks[i])):
+    sub_rep, sub_start, sub_target = _verify(sub, here, amb, amb.masks[i])
+    if not _merge(rep, sub_rep):
         return current
-    sub_start = amb.closure_mask(sub.start)
     met = amb.masks[i] & current
     if met != sub_start:
         rep.fail(here, f"nested attachment of {sorted(step.cell)}: current meets its "
                        f"closure in {met.bit_count()} cells but the sub-certificate "
                        f"starts from {sub_start.bit_count()}")
         return current
-    if amb.closure_mask(sub.target) != amb.masks[i]:
+    if sub_target != amb.masks[i]:
         rep.fail(here, "nested certificate does not reach the full cell")
         return current
     return current | amb.masks[i]
@@ -309,7 +296,8 @@ def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
     if sub is None:
         rep.fail(path, "retract certificate without sub-certificate")
         return
-    if not _merge(rep, _verify(sub, path + (0,), None, -1)):
+    sub_rep, sub_start, sub_target = _verify(sub, path + (0,), None, -1)
+    if not _merge(rep, sub_rep):
         return
     s = dict(cert.section)
     r = dict(cert.retraction)
@@ -326,8 +314,6 @@ def _verify_retract(cert: Certificate, amb: Complex, start: int, target: int,
     if bad_rs:
         rep.fail(path, f"retraction after section is not the identity at {sorted(bad_rs)}")
         return
-    sub_start = sub_amb.closure_mask(sub.start)
-    sub_target = sub_amb.closure_mask(sub.target)
     if _carried(amb, sub_amb, s, target, sub_target) \
             and _carried(amb, sub_amb, s, start, sub_start) \
             and _carried(sub_amb, amb, r, sub_target, target) \

@@ -20,10 +20,10 @@ from .jsonio import (SchemaError, certificate_from_json, certificate_to_json,
                      tree_from_json, tree_to_json)
 from .kan import arity_needed, kan_report
 from .lemmas import LEMMA_IDS, LEMMAS, build_lemma_certificate
-from .nerves import dendrices, underlying_sset
+from .nerves import count_dendrices, dendrices
 from .operads import TableOperad
 from .shuffles import shuffles
-from .trees import FACE_KINDS, build_standard, classify_edges, faces
+from .trees import FACE_KINDS, build_standard, classify_edges, faces, linear
 
 
 def _load_json(path: str):
@@ -115,13 +115,13 @@ def _cmd_nerve(args) -> int:
             for d in ds:
                 _emit("  " + repr(d))
         return 0
-    table = underlying_sset(p, args.dim)
-    counts = table.counts()
+    # the k-simplices are the dendrices of linear(k), counted without listing
+    counts = {k: count_dendrices(p, linear(k)) for k in range(args.dim + 1)}
     if args.format == "json":
-        _emit(dumps({str(k): v for k, v in sorted(counts.items())}))
+        _emit(dumps({str(k): v for k, v in counts.items()}))
     else:
-        for k in sorted(counts):
-            _emit(f"dim {k}: {counts[k]} simplices")
+        for k, v in counts.items():
+            _emit(f"dim {k}: {v} simplices")
     return 0
 
 
@@ -323,7 +323,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     # SchemaError, TreeError and BuildError are ValueErrors
     except (ValueError, OSError, KeyError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -39,10 +39,6 @@ def closure_cells(tree: Tree) -> dict[Cell, Tree]:
     return out
 
 
-def _cell_key(cell: Cell):
-    return (len(cell), sorted(cell))
-
-
 def reject_stumps(tree: Tree) -> None:
     """Raise ValueError if the tree has a vertex without inputs: removing it
     keeps the edge set, and cells are keyed by edge set."""
@@ -73,7 +69,7 @@ class Complex:
                 if prev is not None and prev != t:
                     raise ValueError(f"generators disagree on cell {sorted(es)}")
                 found[es] = t
-        self.order: tuple[Cell, ...] = tuple(sorted(found, key=_cell_key))
+        self.order: tuple[Cell, ...] = tuple(sorted(found, key=lambda c: (len(c), sorted(c))))
         self.index: dict[Cell, int] = {c: i for i, c in enumerate(self.order)}
         self.cell_trees: tuple[Tree, ...] = tuple([found[c] for c in self.order])
         self.face_lists: list[list[FaceDescriptor]] = []
@@ -98,11 +94,12 @@ class Complex:
         """Cell -> its tree, in index order, built from `order` and `cell_trees`."""
         return dict(zip(self.order, self.cell_trees))
 
-    def index_of(self, cell: Iterable[str]) -> int:
-        try:
-            return self.index[frozenset(cell)]
-        except KeyError:
-            raise KeyError(f"not a cell of the complex: {sorted(cell)}") from None
+    def index_of(self, cell: Iterable[str], within: int = -1) -> int:
+        """The index of a cell in the mask `within` (-1: any cell)."""
+        i = self.index.get(frozenset(cell))
+        if i is None or not within >> i & 1:
+            raise KeyError(f"not a cell of the complex: {sorted(cell)}")
+        return i
 
     def tree_of(self, cell: Cell) -> Tree:
         return self.cell_trees[self.index_of(cell)]
@@ -117,11 +114,12 @@ class Complex:
             mask |= 1 << i
         return mask
 
-    def closure_mask(self, cells: Iterable[Iterable[str]]) -> int:
-        """The mask of the closure of the given cells."""
+    def closure_mask(self, cells: Iterable[Iterable[str]], within: int = -1) -> int:
+        """The mask of the closure of the given cells, which must lie in the
+        mask `within`."""
         mask = 0
         for c in cells:
-            mask |= self.masks[self.index_of(c)]
+            mask |= self.masks[self.index_of(c, within)]
         return mask
 
     def indices(self, mask: int) -> list[int]:

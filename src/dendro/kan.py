@@ -53,6 +53,19 @@ must be shown to be c_e, the composite of x's operations at the ends of e.
     vertex is w_e o a from T/e and, by associativity, c_e o a from T/e'
     (or a o w_e and a o c_e), a being x's operation at the far end of e';
     cancellation gives w_e = c_e.
+
+Inner horns need no law.  Part (a) and the first case of (b) compose
+nothing but the faces' own operations, so they hold on every table whose
+composites have the profiles of their merged vertices.  An inner horn
+keeps every outer face, and each T/e with n >= 3 has an outer vertex
+u != w_e, outer in T too, so the first case always applies.  A tree with
+2 vertices keeps its two corollas.  So every inner horn map fills exactly
+once, and `inner_kan` is never False.  The number of inner horn maps does
+need the laws: on a non-associative table a dendrex's faces can disagree
+below them, and such a restriction is no horn map.
+
+`kan_report` keeps the witnesses, one per horn map that does not fill
+exactly once, and reads the report's flags off them.
 """
 
 from __future__ import annotations
@@ -229,13 +242,11 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
         raise ValueError(f"max_vertices {max_vertices} with max_arity {max_arity} needs "
                          f"a table of arity {need}; this one stops at arity {p.arity}")
     cancels = max_vertices >= 3 and p.cancellative()
-    rep = KanReport(operad_name=name or getattr(p, "name", "operad"),
-                    max_vertices=max_vertices, max_arity=max_arity,
-                    inner_kan=True, dendroidal_kan=True, fully_kan=True,
-                    strict=True, fully_unique=True)
+    horns = 0
+    witnesses: list[HornWitness] = []
     for tree in tree_shapes(max_vertices, max_arity):
         if cancels and len(tree.vertices) >= 3:
-            rep.horns_checked += face_count(tree) * count_dendrices(p, tree)
+            horns += face_count(tree) * count_dendrices(p, tree)
             continue
         shape = CompiledShape(p, Complex([tree]))
         sigs = list(map(shape.restrictions.__getitem__, shape.nodes[-1].ids))
@@ -243,21 +254,18 @@ def kan_report(p: FiniteOperad, max_vertices: int, max_arity: int = 3,
             h = HornSpec(tree, f)
             cls = classify_horn(h)
             buckets = Counter(map(tuple_getter(kept), sigs))
-            for chosen in _horn_maps(shape, slots):
-                rep.horns_checked += 1
+            maps = _horn_maps(shape, slots)
+            horns += len(maps)
+            for chosen in maps:
                 n = buckets.get(chosen, 0)
-                if n == 0:
-                    rep.fully_kan = False
-                    if cls != "root":
-                        rep.dendroidal_kan = False
-                    if cls == "inner":
-                        rep.inner_kan = False
-                    rep.witnesses.append(HornWitness(tree, f.key, cls, "unfillable",
-                                                     _horn_map(shape, h, kept, chosen), 0))
-                elif n > 1:
-                    rep.fully_unique = False
-                    if len(tree.vertices) > 1:
-                        rep.strict = False
-                    rep.witnesses.append(HornWitness(tree, f.key, cls, "non_unique",
-                                                     _horn_map(shape, h, kept, chosen), n))
-    return rep
+                if n != 1:
+                    witnesses.append(HornWitness(tree, f.key, cls,
+                                                 "non_unique" if n else "unfillable",
+                                                 _horn_map(shape, h, kept, chosen), n))
+    unfillable = {w.horn_class for w in witnesses if w.issue == "unfillable"}
+    non_unique = {len(w.tree.vertices) for w in witnesses if w.issue == "non_unique"}
+    return KanReport(operad_name=name or getattr(p, "name", "operad"),
+                     max_vertices=max_vertices, max_arity=max_arity,
+                     inner_kan="inner" not in unfillable, dendroidal_kan=unfillable <= {"root"},
+                     fully_kan=not unfillable, strict=non_unique <= {1},
+                     fully_unique=not non_unique, horns_checked=horns, witnesses=witnesses)

@@ -20,7 +20,7 @@ import itertools
 from collections import defaultdict
 
 from .anodyne import AnodyneClass, BuildError, Certificate, _horn_step, build_filtration
-from .complexes import Cell, Complex, _cell_key, reject_stumps, representable
+from .complexes import Cell, Complex, reject_stumps, representable
 from .shuffles import filtration_base
 from .trees import (COROLLA_FACE, ROOT_FACE, TOP_FACE, Tree, TreeError, Vertex, branch,
                     face, faces, has_root_horn, is_extended_corolla, stem_edges,
@@ -335,7 +335,7 @@ def _root_horn_through_split(tree: Tree, start_cells, memo: dict[tuple, Certific
                 continue     # the full tree W is attached in step 4
             batch = [frozenset(seg.edges - set(E))
                      for E in itertools.combinations(pool, esize)]
-            for cl in sorted(batch, key=_cell_key):
+            for cl in sorted(batch, key=amb.index.__getitem__):
                 sub = amb.tree_of(cl)
                 key = (sub.root, sub.vertices)
                 if key not in memo:

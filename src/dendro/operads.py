@@ -436,11 +436,15 @@ def _smc_permute(smc: FiniteSMC, memo: dict, f, sigma):
 # operad validation
 # ---------------------------------------------------------------------------
 
-def _profiles_upto(colours: Sequence[str], max_arity: int):
+def _listed(p: FiniteOperad, max_arity: int):
+    """(op, the profile it is listed under) for each operation of arity at
+    most `max_arity`: by arity, inputs in `itertools.product` order, then
+    one `p.operations_from` per input tuple."""
     for n in range(max_arity + 1):
-        for inputs in itertools.product(colours, repeat=n):
-            for output in colours:
-                yield inputs, output
+        for inputs in itertools.product(p.colours, repeat=n):
+            for output, ops in p.operations_from(inputs):
+                for op in ops:
+                    yield op, (inputs, output)
 
 
 def _expand_permutation(sigma: tuple[int, ...], i: int, m: int) -> tuple[int, ...]:
@@ -477,11 +481,10 @@ def validate_operad(p: FiniteOperad, max_arity: int = 3) -> list[str]:
             return gaps
     bad: list[str] = []
     ops: list = []
-    for inputs, output in _profiles_upto(p.colours, max_arity):
-        for op in p.operations(inputs, output):
-            if p.op_profile(op) != (inputs, output):
-                bad.append(f"operation {op} listed under wrong profile {(inputs, output)}")
-            ops.append(op)
+    for op, listed in _listed(p, max_arity):
+        if p.op_profile(op) != listed:
+            bad.append(f"operation {op} listed under wrong profile {listed}")
+        ops.append(op)
     for c in p.colours:
         i = p.identity(c)
         if p.op_profile(i) != ((c,), c):
@@ -580,10 +583,7 @@ def table_operad_from(p: FiniteOperad, max_arity: int = 3) -> TableOperad:
     stored as the listed object, and each permutation is one tuple for all
     its rows.
     """
-    profiles: dict = {}
-    for inputs, output in _profiles_upto(p.colours, max_arity):
-        for op in p.operations(inputs, output):
-            profiles[op] = (tuple(inputs), output)
+    profiles = dict(_listed(p, max_arity))
     listed = {op: op for op in profiles}
 
     def shared(op):

@@ -15,6 +15,7 @@ from dendro.complexes import representable
 from dendro.jsonio import (certificate_to_json, dumps, operad_to_json,
                            smc_to_json, tree_to_json)
 from dendro.lemmas import binary_tensor_certificate
+from dendro.nerves import underlying_sset
 from dendro.operads import CORPUS, b_z2_smc, cyclic_group_smc, table_operad_from
 from dendro.trees import Tree, TreeError, Vertex, c2, face, linear
 
@@ -65,8 +66,15 @@ def test_tree_build_dot(capsys):
      "error: linear takes 1 parameter, got 3"),
     (["--kind", "extended_corolla", "--params", "1"],
      "error: extended_corolla takes 2 parameters, got 1"),
-], ids=["corolla-none", "eta-one", "linear-three", "extended-corolla-one"])
+    (["--kind", "corolla", "--params", "-1"], "error: corolla arity must be >= 0"),
+    (["--kind", "linear", "--params", "-1"], "error: linear length must be >= 0"),
+    (["--kind", "extended_corolla", "--params", "-1", "0"],
+     "error: extended corolla parameters must be >= 0"),
+], ids=["corolla-none", "eta-one", "linear-three", "extended-corolla-one",
+        "corolla-negative", "linear-negative", "extended-corolla-negative"])
 def test_tree_build_wrong_parameter_count(capsys, params, message):
+    """A wrong number of parameters, or a negative one, exits 2 with one
+    stderr line."""
     assert main(["tree", "build"] + params) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -169,6 +177,35 @@ def test_nerve_sset_json(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out) == {"0": 1, "1": 2, "2": 4}
 
 
+def test_nerve_sset_counts_high_dimensions(capsys, tmp_path):
+    """`nerve sset` counts the simplices without listing them: bz2 has
+    2^k k-simplices, so dimension 40 answers at once."""
+    op = operad_file(tmp_path, "bz2")
+    assert main(["nerve", "sset", "--operad", op, "--dim", "40"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 41
+    assert lines[-1] == "dim 40: 1099511627776 simplices"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["table:z2", "table:mult01"])
+def test_nerve_sset_counts_equal_the_listed_simplices(capsys, tmp_path, name):
+    """Text and JSON give `underlying_sset(...).counts()`, the simplices
+    listed, on the corpus and on tables."""
+    if name.startswith("table:"):
+        p = table_operad_from(CORPUS[name[6:]](), 3)
+        path = tmp_path / "table.json"
+        path.write_text(dumps(operad_to_json(p)))
+        op = str(path)
+    else:
+        p, op = CORPUS[name](), operad_file(tmp_path, name)
+    want = underlying_sset(p, 5).counts()
+    assert main(["nerve", "sset", "--operad", op, "--dim", "5"]) == 0
+    assert capsys.readouterr().out == "".join(f"dim {k}: {v} simplices\n"
+                                              for k, v in sorted(want.items()))
+    assert main(["nerve", "sset", "--operad", op, "--dim", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {str(k): v for k, v in want.items()}
+
+
 def test_nerve_sset_non_integer_dim_is_usage_error(capsys, tmp_path):
     op = operad_file(tmp_path, "bz2")
     with pytest.raises(SystemExit) as exc:
@@ -213,6 +250,20 @@ def test_kan_check_on_a_table_too_small_is_input_error(capsys, tmp_path):
     assert main(["kan", "check", "--operad", str(path), "--bound", "2",
                  "--max-arity", "2", "--format", "text"]) == 0
     assert "fully_kan=True" in capsys.readouterr().out
+
+
+def test_missing_composition_row_is_one_unquoted_line(capsys, tmp_path):
+    """A `KeyError` prints its message, not its repr: no quotes."""
+    doc = operad_to_json(table_operad_from(CORPUS["z2"](), 3))
+    doc["composition"] = [row for row in doc["composition"]
+                          if (row["f"], row["i"], row["g"]) != ("o0", 1, "o6")]
+    path = tmp_path / "gap.json"
+    path.write_text(dumps(doc))
+    assert main(["kan", "check", "--operad", str(path), "--bound", "2",
+                 "--max-arity", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: composition table has no entry for (o0, 1, o6)\n"
 
 
 # -- shuffle ----------------------------------------------------------------

@@ -512,6 +512,14 @@ def test_retract_certificate_roundtrip():
     assert certificate_class(back) <= AnodyneClass.EXTENDED_LEFT
 
 
+def test_retract_section_pair_of_three_edges_is_schema_error():
+    doc = certificate_to_json(root_horn_certificate(_RETRACT_TREE))
+    doc["steps"][0]["section"][0].append("x")
+    with pytest.raises(SchemaError) as exc:
+        certificate_from_json(doc)
+    assert str(exc.value) == "$.steps[0].section[0]: expected an [edge, edge] pair"
+
+
 def _node_counts(cert) -> tuple[int, int]:
     """(filtration and retract nodes, horn steps) of a certificate."""
     if cert.kind == "retract":

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -18,8 +19,8 @@ from dendro.kan import (HornMap, _horn_maps, arity_needed, enumerate_horn_maps, 
                         kan_report, tree_shapes)
 from dendro.nerves import (CompiledShape, dendrex_closure, dendrices,
                            dendrices_with_colours, face_of)
-from dendro.operads import (CORPUS, SMCOperad, TableOperad, one_object_abelian_group_smc,
-                             table_operad_from)
+from dendro.operads import (CORPUS, SMCOperad, TableOperad, b_z2_smc,
+                             one_object_abelian_group_smc, table_operad_from)
 from dendro.shuffles import c2_tensor_complex, filtration_base
 from dendro.trees import (COROLLA_FACE, Tree, Vertex, c2, corolla, face,
                           faces, horn, isomorphic, linear)
@@ -282,6 +283,45 @@ def test_composite_of_another_profile_gets_no_verdict(z2):
     assert str(exc.value) == (
         "face ('inner', 'e2') of Tree([(e1,e2)->e0, (e3)->e2], root='e0'): composite "
         "(('0', '0'), '1', 'id_0') does not have the profile of the merged vertex")
+
+
+def _flags_from_witnesses(rep):
+    """The five flags as their definitions read them off the witnesses."""
+    unfillable = [w for w in rep.witnesses if w.issue == "unfillable"]
+    non_unique = [w for w in rep.witnesses if w.issue == "non_unique"]
+    return {"inner_kan": all(w.horn_class != "inner" for w in unfillable),
+            "dendroidal_kan": all(w.horn_class == "root" for w in unfillable),
+            "fully_kan": not unfillable,
+            "strict": all(len(w.tree.vertices) == 1 for w in non_unique),
+            "fully_unique": not non_unique}
+
+
+def test_inner_horns_fill_on_every_table_whose_composites_keep_profiles():
+    """Inner horns fill exactly once without any operad law (see `kan`):
+    composition rows sent at random to another operation of the same
+    profile break the laws, and so other flags, but never give an inner
+    witness.  Every report's flags are the ones its witnesses define."""
+    rng = random.Random(32)
+    smcs = [b_z2_smc(), one_object_abelian_group_smc(range(3), lambda a, b: (a + b) % 3),
+            one_object_abelian_group_smc(range(3), max)]
+    other_flag_false = 0
+    for bound, arity in [(3, 2), (2, 3)]:
+        for smc in smcs:
+            table = table_operad_from(SMCOperad(smc), arity_needed(bound, arity))
+            by_profile = {}
+            for op, prof in table.profiles.items():
+                by_profile.setdefault(prof, []).append(op)
+            rows = sorted(table.composition, key=str)
+            for _ in range(4):
+                corrupt = {key: rng.choice(by_profile[table.profiles[table.composition[key]]])
+                           for key in rng.sample(rows, 3)}
+                rep = kan_report(_with_composition(table, corrupt), bound, arity)
+                flags = _flags_from_witnesses(rep)
+                assert {k: getattr(rep, k) for k in flags} == flags
+                assert rep.inner_kan
+                assert all(w.horn_class != "inner" for w in rep.witnesses)
+                other_flag_false += not (rep.fully_kan and rep.strict)
+    assert other_flag_false > 0
 
 
 def test_kan_report_refuses_a_table_too_small_for_its_bounds():

@@ -18,6 +18,11 @@ def test_dendrex_count_c2_z2(z2):
     assert len(dendrices(z2, c2())) == 4
 
 
+def test_a_dendrex_equals_no_other_type(z2):
+    d = dendrices(z2, c2())[0]
+    assert d != 3 and d != "d" and d != d.shape
+
+
 def test_dendrex_count_eta(z3):
     assert len(dendrices(z3, eta())) == 3
 

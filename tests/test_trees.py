@@ -56,6 +56,13 @@ def test_linear_tree():
     assert t.inner_edges == frozenset({"1", "2"})
 
 
+def test_leaf_and_edge_names_must_match_the_arity():
+    with pytest.raises(TreeError, match="expected 2 leaf names, got 1"):
+        corolla(2, leaves=("a",))
+    with pytest.raises(TreeError, match="expected 3 edge names, got 1"):
+        linear(2, edges=("a",))
+
+
 def test_extended_corolla_zero_chain_is_corolla():
     assert isomorphic(extended_corolla(0, 3), corolla(4))
 
