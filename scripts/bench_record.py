@@ -7,10 +7,13 @@
 Each `--workload NAME:PAIRS` runs `perfbench/run.py` PAIRS times on the
 base revision and PAIRS times on the working tree, alternating, with seed
 `--seed`, `--seed`+1, ... for the pairs; which side runs first alternates
-from pair to pair.  Every run lasts the `run_seconds` of `BENCHMARK.json`.  The base revision is exported with `git archive` into
-a temporary directory (`TMPDIR` chooses where), so the repository's own
-state is not touched, and each side runs its own unchanged
-`perfbench/run.py` against its own `src/`.
+from pair to pair.  Every run lasts the `run_seconds` of `BENCHMARK.json`.
+The base revision is exported with `git archive` into a temporary
+directory (`TMPDIR` chooses where), and the working tree's tracked files
+under `src/` and `perfbench/` are copied beside it, so the repository's
+own state is not touched, neither side starts with bytecode left by
+earlier runs, and each side runs its own unchanged `perfbench/run.py`
+against its own `src/`.
 
 The file holds, per workload and end-to-end metric of `BENCHMARK.json`,
 the per-run values of both sides, their medians and quartiles, the number
@@ -57,6 +60,19 @@ def export(rev: str, into: Path) -> None:
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
+
+
+def copy_tracked(repo: Path, into: Path) -> None:
+    """The working tree's tracked files under `src/` and `perfbench/`, as
+    they are now, written under `into`; a tracked file deleted from the
+    working tree is left out."""
+    listed = subprocess.run(["git", "-C", str(repo), "ls-files", "-z", "--", "src", "perfbench"],
+                            check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        source = repo / name
+        if source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def cpu_model() -> str:
@@ -130,7 +146,8 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="bench-record-"))
     try:
         export(base_rev, work / "base")
-        sides = {"base": work / "base", "head": REPO}
+        copy_tracked(REPO, work / "head")
+        sides = {"base": work / "base", "head": work / "head"}
         for name, pairs in plan:
             runs: dict[str, list[dict]] = {"base": [], "head": []}
             for k in range(pairs):

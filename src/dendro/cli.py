@@ -20,10 +20,10 @@ from .jsonio import (SchemaError, certificate_from_json, certificate_to_json,
                      tree_from_json, tree_to_json)
 from .kan import arity_needed, kan_report
 from .lemmas import LEMMA_IDS, LEMMAS, build_lemma_certificate
-from .nerves import count_dendrices, dendrices
+from .nerves import dendrices, simplex_counts
 from .operads import TableOperad
 from .shuffles import shuffles
-from .trees import FACE_KINDS, build_standard, classify_edges, faces, linear
+from .trees import FACE_KINDS, build_standard, classify_edges, faces
 
 
 def _load_json(path: str):
@@ -116,7 +116,7 @@ def _cmd_nerve(args) -> int:
                 _emit("  " + repr(d))
         return 0
     # the k-simplices are the dendrices of linear(k), counted without listing
-    counts = {k: count_dendrices(p, linear(k)) for k in range(args.dim + 1)}
+    counts = dict(enumerate(simplex_counts(p, args.dim)))
     if args.format == "json":
         _emit(dumps({str(k): v for k, v in counts.items()}))
     else:

@@ -151,6 +151,24 @@ def count_dendrices(p: FiniteOperad, shape: Tree) -> int:
     return sum(above[shape.root].values())
 
 
+def simplex_counts(p: FiniteOperad, max_dim: int) -> list[int]:
+    """`count_dendrices(p, linear(k))` for k = 0..max_dim in one sweep: per
+    colour of its root, the labellings of `linear(k)` give those of
+    `linear(k + 1)`, one unary vertex lower, through the unary operations,
+    read once from `p.operations_from`."""
+    unary = {c: [(d, len(ops)) for d, ops in p.operations_from((c,))] for c in p.colours}
+    above = dict.fromkeys(p.colours, 1)
+    counts = [sum(above.values())]
+    for _ in range(max_dim):
+        below = dict.fromkeys(p.colours, 0)
+        for c, n in above.items():
+            for d, k in unary[c]:
+                below[d] += n * k
+        above = below
+        counts.append(sum(above.values()))
+    return counts
+
+
 def dendrices_with_colours(p: FiniteOperad, shape: Tree) -> list[Dendrex]:
     """All dendrices of the shape, as `Dendrex` objects in `labellings`
     order."""

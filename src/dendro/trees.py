@@ -13,6 +13,10 @@ A face's edge set is computed from its tree's before the face is built: an
 inner face drops its edge, a top face the inputs of its vertex, the root
 face the root and the root vertex's other inputs, and a colour face is its
 one edge.  Faces are built unchecked.
+
+`Vertex` and `FaceDescriptor` are named tuples: each hashes, compares and
+prints as the tuple of its fields, so building, hashing and comparing them
+runs in C.
 """
 
 from __future__ import annotations
@@ -21,15 +25,14 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Container, Iterable
+from typing import Container, Iterable, NamedTuple
 
 
 class TreeError(ValueError):
     """Raised for malformed trees or invalid tree operations."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     inputs: tuple[str, ...]
     output: str
 
@@ -228,8 +231,7 @@ COROLLA_FACE = "colour"
 FACE_KINDS = (INNER_FACE, TOP_FACE, ROOT_FACE, COROLLA_FACE)
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(NamedTuple):
     """A codimension-one face of a tree.
 
     kind is one of inner/top/root/colour; label is the contracted inner edge,

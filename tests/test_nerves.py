@@ -8,7 +8,8 @@ from dendro.complexes import Complex
 from dendro.kan import tree_shapes
 from dendro.nerves import (CompiledShape, Dendrex, check_dendrex, count_dendrices,
                            degeneracy_of, dendrex_closure, dendrices, dendrices_with_colours,
-                           face_of, is_degenerate, labellings, underlying_sset)
+                           face_of, is_degenerate, labellings, simplex_counts,
+                           underlying_sset)
 from dendro.operads import CORPUS, table_operad_from
 from dendro.trees import (COROLLA_FACE, INNER_FACE, Tree, Vertex, c2, corolla, eta,
                           face, faces, linear)
@@ -330,3 +331,11 @@ def test_count_dendrices_is_the_number_listed(name):
     p = CORPUS[name]()
     for shape in tree_shapes(4) + [eta()]:
         assert count_dendrices(p, shape) == len(labellings(p, shape)), shape
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + [_TABLE + "mult01", _TABLE + "bz2"])
+def test_simplex_counts_sweep_equals_count_dendrices(name):
+    """One sweep up a linear tree gives `count_dendrices(p, linear(k))`,
+    the reference, at every k <= 6."""
+    p = _operad(name)
+    assert simplex_counts(p, 6) == [count_dendrices(p, linear(k)) for k in range(7)]

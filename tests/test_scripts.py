@@ -80,3 +80,33 @@ def test_check_goldens_names_a_query_that_differs():
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("['z2@3: digest ") and "!= golden 0000" in proc.stdout
+
+
+def test_bench_record_copies_the_tracked_working_tree(tmp_path):
+    """The working tree's side runs from a copy of its tracked files under
+    src/ and perfbench/, edits included: no bytecode cache, untracked file
+    or other directory comes along."""
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(REPO / "scripts"))
+    repo, into = tmp_path / "repo", tmp_path / "copy"
+    files = {"src/pkg/mod.py": "x = 1\n", "src/pkg/gone.py": "y = 2\n",
+             "perfbench/run.py": "pass\n", "tests/test_x.py": "pass\n"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+    (repo / "src/pkg/mod.py").write_text("x = 3\n")
+    (repo / "src/pkg/gone.py").unlink()
+    (repo / "src/pkg/__pycache__").mkdir()
+    (repo / "src/pkg/__pycache__/mod.cpython-311.pyc").write_bytes(b"\0")
+    (repo / "src/pkg/new.py").write_text("z = 4\n")
+    bench_record.copy_tracked(repo, into)
+    copied = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
+    assert copied == ["perfbench/run.py", "src/pkg/mod.py"]
+    assert (into / "src/pkg/mod.py").read_text() == "x = 3\n"

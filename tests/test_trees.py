@@ -661,3 +661,35 @@ def test_face_trees_go_with_their_certificates(monkeypatch):
     gc.collect()
     assert len(sizes) == 153 and min(sizes) > 0
     assert len(live) == 0
+
+
+# -- value types ------------------------------------------------------------
+
+def test_vertex_and_face_hash_and_print_as_their_field_tuples():
+    """A vertex and a face hash as the tuple of their fields, in field
+    order, and print as they did when they were frozen dataclasses: set and
+    dict orders, and so every output, follow from these hashes."""
+    v = Vertex(("a", "b"), "c")
+    assert hash(v) == hash(tuple(v)) == hash((("a", "b"), "c"))
+    assert repr(v) == "Vertex(inputs=('a', 'b'), output='c')"
+    f = face(c2(), COROLLA_FACE, "a")
+    assert hash(f) == hash(tuple(f)) == hash((COROLLA_FACE, "a", eta("a")))
+    assert repr(f) == "FaceDescriptor(kind='colour', label='a', subtree=Tree(eta 'a'))"
+    assert [repr(g) for g in faces(linear(2))] == [
+        "FaceDescriptor(kind='inner', label='1', subtree=Tree([(0)->2], root='2'))",
+        "FaceDescriptor(kind='top', label='1', subtree=Tree([(1)->2], root='2'))",
+        "FaceDescriptor(kind='root', label='2', subtree=Tree([(0)->1], root='1'))"]
+
+
+def test_vertex_and_face_are_immutable_and_keep_their_properties():
+    v = Vertex(("a", "b"), "c")
+    f = face(linear(2), INNER_FACE, "1")
+    for obj, name in ((v, "output"), (v, "arity"), (f, "label"), (f, "key")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, "x")
+    with pytest.raises(AttributeError):
+        v.colour = "x"
+    assert (v.inputs, v.output, v.arity) == (("a", "b"), "c", 2)
+    assert Vertex((), "c").arity == 0
+    assert f.key == (INNER_FACE, "1") and f.kind == INNER_FACE and f.label == "1"
+    assert f.subtree == Tree((Vertex(("0",), "2"),), "2")
